@@ -52,7 +52,6 @@ from .measures import (
     DivergenceReport,
     ErReport,
     PptReport,
-    SeparableAnsatz,
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,

@@ -88,7 +88,6 @@ class BellDiagonalState:
         if self.n < 1:
             raise ValueError("copy count must be >= 1")
         clean = {}
-        total = 0.0
         for s, w in self.weights.items():
             s = check_bell_string(s, self.n)
             w = float(w)
@@ -97,10 +96,11 @@ class BellDiagonalState:
             if w == 0.0:
                 continue
             clean[s] = clean.get(s, 0.0) + w
-            total += w
+        # a running float sum drifts past the tolerance over 10^6 strings; fsum does not
+        total = math.fsum(clean.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "weights", dict(clean))
+        object.__setattr__(self, "weights", clean)
 
     def weight(self, s: Sequence[int]) -> float:
         return self.weights.get(tuple(s), 0.0)
@@ -156,9 +156,7 @@ def rho2_power(m: int, representation: str = "bell-diagonal"):
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
-    The sparse map holds 4^m strings, so materialize only for moderate m;
-    divergences against this state can be evaluated lazily via
-    `pair_constant_weight`.
+    The sparse map holds 4^m strings, so materialize only for moderate m.
     """
 
     if m < 1:
@@ -185,16 +183,6 @@ def is_pair_constant(s: Sequence[int]) -> bool:
     if len(s) % 2 != 0:
         return False
     return all(s[2 * j] == s[2 * j + 1] for j in range(len(s) // 2))
-
-
-def pair_constant_weight(s: Sequence[int]) -> float:
-    """Weight that rho2_power(len(s)/2) assigns to the string s, without
-    materializing the state."""
-
-    if len(s) % 2 != 0:
-        raise ValueError("pair-constant reference needs an even copy count")
-    m = len(s) // 2
-    return 4.0 ** (-m) if is_pair_constant(s) else 0.0
 
 
 def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str],

@@ -29,11 +29,10 @@ import numpy as np
 from .bell import bell_amplitudes, bell_product_ket, rho_n, smolin_flip_check, to_dense
 from .entropies import trace_distance, von_neumann_entropy
 from .measures import PptReport, ppt_check
-from .permutations import I2, X, Z, IDENTITY_PAIR, LocalUnitaryPair
+from .permutations import H, I2, X, Z, IDENTITY_PAIR, LocalUnitaryPair
 from .registers import ALICE, BOB, RegisterLayout
 from .states import DensityOperator, Ket, apply_local, partial_trace
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
 FIDELITY_TOL = 1e-12
@@ -137,7 +136,7 @@ def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket 
 
     t = ket.tensor_view()
     if basis == "X":
-        t = np.moveaxis(np.tensordot(_HADAMARD, np.moveaxis(t, axis, 0), axes=1), 0, axis)
+        t = np.moveaxis(np.tensordot(H, np.moveaxis(t, axis, 0), axes=1), 0, axis)
     elif basis != "Z":
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     moved = np.moveaxis(t, axis, 0)
@@ -149,7 +148,7 @@ def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket 
     post[outcome] = branch / math.sqrt(prob)
     post = np.moveaxis(post, 0, axis)
     if basis == "X":
-        post = np.moveaxis(np.tensordot(_HADAMARD, np.moveaxis(post, axis, 0), axes=1), 0, axis)
+        post = np.moveaxis(np.tensordot(H, np.moveaxis(post, axis, 0), axes=1), 0, axis)
     return prob, Ket(ket.layout, post.reshape(ket.layout.dim))
 
 
@@ -164,7 +163,7 @@ def measure_local(state: ShotState, party: str, copy: int, basis: str,
     axis = state.ket.layout.index_of(label)
     t = state.ket.tensor_view()
     if basis == "X":
-        t = np.moveaxis(np.tensordot(_HADAMARD, np.moveaxis(t, axis, 0), axes=1), 0, axis)
+        t = np.moveaxis(np.tensordot(H, np.moveaxis(t, axis, 0), axes=1), 0, axis)
     elif basis != "Z":
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
     moved = np.moveaxis(t, axis, 0)
@@ -176,7 +175,7 @@ def measure_local(state: ShotState, party: str, copy: int, basis: str,
     post[outcome] = branch / nrm
     post = np.moveaxis(post, 0, axis)
     if basis == "X":
-        post = np.moveaxis(np.tensordot(_HADAMARD, np.moveaxis(post, axis, 0), axes=1), 0, axis)
+        post = np.moveaxis(np.tensordot(H, np.moveaxis(post, axis, 0), axes=1), 0, axis)
     ket = Ket(state.ket.layout, post.reshape(state.ket.layout.dim))
     return outcome, replace(state, ket=ket)
 
@@ -452,7 +451,6 @@ def distill_exact_branches(n: int) -> BranchAnalysis:
     if 2 * n > 12:
         raise ValueError("branch analysis is dense-only; n too large")
     branches = []
-    phi1_rest = bell_amplitudes(1)
     for hidden in (1, 2, 3, 4):
         base = ShotState.prepared(hidden, n)
         plan = [(ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X")]

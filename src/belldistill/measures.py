@@ -4,8 +4,9 @@ The uniform four-Bell mixture on 2m copies has relative entropy exactly
 2m - 2 against the m-fold product of two-copy blocks, and that candidate is
 separable, so the relative entropy of entanglement is bounded by the same
 closed form the distillation protocol achieves.  This module evaluates the
-closed forms, the raw divergences behind them, PPT/negativity evidence, and
-numerical upper bounds from separable-state sampling and search.
+closed forms, the raw divergences behind them, PPT/negativity evidence,
+separable-state sampling, and the relative entropy of entanglement of the
+n-copy mixture from its largest product-state overlap.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .bell import (
     BellDiagonalState,
+    bell_product_ket,
     is_pair_constant,
     rho2_power,
     rho_n,
@@ -30,8 +32,6 @@ from .entropies import (
 )
 from .registers import ALICE, BOB, BipartiteCut, RegisterLayout
 from .states import DensityOperator, partial_transpose, reorder
-
-BIG_PENALTY = 1e6
 
 
 @dataclass(frozen=True)
@@ -279,146 +279,69 @@ def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalS
     return state
 
 
-# --- Derivative-free upper-bound search --------------------------------------
-
-
-@dataclass(frozen=True)
-class SeparableAnsatz:
-    """Mixture of product pure states across the Alice:Bob cut."""
-
-    n: int
-    weights: np.ndarray
-    alice_states: np.ndarray  # (K, 2^n) complex, rows normalized
-    bob_states: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must form a probability vector")
-        for side in (self.alice_states, self.bob_states):
-            norms = np.linalg.norm(side, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-9:
-                raise ValueError("local states must be normalized")
-
-    def to_density(self) -> DensityOperator:
-        n = self.n
-        alice, bob, canonical = _block_layout(n)
-        d = 2 ** n
-        sigma = np.zeros((d * d, d * d), dtype=complex)
-        for w, a, b in zip(self.weights, self.alice_states, self.bob_states):
-            v = np.kron(a, b)
-            sigma += w * np.outer(v, v.conj())
-        block = DensityOperator(alice.concat(bob), sigma)
-        return reorder(block, canonical.labels)
-
-
-def _json_safe(x: float | None):
-    if x is None:
-        return None
-    return "infinity" if math.isinf(x) else float(x)
+# --- Product-overlap bound ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ErReport:
-    """Outcome of one search run; embeds everything needed to reproduce it."""
+    """Outcome of one bound computation; embeds everything needed to
+    reproduce it.  `alice_state` and `bob_state` are the best product state
+    found, on the A1..An and B1..Bn blocks."""
 
     target: str
     n: int
-    terms: int
     best_bits: float
-    floor_bits: float | None
+    floor_bits: float
     restarts: int
     budget: int
     seed: int
     evaluations: int
-    asserted: bool
-    restart_values: tuple[float, ...] = field(default=())
+    restart_values: tuple[float, ...]
+    alice_state: np.ndarray = field(compare=False, repr=False)
+    bob_state: np.ndarray = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
             "target": self.target,
             "n": self.n,
-            "terms": self.terms,
-            "method": "coordinate-perturbation",
-            "value_bits": _json_safe(self.best_bits),
-            "floor_bits": _json_safe(self.floor_bits),
+            "method": "product-overlap",
+            "value_bits": self.best_bits,
+            "floor_bits": self.floor_bits,
             "restarts": self.restarts,
             "budget": self.budget,
             "seed": self.seed,
             "samples": self.evaluations,
-            "asserted": self.asserted,
-            "restart_values": [_json_safe(v) for v in self.restart_values],
+            "restart_values": list(self.restart_values),
         }
 
 
-def _block_to_canonical_index_map(n: int) -> np.ndarray:
-    """For each canonical basis index, the block-ordered (A1..An,B1..Bn)
-    basis index carrying the same bit assignment; derived from the layouts."""
+def _top_vector(u: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of sum_i u_i u_i^dagger over the columns u_i, and
+    its unit eigenvector, from the small Gram matrix u^dagger u."""
 
-    alice, bob, canonical = _block_layout(n)
-    block = alice.concat(bob)
-    nq = canonical.n_qubits
-    block_pos = {label: k for k, label in enumerate(block.labels)}
-    bmap = np.zeros(2 ** nq, dtype=np.intp)
-    for c in range(2 ** nq):
-        b = 0
-        for i, label in enumerate(canonical.labels):
-            bit = (c >> (nq - 1 - i)) & 1
-            b |= bit << (nq - 1 - block_pos[label])
-        bmap[c] = b
-    return bmap
+    vals, vecs = np.linalg.eigh(u.conj().T @ u)
+    v = u @ vecs[:, -1]
+    return float(vals[-1]), v / np.linalg.norm(v)
 
 
-def _objective_factory(n: int):
-    rho = to_dense(rho_n(n))
-    bmap = _block_to_canonical_index_map(n)
-    cmap = np.argsort(bmap)  # block index -> canonical index
-    rho_m = rho.matrix[np.ix_(cmap, cmap)]  # rho rewritten in block ordering
-    p_log_p_sum = sum(w * math.log2(w) for w in rho_n(n).weights.values())
+def er_search(n: int, restarts: int = 20, budget: int = 4000, seed: int = 0) -> ErReport:
+    """Upper bound on the relative entropy of entanglement of the n-copy
+    mixture from its largest overlap with a product state.
 
-    def build_sigma(weights, alice_states, bob_states):
-        # rows v_k = a_k x b_k, sigma = sum_k w_k |v_k><v_k| (block ordering;
-        # rho was permuted once instead of permuting sigma every call)
-        v = np.einsum("ka,kb->kab", alice_states, bob_states).reshape(len(weights), -1)
-        return (v * weights[:, None]).T @ v.conj()
+    Local Pauli twirls leave the mixture fixed and keep separable states
+    separable, so E_R = -2 - log2 G, where G is the largest overlap
+    <ab|rho_n|ab> with a product state |a>_A |b>_B (Vedral-Plenio 1998).
+    Twirling |ab> and averaging it over the Klein permutations on every copy
+    gives a separable state at exactly that divergence, so every value
+    reported here is attained.  G is maximized by alternating top
+    eigenvectors: with |a> fixed, the best |b> is the top eigenvector of
+    sum_i u_i u_i^dagger, u_i = (<a| x I)|Phi_i^n>, and vice versa.  Each
+    alternation costs O(4^n).  A restart stops when G stops rising or after
+    `budget` alternations.
 
-    def value(sigma_canonical) -> float:
-        q, vecs = np.linalg.eigh(sigma_canonical)
-        w = np.clip(np.real(np.sum(vecs.conj() * (rho_m @ vecs), axis=0)), 0.0, None)
-        mask = q > SUPPORT_CUTOFF
-        leak = float(np.sum(w[~mask]))
-        if leak > SUPPORT_LEAK_TOL:
-            return BIG_PENALTY + leak
-        return p_log_p_sum - float(np.sum(w[mask] * np.log2(q[mask])))
-
-    return build_sigma, value
-
-
-def _unpack_params(x: np.ndarray, terms: int, d: int):
-    logits = x[:terms]
-    shifted = np.exp(logits - logits.max())
-    weights = shifted / shifted.sum()
-    rest = x[terms:].reshape(terms, 2, 2, d)
-    alice = rest[:, 0, 0, :] + 1j * rest[:, 0, 1, :]
-    bob = rest[:, 1, 0, :] + 1j * rest[:, 1, 1, :]
-    alice = alice / np.linalg.norm(alice, axis=1, keepdims=True)
-    bob = bob / np.linalg.norm(bob, axis=1, keepdims=True)
-    return weights, alice, bob
-
-
-def er_search(n: int, terms: int | None = None, restarts: int = 20, budget: int = 4000,
-              seed: int = 0, step0: float = 0.5, min_step: float = 1e-3) -> ErReport:
-    """Derivative-free upper bound on the relative entropy of entanglement
-    of the n-copy mixture: coordinate-wise perturbation with shrinking step
-    over product-mixture parameters, with seeded random restarts.
-
-    `terms` defaults to 4^n, the smallest count whose random mixtures are
-    generically full rank (fewer terms cannot cover the target's support, and
-    a restart that never reaches a finite divergence is reported as inf).
-
-    For even n the provable optimum n - 2 is a floor the search can never
-    beat; the report records it and the run fails loudly if numerical noise
-    ever dips below it.  For odd n the result is exploration only.
+    The result is n - 2 for even n and n - 1 for odd n (where X^n and Z^n
+    anticommute, so G <= 2^-(n+1)).  Any value below the proven floor
+    E_R >= E_D = n - 2 raises, since it can only come from a bug.
     """
 
     if budget <= 0:
@@ -426,69 +349,49 @@ def er_search(n: int, terms: int | None = None, restarts: int = 20, budget: int 
     if restarts < 1:
         raise ValueError("need at least one restart")
     if 2 * n > 12:
-        raise ValueError("search is dense-only; n too large")
-    if terms is None:
-        terms = 4 ** n
-    build_sigma, value_of = _objective_factory(n)
+        raise ValueError("the product-overlap bound is dense; capped at n <= 6 (12 qubits)")
+    alice, bob, _ = _block_layout(n)
     d = 2 ** n
-    n_params = terms + terms * 4 * d
-
-    def objective(x: np.ndarray) -> float:
-        return value_of(build_sigma(*_unpack_params(x, terms, d)))
-
-    floor = float(n - 2) if (n % 2 == 0 or n == 1) else None
-    if n == 1:
-        floor = 0.0
-    best = math.inf
+    block = alice.concat(bob).labels
+    # v[i] is |Phi_i^n> with rows on Alice's block and columns on Bob's
+    v = np.stack([reorder(bell_product_ket((i,) * n), block).amplitudes.reshape(d, d)
+                  for i in (1, 2, 3, 4)])
+    floor = float(max(n - 2, 0))
+    best_g = 0.0
+    best_state = None
     evaluations = 0
     restart_values = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        x = rng.standard_normal(n_params)
-        val = objective(x)
-        evaluations += 1
-        used = 1
-        step = step0
-        order = np.arange(n_params)
-        while used < budget and step > min_step:
-            improved = False
-            rng.shuffle(order)
-            for idx in order:
-                if used >= budget:
-                    break
-                for delta in (step, -step):
-                    trial = x.copy()
-                    trial[idx] += delta
-                    v = objective(trial)
-                    used += 1
-                    evaluations += 1
-                    if v < val - 1e-12:
-                        x, val = trial, v
-                        improved = True
-                        break
-                if used >= budget:
-                    break
-            if not improved:
-                step *= 0.5
-        # a restart that never left the infeasible (rank-deficient) region has
-        # produced no divergence value at all
-        restart_values.append(math.inf if val >= BIG_PENALTY else val)
-        best = min(best, restart_values[-1])
-    if floor is not None and best < floor - 1e-6:
+        a = _random_pure(rng, d)
+        g = 0.0
+        for _ in range(budget):
+            _, b = _top_vector(np.einsum("j,ijk->ki", a.conj(), v))
+            lam, a_next = _top_vector(np.einsum("k,ijk->ji", b.conj(), v))
+            evaluations += 1
+            if lam / 4.0 <= g * (1.0 + 1e-12):
+                break
+            g, a = lam / 4.0, a_next
+            state = (a, b)
+        restart_values.append(-2.0 - math.log2(g))
+        if g > best_g:
+            best_g, best_state = g, state
+    best = -2.0 - math.log2(best_g)
+    if best < floor - 1e-9:
         raise RuntimeError(
-            f"search value {best} undercuts the proven floor {floor}; "
+            f"bound {best} undercuts the proven floor {floor}; "
             "this indicates a bug, not a better separable state"
         )
     return ErReport(
         target=f"rho_n({n})",
         n=n,
-        terms=terms,
-        best_bits=float(best),
+        best_bits=best,
         floor_bits=floor,
         restarts=restarts,
         budget=budget,
         seed=seed,
         evaluations=evaluations,
-        asserted=n % 2 == 0 or n == 1,
-        restart_values=tuple(float(v) for v in restart_values),
+        restart_values=tuple(restart_values),
+        alice_state=best_state[0],
+        bob_state=best_state[1],
     )

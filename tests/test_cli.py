@@ -28,6 +28,14 @@ def payload_of(result):
     return json.loads(result.stdout)
 
 
+def assert_usage_error(result):
+    # exit 2 with a message, never a traceback or a payload
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Error:" in result.stderr and "Traceback" not in result.stderr
+
+
 # --- verify ---------------------------------------------------------------
 
 
@@ -82,6 +90,8 @@ def test_verify_usage_errors(runner):
     assert invoke(runner, ["verify", "eq5", "--m", "0"]).exit_code == 2
     assert invoke(runner, ["verify", "eq10", "--m", "2", "--method", "dense"]).exit_code == 2
     assert invoke(runner, ["verify", "er-pair", "--n", "4", "--method", "dense"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "4", "--method", "dense"]))
+    assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", "-1"]))
 
 
 # --- distill / discriminate --------------------------------------------------
@@ -130,6 +140,12 @@ def test_distill_byte_identical_reruns(runner):
 def test_distill_usage_error(runner):
     assert invoke(runner, ["distill", "--n", "0"]).exit_code == 2
     assert invoke(runner, ["distill", "--n", "3", "--shots", "0"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["distill", "--n", "7"]))
+
+
+def test_discriminate_usage_error(runner):
+    assert invoke(runner, ["discriminate", "--n", "1"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["discriminate", "--n", "7"]))
 
 
 def test_discriminate_perfect(runner):
@@ -194,24 +210,28 @@ def test_sigma_equiv_usage_errors(runner):
     assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
     assert invoke(runner, ["sigma-equiv", "--perms", "2134,2134,2134,2134",
                            "--method", "dense"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", "-1"]))
 
 
 # --- explore -----------------------------------------------------------------------
 
 
 def test_explore_er_exploratory_exit_zero(runner):
-    result = invoke(runner, ["explore", "er", "--n", "1", "--terms", "8",
+    result = invoke(runner, ["explore", "er", "--n", "1",
                              "--restarts", "2", "--budget", "300", "--seed", "4"])
     assert result.exit_code == 0
     data = payload_of(result)
     assert data["seed"] == 4
-    assert data["value_bits"] >= -1e-9
+    assert data["method"] == "product-overlap"
+    assert data["value_bits"] == pytest.approx(0.0, abs=1e-9)
     assert data["samples"] > 0
     assert data["pass"] is True
 
 
 def test_explore_er_usage_error(runner):
     assert invoke(runner, ["explore", "er", "--n", "2", "--budget", "0"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["explore", "er", "--n", "7"]))
+    assert_usage_error(invoke(runner, ["explore", "er", "--n", "2", "--restarts", "0"]))
 
 
 # --- module entry point --------------------------------------------------------------

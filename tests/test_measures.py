@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,21 +6,29 @@ import pytest
 
 from belldistill import (
     BipartiteCut,
+    DensityOperator,
+    Ket,
+    RegisterLayout,
+    apply_local,
+    bell_basis_weights,
     bell_diagonal_kl,
     bell_ket,
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,
     er_search,
+    local_permutation_search,
     log_negativity,
     ppt_check,
     relative_entropy,
+    reorder,
     rho_n,
     sample_pairwise_separable,
     sample_separable,
     to_dense,
 )
-from belldistill.measures import SeparableAnsatz, _block_to_canonical_index_map
+from belldistill import measures
+from belldistill.permutations import I2, X, Z
 
 
 # --- closed forms -------------------------------------------------------------
@@ -162,34 +171,78 @@ def test_pairwise_separable_floor_two_bits(rng):
     assert min(values) >= 2.0 - 1e-6
 
 
+def test_pairwise_separable_weight_sum_is_exact():
+    # a running float sum over these 4^8 product weights drifted past the
+    # 1e-12 tolerance and rejected a valid state
+    sigma = sample_pairwise_separable(4, np.random.default_rng(609))
+    assert len(sigma.weights) == 4 ** 8
+    assert math.fsum(sigma.weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 # --- search ---------------------------------------------------------------------
 
 
-def test_block_index_map_is_permutation():
-    for n in (1, 2, 3):
-        bmap = _block_to_canonical_index_map(n)
-        assert sorted(bmap) == list(range(4 ** n))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_er_search_exact_values(n):
+    # n - 2 for even n; n - 1 for odd n, where X^n and Z^n anticommute
+    report = er_search(n, restarts=1, seed=n)
+    assert report.best_bits == pytest.approx(n - 2 if n % 2 == 0 else n - 1, abs=1e-9)
+    assert report.floor_bits == max(n - 2, 0)
 
 
-def test_separable_ansatz_density_is_separable_ppt(rng):
-    K, d = 6, 4
-    states = rng.standard_normal((2, K, d)) + 1j * rng.standard_normal((2, K, d))
-    states /= np.linalg.norm(states, axis=2, keepdims=True)
-    ansatz = SeparableAnsatz(n=2, weights=np.full(K, 1 / K),
-                             alice_states=states[0], bob_states=states[1])
-    assert ppt_check(ansatz.to_density()).is_ppt
+def _certificate(report) -> DensityOperator:
+    """Separable Bell-diagonal state built from the reported product state
+    by local unitaries only: a Pauli twirl P x P* on every copy, then the
+    average over the Klein permutations applied to every copy."""
+
+    n = report.n
+    canonical = RegisterLayout.bell_pairs(n)
+    block = canonical.reordered([f"A{j}" for j in range(1, n + 1)]
+                                + [f"B{j}" for j in range(1, n + 1)])
+    product = reorder(Ket(block, np.kron(report.alice_state, report.bob_state)),
+                      canonical.labels).to_dm()
+    paulis = (I2, X, Z, X @ Z)
+    twirled = np.zeros_like(product.matrix)
+    for string in itertools.product(paulis, repeat=n):
+        gates = {}
+        for j, p in enumerate(string, start=1):
+            gates[f"A{j}"], gates[f"B{j}"] = p, p.conj()
+        twirled += apply_local(product, gates).matrix / 4 ** n
+    twirled = DensityOperator(canonical, twirled)
+    sigma = np.zeros_like(twirled.matrix)
+    for perm in ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)):
+        pair = local_permutation_search(perm)
+        gates = {}
+        for j in range(1, n + 1):
+            gates[f"A{j}"], gates[f"B{j}"] = pair.u_alice, pair.u_bob
+        sigma += apply_local(twirled, gates).matrix / 4
+    return DensityOperator(canonical, sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_er_search_dense_certificate(n):
+    report = er_search(n, restarts=1, seed=7)
+    sigma = _certificate(report)
+    # the twirl left a Bell-diagonal state with equal constant-string weights
+    weights = bell_basis_weights(sigma)
+    assert np.allclose(to_dense(weights).matrix, sigma.matrix, atol=1e-12)
+    constant = [weights.weight((i,) * n) for i in (1, 2, 3, 4)]
+    assert max(constant) - min(constant) <= 1e-12
+    assert ppt_check(sigma).is_ppt
+    assert relative_entropy(to_dense(rho_n(n)), sigma) == pytest.approx(
+        report.best_bits, abs=1e-12)
 
 
 def test_er_search_maximally_mixed_target():
-    report = er_search(1, terms=8, restarts=5, budget=1200, seed=2)
-    assert report.best_bits <= 0.01
+    report = er_search(1, restarts=5, budget=1200, seed=2)
+    assert report.best_bits == pytest.approx(0.0, abs=1e-9)
     assert report.floor_bits == 0.0
 
 
 def test_er_search_two_copy_target_converges():
-    report = er_search(2, terms=16, restarts=6, budget=6000, seed=0)
-    assert report.best_bits <= 0.1  # acceptance runs the full 20-restart budget
-    assert report.best_bits >= -1e-6
+    report = er_search(2, restarts=1, seed=0)
+    assert report.best_bits == pytest.approx(0.0, abs=1e-9)
+    assert report.evaluations <= 2  # one alternation reaches G, one confirms it
 
 
 def test_er_search_reproducible():
@@ -197,15 +250,17 @@ def test_er_search_reproducible():
     b = er_search(3, restarts=2, budget=300, seed=9)
     assert a.best_bits == b.best_bits
     assert a.to_dict() == b.to_dict()
-    assert a.terms == 64  # defaults to 4^n so random mixtures are full rank
-    assert math.isfinite(a.best_bits)
+    assert np.array_equal(a.alice_state, b.alice_state)
+    assert a.to_dict()["method"] == "product-overlap"
+    assert len(a.restart_values) == 2
 
 
-def test_er_search_underparameterized_reports_inf():
-    # 4 product terms cannot cover the 16-dimensional two-copy space, so no
-    # restart ever reaches a finite divergence with a tiny budget
-    report = er_search(2, terms=4, restarts=1, budget=50, seed=0)
-    assert math.isinf(report.best_bits)
+def test_er_search_floor_breach_raises(monkeypatch):
+    # an overlap above the true maximum would put the bound below E_D = n - 2
+    top = measures._top_vector
+    monkeypatch.setattr(measures, "_top_vector", lambda u: (4 * top(u)[0], top(u)[1]))
+    with pytest.raises(RuntimeError, match="floor"):
+        er_search(4, restarts=1)
 
 
 def test_er_search_rejects_bad_budget():
