@@ -17,7 +17,6 @@ import math
 import time
 
 import click
-import numpy as np
 
 from .bell import (
     bell_diagonal_kl,
@@ -28,12 +27,7 @@ from .bell import (
     to_dense,
 )
 from .entropies import trace_distance
-from .locc import (
-    ShotState,
-    discriminate_two_copies,
-    distill as run_distill,
-    distill_trivial,
-)
+from .locc import discrimination_rate, distill as run_distill, distill_trivial
 from .measures import (
     DivergenceReport,
     er_bound_even,
@@ -136,7 +130,8 @@ def _tol_for(method: str, tol: float | None) -> float:
 
 
 @verify.command("eq5")
-@click.option("--m", "m", type=int, required=True, help="block count; value is 2m-2")
+@click.option("--m", "m", type=click.IntRange(min=1), required=True,
+              help="block count; value is 2m-2")
 @click.option("--method", type=click.Choice(["structured", "dense"]), default="structured")
 @click.option("--tol", type=click.FloatRange(min=0), default=None,
               help="override comparison tolerance")
@@ -147,8 +142,6 @@ def verify_eq5(ctx, m, method, tol, fmt, out):
     """Even-copy divergence: S over 2m copies against the pairwise product."""
 
     t0 = time.perf_counter()
-    if m < 1:
-        raise click.UsageError("--m must be >= 1")
     tol = _tol_for(method, tol)
     report = er_bound_even(m, method=method)
     payload, passed = _divergence_payload("verify eq5", report, float(2 * m - 2),
@@ -159,7 +152,8 @@ def verify_eq5(ctx, m, method, tol, fmt, out):
 
 
 @verify.command("eq10")
-@click.option("--m", "m", type=int, required=True, help="odd case n=2m+1; value is 4m-2")
+@click.option("--m", "m", type=click.IntRange(min=1), required=True,
+              help="odd case n=2m+1; value is 4m-2")
 @click.option("--method", type=click.Choice(["structured", "dense"]), default="structured")
 @click.option("--tol", type=click.FloatRange(min=0), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
@@ -169,8 +163,6 @@ def verify_eq10(ctx, m, method, tol, fmt, out):
     """Odd-copy doubled divergence: closed form 4m-2, halved per-copy n-2."""
 
     t0 = time.perf_counter()
-    if m < 1:
-        raise click.UsageError("--m must be >= 1")
     if method == "dense" and m > 1:
         raise click.UsageError("dense path is capped at m = 1 (12 qubits)")
     tol = _tol_for(method, tol)
@@ -193,7 +185,8 @@ def verify_eq10(ctx, m, method, tol, fmt, out):
 
 
 @verify.command("er-pair")
-@click.option("--n", "n", type=int, required=True, help="copies per factor; value is 2n-4")
+@click.option("--n", "n", type=click.IntRange(min=1), required=True,
+              help="copies per factor; value is 2n-4")
 @click.option("--method", type=click.Choice(["structured", "dense"]), default="structured")
 @click.option("--tol", type=click.FloatRange(min=0), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
@@ -203,8 +196,6 @@ def verify_er_pair(ctx, n, method, tol, fmt, out):
     """Doubled-mixture divergence against the pairwise product: 2n-4."""
 
     t0 = time.perf_counter()
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
     if method == "dense" and n > 3:
         raise click.UsageError("dense path is capped at n = 3 (12 qubits)")
     tol = _tol_for(method, tol)
@@ -220,8 +211,8 @@ def verify_er_pair(ctx, n, method, tol, fmt, out):
 
 
 @main.command("distill")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--shots", type=int, default=1000, show_default=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
+@click.option("--shots", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", type=click.Path(), default=None)
@@ -231,22 +222,12 @@ def distill_cmd(ctx, n, shots, seed, fmt, out):
     zero-yield evidence instead."""
 
     t0 = time.perf_counter()
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
-    if shots < 1:
-        raise click.UsageError("--shots must be >= 1")
     if n in (1, 2):
         if fmt == "csv":
             raise click.UsageError("the zero-yield cases have no per-shot rows; "
                                    "use --format json")
-        report = distill_trivial(n)
-        payload = report.to_dict()
+        payload, passed = _zero_yield_payload(n)
         payload["seed"] = seed
-        if n == 1:
-            passed = payload["distance_to_maximally_mixed"] <= 1e-12
-        else:
-            passed = payload["is_ppt"] and payload["smolin_residual"] <= 1e-10
-        payload["pass"] = passed
         _emit(payload, out, fmt)
         _finish(ctx, passed, t0)
         return
@@ -261,8 +242,9 @@ def distill_cmd(ctx, n, shots, seed, fmt, out):
 
 
 @main.command("discriminate")
-@click.option("--n", "n", type=int, default=2, show_default=True)
-@click.option("--shots", type=int, default=1000, show_default=True)
+@click.option("--n", "n", type=click.IntRange(min=2), default=2, show_default=True,
+              help="copies; two are consumed")
+@click.option("--shots", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 @click.option("--out", type=click.Path(), default=None)
@@ -271,17 +253,7 @@ def discriminate_cmd(ctx, n, shots, seed, fmt, out):
     """Two-copy Bell discrimination over seeded shots; must be exact."""
 
     t0 = time.perf_counter()
-    if n < 2:
-        raise click.UsageError("--n must be >= 2 (two copies are consumed)")
-    if shots < 1:
-        raise click.UsageError("--shots must be >= 1")
-    correct = 0
-    for k in range(shots):
-        rng = np.random.default_rng([seed, k])
-        shot = ShotState.sample(n, rng)
-        result = discriminate_two_copies(shot, rng)
-        correct += int(result.guess == shot.hidden)
-    rate = correct / shots
+    rate = discrimination_rate(n, shots, seed)
     passed = rate == 1.0
     payload = {
         "command": "discriminate",
@@ -298,6 +270,19 @@ def discriminate_cmd(ctx, n, shots, seed, fmt, out):
 # --- separability evidence -----------------------------------------------------
 
 
+def _zero_yield_payload(n: int) -> tuple[dict, bool]:
+    """The n = 1 or 2 evidence with its pass flag: maximally mixed, or PPT
+    with the flip identity."""
+
+    payload = distill_trivial(n).to_dict()
+    if n == 1:
+        passed = payload["distance_to_maximally_mixed"] <= 1e-12
+    else:
+        passed = payload["is_ppt"] and payload["smolin_residual"] <= 1e-10
+    payload["pass"] = passed
+    return payload, passed
+
+
 @main.command("separability")
 @click.option("--n", "n", type=click.Choice(["1", "2"]), required=True)
 @click.option("--dump", type=click.Path(), default=None,
@@ -310,17 +295,11 @@ def separability_cmd(ctx, n, dump, fmt, out):
 
     t0 = time.perf_counter()
     n = int(n)
-    report = distill_trivial(n)
+    payload, passed = _zero_yield_payload(n)
+    payload["command"] = "separability"
     if dump:
         with open(dump, "w") as fh:
             fh.write(dm_to_json(to_dense(rho_n(n))) + "\n")
-    payload = report.to_dict()
-    payload["command"] = "separability"
-    if n == 1:
-        passed = payload["distance_to_maximally_mixed"] <= 1e-12
-    else:
-        passed = payload["is_ppt"] and payload["smolin_residual"] <= 1e-10
-    payload["pass"] = passed
     _emit(payload, out, fmt)
     _finish(ctx, passed, t0)
 
@@ -445,9 +424,9 @@ def explore():
 
 
 @explore.command("er")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--restarts", type=int, default=20, show_default=True)
-@click.option("--budget", type=int, default=8000, show_default=True,
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=8000, show_default=True,
               help="alternation steps per restart")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
@@ -458,10 +437,6 @@ def explore_er(ctx, n, restarts, budget, seed, fmt, out):
     overlap (an attained upper bound, never below the floor n-2)."""
 
     t0 = time.perf_counter()
-    if n < 1:
-        raise click.UsageError("--n must be >= 1")
-    if budget <= 0:
-        raise click.UsageError("--budget must be positive")
     report = er_search(n, restarts=restarts, budget=budget, seed=seed)
     payload = {"command": "explore er"}
     payload.update(report.to_dict())

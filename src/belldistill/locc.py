@@ -13,6 +13,12 @@ X on both sides.  The outcome parities identify the Bell state exactly:
 Bob sends his two bits to Alice, who computes the parities, announces the
 index, and applies a one-sided Pauli to every remaining copy.  Two copies
 are consumed, so n copies yield n - 2 ebits.
+
+The protocol has only 16 branches (4 hidden indices x 4 outcome paths), so
+it runs on kets once per n: `_protocol_tree` holds every branch's Born
+probabilities and output, and a sampled shot is a walk down that tree.
+`discriminate_two_copies` keeps the stepwise ket simulation as the
+reference the tree is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -30,12 +36,14 @@ from .bell import bell_amplitudes, bell_product_ket, rho_n, smolin_flip_check, t
 from .entropies import trace_distance, von_neumann_entropy
 from .measures import PptReport, ppt_check
 from .permutations import H, I2, X, Z, IDENTITY_PAIR, LocalUnitaryPair
-from .registers import ALICE, BOB, RegisterLayout
+from .registers import ALICE, BOB, MAX_DENSE_QUBITS, RegisterLayout
 from .states import DensityOperator, Ket, apply_local, partial_trace
 
 
 PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
-FIDELITY_TOL = 1e-12
+# (party, copy, basis) in protocol order on a fresh register; Bob's two
+# outcomes are the communicated bits.
+PLAN = ((ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X"))
 
 
 @dataclass(frozen=True)
@@ -104,94 +112,75 @@ class ShotState:
 
     @classmethod
     def sample(cls, n: int, rng: np.random.Generator) -> "ShotState":
-        hidden = int(rng.integers(1, 5))
-        return cls(hidden=hidden, ket=_base_ket(hidden, n))
+        return cls.prepared(int(rng.integers(1, 5)), n)
 
     @classmethod
     def prepared(cls, hidden: int, n: int) -> "ShotState":
-        return cls(hidden=hidden, ket=_base_ket(hidden, n))
+        return cls(hidden=hidden, ket=bell_product_ket((hidden,) * n))
 
 
-@lru_cache(maxsize=64)
-def _base_ket(hidden: int, n: int) -> Ket:
-    # Ket is immutable (frozen dataclass, read-only array), so sharing the
-    # cached instance across shots is safe.
-    return bell_product_ket((hidden,) * n)
-
-
-@lru_cache(maxsize=256)
 def _qubit_label(layout: RegisterLayout, party: str, copy: int) -> str:
-    owners = {q.owner for q in layout.qubits}
-    if party not in owners:
-        raise ValueError(f"unknown party {party!r}")
     labels = [q.label for q in layout.qubits if q.owner == party and q.copy == copy]
     if len(labels) != 1:
         raise ValueError(f"party {party!r} must own exactly one qubit of copy {copy}")
     return labels[0]
 
 
+def _measured_axis(state: ShotState, party: str, copy: int) -> int:
+    if copy in state.consumed:
+        raise ValueError(f"copy {copy} has already been consumed")
+    return state.ket.layout.index_of(_qubit_label(state.ket.layout, party, copy))
+
+
 def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket | None]:
     """Born probability of `outcome` and the renormalized post-measurement
-    state (None for probability 0)."""
+    state (None for a probability below 1e-14, which is returned as is)."""
 
-    t = ket.tensor_view()
-    if basis == "X":
-        t = np.moveaxis(np.tensordot(H, np.moveaxis(t, axis, 0), axes=1), 0, axis)
-    elif basis != "Z":
+    if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    moved = np.moveaxis(t, axis, 0)
+    t = ket.tensor_view()
+    moved = np.moveaxis(t, axis, 0).reshape(2, -1)  # rows: the measured qubit
+    if basis == "X":
+        moved = np.dot(H, moved)
     branch = moved[outcome]
     prob = float(np.real(np.vdot(branch, branch)))
     if prob < 1e-14:
-        return 0.0, None
+        return prob, None
     post = np.zeros_like(moved)
     post[outcome] = branch / math.sqrt(prob)
-    post = np.moveaxis(post, 0, axis)
     if basis == "X":
-        post = np.moveaxis(np.tensordot(H, np.moveaxis(post, axis, 0), axes=1), 0, axis)
+        post = np.dot(H, post)
+    post = np.moveaxis(post.reshape(t.shape), 0, axis)
     return prob, Ket(ket.layout, post.reshape(ket.layout.dim))
 
 
 def measure_local(state: ShotState, party: str, copy: int, basis: str,
                   rng: np.random.Generator) -> tuple[int, ShotState]:
-    """Projective measurement of one party's qubit of one copy; outcome is
-    sampled from the Born rule and the state collapses accordingly."""
+    """Projective measurement of one party's qubit of one copy: outcome 0
+    when one uniform draw falls below its Born probability, and the state
+    collapses accordingly."""
 
-    if copy in state.consumed:
-        raise ValueError(f"copy {copy} has already been consumed")
-    label = _qubit_label(state.ket.layout, party, copy)
-    axis = state.ket.layout.index_of(label)
-    t = state.ket.tensor_view()
-    if basis == "X":
-        t = np.moveaxis(np.tensordot(H, np.moveaxis(t, axis, 0), axes=1), 0, axis)
-    elif basis != "Z":
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    moved = np.moveaxis(t, axis, 0)
-    p0 = float(np.real(np.vdot(moved[0], moved[0])))
+    axis = _measured_axis(state, party, copy)
+    p0, post = _project(state.ket, axis, basis, 0)
     outcome = 0 if rng.random() < p0 else 1
-    branch = moved[outcome]
-    nrm = math.sqrt(float(np.real(np.vdot(branch, branch))))
-    post = np.zeros_like(moved)
-    post[outcome] = branch / nrm
-    post = np.moveaxis(post, 0, axis)
-    if basis == "X":
-        post = np.moveaxis(np.tensordot(H, np.moveaxis(post, axis, 0), axes=1), 0, axis)
-    ket = Ket(state.ket.layout, post.reshape(state.ket.layout.dim))
-    return outcome, replace(state, ket=ket)
+    if outcome:
+        _, post = _project(state.ket, axis, basis, 1)
+    return outcome, replace(state, ket=post)
 
 
 def measure_local_exact(state: ShotState, party: str, copy: int, basis: str,
                         outcome: int) -> tuple[float, ShotState | None]:
     """Forced-outcome variant returning the exact Born probability."""
 
-    if copy in state.consumed:
-        raise ValueError(f"copy {copy} has already been consumed")
-    label = _qubit_label(state.ket.layout, party, copy)
-    axis = state.ket.layout.index_of(label)
-    prob, post = _project(state.ket, axis, basis, outcome)
-    if post is None:
-        return prob, None
-    return prob, replace(state, ket=post)
+    prob, post = _project(state.ket, _measured_axis(state, party, copy), basis, outcome)
+    return prob, None if post is None else replace(state, ket=post)
+
+
+def _decode(a_z: int, b_z: int, a_x: int, b_x: int) -> tuple[int, int, int]:
+    """Parities and announced Bell index from the four outcomes in PLAN order."""
+
+    parity_z, parity_x = a_z ^ b_z, a_x ^ b_x
+    return parity_z, parity_x, PARITY_TO_INDEX[(parity_z, parity_x)]
 
 
 @dataclass(frozen=True)
@@ -207,33 +196,27 @@ def discriminate_two_copies(state: ShotState,
                             rng: np.random.Generator) -> DiscriminationResult:
     """Identify the hidden Bell index with certainty from two copies.
 
-    Copy 1 is measured in Z on both sides, copy 2 in X; Bob communicates his
-    outcomes and the parity pair maps to the index.  Both copies are marked
-    consumed.  Alice's guess uses only her own outcomes and Bob's
-    communicated bits.
+    PLAN runs on the first two unconsumed copies: the first is measured in Z
+    on both sides, the second in X; Bob communicates his outcomes and the
+    parity pair maps to the index.  Both copies are marked consumed.
+    Alice's guess uses only her own outcomes and Bob's communicated bits.
     """
 
     available = [c for c in range(1, state.n + 1) if c not in state.consumed]
     if len(available) < 2:
         raise ValueError("discrimination needs two unconsumed copies")
-    z_copy, x_copy = available[0], available[1]
     transcript = Transcript()
+    for party, slot, basis in PLAN:
+        copy = available[slot - 1]
+        outcome, state = measure_local(state, party, copy, basis, rng)
+        index = transcript.record_measurement(party, copy, basis, outcome)
+        if party == BOB:
+            transcript.communicate(index)
 
-    a_z, state = measure_local(state, ALICE, z_copy, "Z", rng)
-    transcript.record_measurement(ALICE, z_copy, "Z", a_z)
-    b_z, state = measure_local(state, BOB, z_copy, "Z", rng)
-    transcript.communicate(transcript.record_measurement(BOB, z_copy, "Z", b_z))
-
-    a_x, state = measure_local(state, ALICE, x_copy, "X", rng)
-    transcript.record_measurement(ALICE, x_copy, "X", a_x)
-    b_x, state = measure_local(state, BOB, x_copy, "X", rng)
-    transcript.communicate(transcript.record_measurement(BOB, x_copy, "X", b_x))
-
-    bob_bits = transcript.communicated_bits(BOB)
-    parity_z = a_z ^ bob_bits[0]
-    parity_x = a_x ^ bob_bits[1]
-    guess = PARITY_TO_INDEX[(parity_z, parity_x)]
-    state = replace(state, consumed=state.consumed | {z_copy, x_copy})
+    alice = [m.outcome for m in transcript.measurements if m.party == ALICE]
+    bob = transcript.communicated_bits(BOB)
+    parity_z, parity_x, guess = _decode(alice[0], bob[0], alice[1], bob[1])
+    state = replace(state, consumed=state.consumed | set(available[:2]))
     return DiscriminationResult(guess=guess, parity_z=parity_z, parity_x=parity_x,
                                 transcript=transcript, state=state)
 
@@ -252,6 +235,15 @@ def correction_unitary(i: int) -> LocalUnitaryPair:
     raise ValueError(f"Bell index must be in 1..4, got {i}")
 
 
+def _corrected(ket: Ket, guess: int, copies: range) -> Ket:
+    """Alice's correction for the announced index on each of `copies`."""
+
+    if guess == 1 or not copies:
+        return ket  # identity correction
+    u = correction_unitary(guess).u_alice
+    return apply_local(ket, {_qubit_label(ket.layout, ALICE, c): u for c in copies})
+
+
 def _remaining_copy_fidelity(ket: Ket, copy: int) -> float:
     """<Phi1| rho_copy |Phi1> for one copy's reduced state, straight from the
     ket tensor (cheap: no full density matrix)."""
@@ -266,6 +258,83 @@ def _remaining_copy_fidelity(ket: Ket, copy: int) -> float:
     return float(np.real(phi1.conj() @ reduced @ phi1))
 
 
+@dataclass(frozen=True)
+class Branch:
+    """One leaf of the protocol tree: its probability, the outcomes that lead
+    to it, Alice's parities and guess, and the corrected state."""
+
+    hidden: int
+    probability: float
+    outcomes: tuple[tuple[str, int, str, int], ...]  # (party, copy, basis, outcome)
+    guess: int
+    output_fidelity: float | None  # worst corrected copy; None for n = 2
+    parity_z: int
+    parity_x: int
+    ket: Ket = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One measurement of PLAN: the Born probabilities of outcomes 0 and 1
+    (raw, even below the pruning threshold, so sampling compares each draw
+    against the same value as the stepwise protocol) and the subtree of
+    each, None where the outcome is impossible."""
+
+    probs: tuple[float, float]
+    children: tuple[_Step | Branch | None, _Step | Branch | None]
+
+
+def _grow(state: ShotState, prob: float, outcomes: tuple) -> _Step | Branch:
+    if len(outcomes) == len(PLAN):
+        parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
+        remaining = range(3, state.n + 1)
+        ket = _corrected(state.ket, guess, remaining)
+        fid = min((_remaining_copy_fidelity(ket, c) for c in remaining), default=None)
+        return Branch(hidden=state.hidden, probability=prob, outcomes=outcomes,
+                      guess=guess, output_fidelity=fid, parity_z=parity_z,
+                      parity_x=parity_x, ket=ket)
+    party, copy, basis = PLAN[len(outcomes)]
+    probs, children = [], []
+    for outcome in (0, 1):
+        p, post = measure_local_exact(state, party, copy, basis, outcome)
+        probs.append(p)
+        children.append(None if post is None else _grow(
+            post, prob * p, outcomes + ((party, copy, basis, outcome),)))
+    return _Step(tuple(probs), tuple(children))
+
+
+@cache  # five keys at most: n = 2..6
+def _protocol_tree(n: int) -> tuple[_Step, ...]:
+    """Every branch of the protocol on n copies, one root per hidden index."""
+
+    if n < 2:
+        raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
+    if 2 * n > MAX_DENSE_QUBITS:
+        raise ValueError(f"the protocol simulates the 2n-qubit ket densely, capped at "
+                         f"{MAX_DENSE_QUBITS} qubits (n <= {MAX_DENSE_QUBITS // 2}); "
+                         f"got n = {n}")
+    return tuple(_grow(ShotState.prepared(hidden, n), 0.25, ()) for hidden in (1, 2, 3, 4))
+
+
+def _leaves(node: _Step | Branch | None):
+    if isinstance(node, Branch):
+        yield node
+    elif node is not None:
+        for child in node.children:
+            yield from _leaves(child)
+
+
+def _walk(n: int, rng: np.random.Generator) -> Branch:
+    """Sample one branch with the stepwise protocol's draws: the hidden index,
+    then one uniform per measurement, outcome 0 when it falls below the Born
+    probability of 0."""
+
+    node = _protocol_tree(n)[int(rng.integers(1, 5)) - 1]
+    for _ in PLAN:
+        node = node.children[0 if rng.random() < node.probs[0] else 1]
+    return node
+
+
 @dataclass
 class ShotRecord:
     shot: int
@@ -275,7 +344,7 @@ class ShotRecord:
     parity_x: int
     correct: bool
     ebits: int
-    fidelity: float
+    fidelity: float | None  # None for n = 2, where no copy remains
 
 
 @dataclass
@@ -320,31 +389,28 @@ class DistillationReport:
 
 
 def run_shot(n: int, shot_index: int, seed: int) -> ShotRecord:
-    """One seeded distillation shot; shot k draws from generator (seed, k) so
-    reports are reproducible bit for bit and shots can run independently."""
+    """One seeded shot, sampled from the exact branch tree; shot k draws from
+    generator (seed, k) so reports are reproducible bit for bit and shots can
+    run independently."""
 
-    rng = np.random.default_rng([seed, shot_index])
-    state = ShotState.sample(n, rng)
-    result = discriminate_two_copies(state, rng)
-    pair = correction_unitary(result.guess)
-    remaining = [c for c in range(1, n + 1) if c not in result.state.consumed]
-    if result.guess == 1:
-        ket = result.state.ket  # identity correction
-    else:
-        gates = {_qubit_label(result.state.ket.layout, ALICE, c): pair.u_alice
-                 for c in remaining}
-        ket = apply_local(result.state.ket, gates)
-    fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
+    leaf = _walk(n, np.random.default_rng([seed, shot_index]))
     return ShotRecord(
         shot=shot_index,
-        hidden=state.hidden,
-        guess=result.guess,
-        parity_z=result.parity_z,
-        parity_x=result.parity_x,
-        correct=result.guess == state.hidden,
+        hidden=leaf.hidden,
+        guess=leaf.guess,
+        parity_z=leaf.parity_z,
+        parity_x=leaf.parity_x,
+        correct=leaf.guess == leaf.hidden,
         ebits=n - 2,
-        fidelity=fid,
+        fidelity=leaf.output_fidelity,
     )
+
+
+def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
+    """Share of `shots` seeded shots on n copies whose announced index is the
+    hidden one."""
+
+    return sum(run_shot(n, k, seed).correct for k in range(shots)) / shots
 
 
 def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
@@ -419,15 +485,6 @@ def distill_trivial(n: int) -> TrivialReport:
     raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")
 
 
-@dataclass(frozen=True)
-class Branch:
-    hidden: int
-    probability: float
-    outcomes: tuple[tuple[str, int, str, int], ...]  # (party, copy, basis, outcome)
-    guess: int
-    output_fidelity: float
-
-
 @dataclass
 class BranchAnalysis:
     n: int
@@ -436,62 +493,22 @@ class BranchAnalysis:
     def total_probability(self) -> float:
         return sum(b.probability for b in self.branches)
 
-    def branch_distribution(self) -> dict[tuple, float]:
-        return {(b.hidden,) + tuple(o[3] for o in b.outcomes): b.probability
-                for b in self.branches}
-
 
 def distill_exact_branches(n: int) -> BranchAnalysis:
-    """Density-operator-level confirmation without sampling: enumerate every
-    measurement branch of the protocol for each of the four equally likely
-    hidden indices and evaluate its exact Born probability and output."""
+    """Density-operator-level confirmation without sampling: every measurement
+    branch of the protocol for each of the four equally likely hidden indices,
+    with its exact Born probability and output, outcome 0 before 1."""
 
     if n < 3:
         raise ValueError("branch analysis needs n >= 3")
-    if 2 * n > 12:
-        raise ValueError("branch analysis is dense-only; n too large")
-    branches = []
-    for hidden in (1, 2, 3, 4):
-        base = ShotState.prepared(hidden, n)
-        plan = [(ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X")]
-        stack = [(base, 0.25, ())]
-        for party, copy, basis in plan:
-            next_stack = []
-            for state, prob, outs in stack:
-                for outcome in (0, 1):
-                    p, post = measure_local_exact(state, party, copy, basis, outcome)
-                    if post is None:
-                        continue
-                    next_stack.append((post, prob * p,
-                                       outs + ((party, copy, basis, outcome),)))
-            stack = next_stack
-        for state, prob, outs in stack:
-            by = {(p, c, b): o for p, c, b, o in outs}
-            parity_z = by[(ALICE, 1, "Z")] ^ by[(BOB, 1, "Z")]
-            parity_x = by[(ALICE, 2, "X")] ^ by[(BOB, 2, "X")]
-            guess = PARITY_TO_INDEX[(parity_z, parity_x)]
-            pair = correction_unitary(guess)
-            gates = {_qubit_label(state.ket.layout, ALICE, c): pair.u_alice
-                     for c in range(3, n + 1)}
-            ket = apply_local(state.ket, gates) if gates else state.ket
-            fid = min(_remaining_copy_fidelity(ket, c) for c in range(3, n + 1))
-            branches.append(Branch(hidden=hidden, probability=prob,
-                                   outcomes=outs, guess=guess, output_fidelity=fid))
-    return BranchAnalysis(n=n, branches=branches)
+    return BranchAnalysis(n=n, branches=[b for root in _protocol_tree(n)
+                                         for b in _leaves(root)])
 
 
 def output_copy_entropy(n: int = 3) -> float:
     """Entanglement entropy of one distilled copy's Alice marginal: 1 ebit."""
 
-    analysis = distill_exact_branches(n)
-    branch = analysis.branches[0]
-    state = ShotState.prepared(branch.hidden, n)
-    for party, copy, basis, outcome in branch.outcomes:
-        _, state = measure_local_exact(state, party, copy, basis, outcome)
-    pair = correction_unitary(branch.guess)
-    gates = {_qubit_label(state.ket.layout, ALICE, c): pair.u_alice
-             for c in range(3, n + 1)}
-    ket = apply_local(state.ket, gates)
+    ket = distill_exact_branches(n).branches[0].ket
     copy_dm = partial_trace(ket.to_dm(), [f"A{n}", f"B{n}"])
     alice_marginal = partial_trace(copy_dm, [f"A{n}"])
     return von_neumann_entropy(alice_marginal)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,6 +147,33 @@ def test_distill_usage_error(runner):
 def test_discriminate_usage_error(runner):
     assert invoke(runner, ["discriminate", "--n", "1"]).exit_code == 2
     assert_usage_error(invoke(runner, ["discriminate", "--n", "7"]))
+
+
+@pytest.mark.parametrize("command", ["distill", "discriminate"])
+def test_protocol_size_cap_message(runner, command):
+    # the cap is the dense 2n-qubit ket; neither command has another representation
+    result = invoke(runner, [command, "--n", "7"])
+    assert_usage_error(result)
+    assert "2n-qubit" in result.stderr and "n <= 6" in result.stderr
+    assert "Bell-diagonal" not in result.stderr
+
+
+# sha256 of stdout as printed by the stepwise per-shot ket simulation
+RECORDED_STDOUT = {
+    "distill --n 3 --shots 200 --seed 11":
+        "9f3ec7db8322bdd5224a72cc9c76ef7c9e9abbd4560aa792f337d4716faa88fa",
+    "distill --n 6 --shots 200 --seed 11 --format csv":
+        "c3b5cb9288586499db336b2b1e2748836e7b5643fbe94371a6a3d7720044ff5b",
+    "discriminate --n 2 --shots 200 --seed 11":
+        "c5cd9613f3663ba7b305eee0849b5163e6cc67fc1a5bd585e9cd17484bb0157b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RECORDED_STDOUT))
+def test_stdout_matches_recorded_digest(runner, args):
+    result = invoke(runner, args.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == RECORDED_STDOUT[args]
 
 
 def test_discriminate_perfect(runner):

@@ -17,7 +17,13 @@ from belldistill import (
     measure_local_exact,
     output_copy_entropy,
 )
-from belldistill.locc import PARITY_TO_INDEX, run_shot
+from belldistill.locc import (
+    PARITY_TO_INDEX,
+    _corrected,
+    _remaining_copy_fidelity,
+    _walk,
+    run_shot,
+)
 
 SQ2 = 1 / math.sqrt(2)
 BELL = np.array([[SQ2, 0, 0, SQ2], [SQ2, 0, 0, -SQ2],
@@ -248,6 +254,30 @@ def test_sampled_frequencies_match_exact_branches():
     for cell, p in exact.items():
         sigma = math.sqrt(p * (1 - p) * shots)
         assert abs(counts[cell] - p * shots) <= 3 * sigma
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tree_walk_matches_stepwise_protocol(n):
+    # a shot sampled from the branch tree and the stepwise ket simulation take
+    # the same draws from the same generator, so they must agree shot by shot
+    remaining = range(3, n + 1)
+    for seed in range(20):
+        for k in range(10):
+            leaf = _walk(n, np.random.default_rng([seed, k]))
+            rng = np.random.default_rng([seed, k])
+            state = ShotState.sample(n, rng)
+            result = discriminate_two_copies(state, rng)
+            assert leaf.hidden == state.hidden
+            assert [o[3] for o in leaf.outcomes] == [
+                m.outcome for m in result.transcript.measurements]
+            assert (leaf.guess, leaf.parity_z, leaf.parity_x) == (
+                result.guess, result.parity_z, result.parity_x)
+            if remaining:
+                ket = _corrected(result.state.ket, result.guess, remaining)
+                fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
+                assert leaf.output_fidelity == fid
+            else:
+                assert leaf.output_fidelity is None
 
 
 def test_output_copy_entropy_is_one_ebit():
