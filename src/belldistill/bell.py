@@ -77,6 +77,13 @@ def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
     return s
 
 
+def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
+    # a running float sum drifts past the tolerance over 10^6 strings; fsum does not
+    total = math.fsum(weights.values())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total}, expected 1")
+
+
 @dataclass(frozen=True)
 class BellDiagonalState:
     """Sparse probability distribution over Bell strings of length n."""
@@ -96,11 +103,20 @@ class BellDiagonalState:
             if w == 0.0:
                 continue
             clean[s] = clean.get(s, 0.0) + w
-        # a running float sum drifts past the tolerance over 10^6 strings; fsum does not
-        total = math.fsum(clean.values())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        _check_weight_sum(clean)
         object.__setattr__(self, "weights", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, weights: dict[tuple[int, ...], float]) -> "BellDiagonalState":
+        """Wrap a map built from valid states by an operation that yields
+        distinct valid strings with positive float weights: only the weight
+        sum is checked, and the map is kept as given."""
+
+        _check_weight_sum(weights)
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "weights", weights)
+        return state
 
     def weight(self, s: Sequence[int]) -> float:
         return self.weights.get(tuple(s), 0.0)
@@ -111,22 +127,20 @@ class BellDiagonalState:
     def tensor(self, other: "BellDiagonalState") -> "BellDiagonalState":
         """Tensor product; the other state's copies are appended after ours."""
 
-        combined = {}
-        for s, w in self.weights.items():
-            for t, v in other.weights.items():
-                combined[s + t] = w * v
-        return BellDiagonalState(self.n + other.n, combined)
+        # a product that underflows to 0.0 is dropped, as the public constructor does
+        combined = {s + t: p for s, w in self.weights.items()
+                    for t, v in other.weights.items() if (p := w * v)}
+        return BellDiagonalState._trusted(self.n + other.n, combined)
 
     def permute_per_copy(self, perms: Sequence[tuple[int, int, int, int]]) -> "BellDiagonalState":
         """Relabel Bell indices copy-by-copy: s_j -> perms[j][s_j - 1]."""
 
         if len(perms) != self.n:
             raise ValueError(f"need {self.n} permutations, got {len(perms)}")
-        out = {}
-        for s, w in self.weights.items():
-            t = tuple(perms[j][s[j] - 1] for j in range(self.n))
-            out[t] = out.get(t, 0.0) + w
-        return BellDiagonalState(self.n, out)
+        perms = [check_permutation(p) for p in perms]
+        # a bijection per copy maps distinct strings to distinct strings
+        out = {tuple(p[i - 1] for p, i in zip(perms, s)): w for s, w in self.weights.items()}
+        return BellDiagonalState._trusted(self.n, out)
 
     def to_json(self) -> str:
         payload = {
@@ -163,19 +177,10 @@ def rho2_power(m: int, representation: str = "bell-diagonal"):
         raise ValueError("block count must be >= 1")
     if m > 10:
         raise ValueError("refusing to materialize more than 4^10 strings")
-    w = 4.0 ** (-m)
-    weights = {}
-    for code in range(4 ** m):
-        ks = []
-        c = code
-        for _ in range(m):
-            ks.append(c % 4 + 1)
-            c //= 4
-        s = []
-        for k in ks:
-            s.extend((k, k))
-        weights[tuple(s)] = w
-    structured = BellDiagonalState(2 * m, weights)
+    strings = [()]
+    for _ in range(m):  # the first block varies fastest
+        strings = [s + (k, k) for k in (1, 2, 3, 4) for s in strings]
+    structured = BellDiagonalState._trusted(2 * m, dict.fromkeys(strings, 4.0 ** (-m)))
     return _as_representation(structured, representation)
 
 

@@ -2,7 +2,7 @@
 
 A pair (U_A, U_B) acts on one copy as U_A x U_B.  When every Bell state is
 mapped to another Bell state up to a unit phase, the pair induces a
-permutation of the four indices.  A breadth-first closure over one-qubit
+permutation of the four indices.  A breadth-first search over one-qubit
 generators recovers a realizing pair for each of the 24 permutations.
 """
 
@@ -142,15 +142,18 @@ def _canonical_key(pair: LocalUnitaryPair) -> bytes:
 
 
 # The per-side phase classes form a group of order 24 each (generated by the
-# phase gate and Hadamard), so the closure has at most 576 distinct nodes and
-# a short breadth-first pass exhausts it.
+# phase gate and Hadamard), so the closure has at most 576 distinct nodes.
+# The search stops as soon as all 24 permutations have an entry, at the
+# 515th node, partway through the fourth level (words of length four); a
+# table entry is only set on first discovery, so stopping there gives the
+# same table as exhausting the closure.
 _MAX_BFS_DEPTH = 12
 
 
 @lru_cache(maxsize=1)
 def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
-    """Breadth-first closure of the generator pairs, deduplicated by induced
-    permutation.  Reaches all 24 permutations."""
+    """Breadth-first search over the generator pairs, deduplicated by induced
+    permutation, until all 24 permutations are reached."""
 
     table: dict[tuple[int, int, int, int], LocalUnitaryPair] = {}
     seen = {_canonical_key(IDENTITY_PAIR)}
@@ -174,6 +177,8 @@ def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
                 act = permutation_action(candidate)
                 if act is not None and act.perm not in table:
                     table[act.perm] = candidate
+                    if len(table) == len(ALL_PERMUTATIONS):
+                        return table
         frontier = next_frontier
     return table
 

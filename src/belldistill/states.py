@@ -21,12 +21,18 @@ EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-def _frozen_array(a, shape) -> np.ndarray:
-    arr = np.array(a, dtype=complex)
+def _frozen_array(a, shape, copy: bool = True) -> np.ndarray:
+    arr = np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
+
+
+def _check_trace(m: np.ndarray) -> None:
+    tr_err = abs(float(m.trace().real) - 1.0)
+    if tr_err > TRACE_TOL:
+        raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,8 @@ class Ket:
         return self.amplitudes.reshape((2,) * self.layout.n_qubits)
 
     def to_dm(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator._trusted(self.layout,
+                                        np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,24 @@ class DensityOperator:
         herm_err = float(np.max(np.abs(m - m.conj().T)))
         if herm_err > HERM_TOL * 10:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.2e})")
-        tr_err = abs(float(m.trace().real) - 1.0)
-        if tr_err > TRACE_TOL:
-            raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
+        _check_trace(m)
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a matrix built from valid states by an operation that keeps it
+        Hermitian and positive semidefinite: only the size, shape and trace
+        are checked, and the fresh array is frozen in place, not copied."""
+
+        check_dense_size(layout.n_qubits)
+        m = _frozen_array(matrix, (layout.dim, layout.dim), copy=False)
+        _check_trace(m)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "matrix", m)
+        return rho
 
 
 def basis_ket(layout: RegisterLayout, bits: Sequence[int]) -> Ket:
@@ -98,7 +117,7 @@ def ket_tensor(a: Ket, b: Ket) -> Ket:
 
 def dm_tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     layout = a.layout.concat(b.layout)
-    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
+    return DensityOperator._trusted(layout, np.kron(a.matrix, b.matrix))
 
 
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
@@ -119,7 +138,7 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    return DensityOperator(layout, rho)
+    return DensityOperator._trusted(layout, rho)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
@@ -148,7 +167,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
     d = 2 ** len(keep_axes)
     sub = layout.subset(keep_set)
-    return DensityOperator(sub, reduced.reshape(d, d))
+    return DensityOperator._trusted(sub, reduced.reshape(d, d))
 
 
 def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int,
@@ -185,7 +204,7 @@ def reorder(state: Ket | DensityOperator, new_order: Sequence[str]):
         return Ket(new_layout, t.reshape(layout.dim))
     t = state.matrix.reshape((2,) * (2 * n))
     t = t.transpose(perm + [n + p for p in perm])
-    return DensityOperator(new_layout, t.reshape(layout.dim, layout.dim))
+    return DensityOperator._trusted(new_layout, t.reshape(layout.dim, layout.dim))
 
 
 def _apply_gate_axis(tensor: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
@@ -216,7 +235,7 @@ def apply_local(state: Ket | DensityOperator,
         ax = layout.index_of(label)
         t = _apply_gate_axis(t, g, ax)
         t = _apply_gate_axis(t, g.conj(), n + ax)
-    return DensityOperator(layout, t.reshape(layout.dim, layout.dim))
+    return DensityOperator._trusted(layout, t.reshape(layout.dim, layout.dim))
 
 
 # --- JSON exchange format -------------------------------------------------

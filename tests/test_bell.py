@@ -19,11 +19,13 @@ from belldistill import (
     relative_entropy,
     rho2_power,
     rho_n,
+    sample_pairwise_separable,
     sigma_n,
     smolin_flip_check,
     to_dense,
     von_neumann_entropy,
 )
+from belldistill import bell
 from belldistill.bell import is_pair_constant, smolin_flipped_terms
 
 from conftest import random_bell_diagonal
@@ -234,3 +236,45 @@ def test_rho2_ppt_across_cut():
     report = ppt_check(to_dense(rho_n(2)))
     assert report.is_ppt
     assert report.min_eigenvalue >= -1e-10
+
+
+def test_permute_per_copy_rejects_non_permutations():
+    with pytest.raises(ValueError, match="permutation"):
+        rho_n(2).permute_per_copy([(1, 1, 3, 4), (1, 2, 3, 4)])
+
+
+def test_trusted_producers_pass_public_validation(rng):
+    produced = {
+        "tensor": rho_n(2).tensor(sigma_n(["2134", "3412", "1234"])),
+        **{f"rho2_power({m})": rho2_power(m) for m in (1, 2, 3, 4)},
+        "permute_per_copy": rho2_power(2).permute_per_copy(
+            [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]),
+        "sample_pairwise_separable(3)": sample_pairwise_separable(3, rng),
+    }
+    for name, state in produced.items():
+        again = BellDiagonalState(state.n, dict(state.weights))
+        assert again == state, name
+        assert list(again.weights) == list(state.weights), name
+
+
+def test_trusted_producers_skip_string_checks(monkeypatch):
+    calls = []
+    real = bell.check_bell_string
+
+    def counting(indices, n):
+        calls.append(n)
+        return real(indices, n)
+
+    monkeypatch.setattr(bell, "check_bell_string", counting)
+    rho2_power(3).tensor(rho2_power(1)).permute_per_copy([(2, 1, 3, 4)] * 8)
+    assert calls == []
+    rho_n(2)
+    assert calls == [2, 2, 2, 2]
+
+
+def test_tensor_drops_underflowed_products():
+    tiny = BellDiagonalState(1, {(1,): 1.0 - 1e-200, (2,): 1e-200})
+    assert tiny.weight((2,)) == 1e-200
+    product = tiny.tensor(tiny)
+    assert (2, 2) not in product.weights
+    assert len(product.weights) == 3

@@ -158,7 +158,9 @@ def test_protocol_size_cap_message(runner, command):
     assert "Bell-diagonal" not in result.stderr
 
 
-# sha256 of stdout as printed by the stepwise per-shot ket simulation
+# sha256 of stdout as printed by earlier code: the stepwise per-shot ket
+# simulation (distill, discriminate) and the exhaustive permutation closure
+# (permutations)
 RECORDED_STDOUT = {
     "distill --n 3 --shots 200 --seed 11":
         "9f3ec7db8322bdd5224a72cc9c76ef7c9e9abbd4560aa792f337d4716faa88fa",
@@ -166,7 +168,26 @@ RECORDED_STDOUT = {
         "c3b5cb9288586499db336b2b1e2748836e7b5643fbe94371a6a3d7720044ff5b",
     "discriminate --n 2 --shots 200 --seed 11":
         "c5cd9613f3663ba7b305eee0849b5163e6cc67fc1a5bd585e9cd17484bb0157b",
+    "permutations":
+        "8cde6ac0c72837c94fc99d821bdc0d26158d898ca15e8d6ae2562bdccab63c5c",
+    "permutations --format json":
+        "d9c1326245c9ef689323204a1d448094a016b9fe572789ea9a3cb591ce115821",
 }
+
+# Recorded while every dense intermediate state was eigen-validated.  Dense
+# payloads print eigensolver rounding digits, which move with the BLAS thread
+# count (er-pair --n 2 differs between one and two threads), so these run in
+# a child process on one BLAS thread.
+RECORDED_DENSE_STDOUT = {
+    "verify eq5 --m 2 --method dense":
+        "d45fe4d4e180e61c848b5b250db2f184aa04ace5157be368d0468df8d50a493c",
+    "verify er-pair --n 2 --method dense":
+        "9f0f0d4d9407d8842a457b98240395717eea177ed967edaec928892d1d32ecf0",
+    "sigma-equiv --perms 2134,3412,1234 --method both":
+        "bda8c952772c1a6c5ad8caea67b9cd7b2afa5237c05ca98bd9bb48748a4e16d7",
+}
+ONE_BLAS_THREAD = {name: "1" for name in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 @pytest.mark.parametrize("args", sorted(RECORDED_STDOUT))
@@ -174,6 +195,16 @@ def test_stdout_matches_recorded_digest(runner, args):
     result = invoke(runner, args.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == RECORDED_STDOUT[args]
+
+
+@pytest.mark.parametrize("args", sorted(RECORDED_DENSE_STDOUT))
+def test_dense_stdout_matches_recorded_digest(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "belldistill", *args.split()], capture_output=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **ONE_BLAS_THREAD},
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED_DENSE_STDOUT[args]
 
 
 def test_discriminate_perfect(runner):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from belldistill import (
     DensityOperator,
     Ket,
     RegisterLayout,
+    apply_local,
     basis_ket,
     bell_ket,
     dm_from_ensemble,
@@ -19,7 +22,10 @@ from belldistill import (
     partial_trace,
     partial_transpose,
     reorder,
+    rho_n,
+    to_dense,
 )
+from belldistill.permutations import H, S
 from belldistill.states import partial_transpose_matrix
 
 from conftest import random_density
@@ -177,3 +183,58 @@ def test_basis_ket_indexing():
     layout = RegisterLayout.bell_pairs(1)
     k = basis_ket(layout, [1, 0])
     assert np.argmax(np.abs(k.amplitudes)) == 0b10
+
+
+# --- validation once at the boundary ----------------------------------------
+
+
+def test_trusted_producers_pass_public_validation(rng):
+    rho3 = to_dense(rho_n(3))
+    mixed = random_density(RegisterLayout.bell_pairs(1), rng)
+    far = bell_ket(2, copy=2).to_dm()
+    produced = {
+        **{f"to_dense(rho_n({n}))": to_dense(rho_n(n)) for n in (1, 2)},
+        "to_dense(rho_n(3))": rho3,
+        "apply_local": apply_local(mixed, {"A1": H, "B1": S}),
+        "reorder": reorder(rho3, ["B3", "A1", "B2", "A3", "B1", "A2"]),
+        "partial_trace": partial_trace(rho3, ["A1", "B2", "A3"]),
+        "dm_tensor": dm_tensor(mixed, far),
+        "Ket.to_dm": far,
+    }
+    for name, rho in produced.items():
+        again = DensityOperator(rho.layout, rho.matrix)
+        assert np.array_equal(again.matrix, rho.matrix), name
+        assert not rho.matrix.flags.writeable, name
+
+
+def test_trusted_producers_skip_the_eigensolve(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho3 = to_dense(rho_n(3))
+    partial_trace(rho3, ["A1", "B1"])
+    assert calls == []
+    DensityOperator(rho3.layout, rho3.matrix)
+    assert calls == [64]
+
+
+def test_trusted_wrapper_still_checks_trace_and_shape():
+    layout = RegisterLayout.bell_pairs(1)
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator._trusted(layout, np.eye(4) / 2)
+    with pytest.raises(ValueError, match="shape"):
+        DensityOperator._trusted(layout, np.eye(2) / 2)
+
+
+def test_dm_from_json_rejects_non_psd():
+    text = dm_to_json(DensityOperator(RegisterLayout.bell_pairs(1), np.eye(4) / 4))
+    payload = json.loads(text)
+    neg = np.diag([1.5, -0.5, 0.0, 0.0])  # Hermitian, unit trace, not PSD
+    payload["matrix"] = [[[float(x), 0.0] for x in row] for row in neg]
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        dm_from_json(json.dumps(payload))
