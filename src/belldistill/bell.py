@@ -156,17 +156,16 @@ class BellDiagonalState:
         return cls(int(data["n"]), weights)
 
 
-def rho_n(n: int, representation: str = "bell-diagonal"):
+def rho_n(n: int) -> BellDiagonalState:
     """Uniform mixture of the four n-fold Bell products: weight 1/4 on each
     constant string (i, i, ..., i)."""
 
     if n < 1:
         raise ValueError("copy count must be >= 1")
-    structured = BellDiagonalState(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
-    return _as_representation(structured, representation)
+    return BellDiagonalState(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
 
 
-def rho2_power(m: int, representation: str = "bell-diagonal"):
+def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
@@ -180,8 +179,7 @@ def rho2_power(m: int, representation: str = "bell-diagonal"):
     strings = [()]
     for _ in range(m):  # the first block varies fastest
         strings = [s + (k, k) for k in (1, 2, 3, 4) for s in strings]
-    structured = BellDiagonalState._trusted(2 * m, dict.fromkeys(strings, 4.0 ** (-m)))
-    return _as_representation(structured, representation)
+    return BellDiagonalState._trusted(2 * m, dict.fromkeys(strings, 4.0 ** (-m)))
 
 
 def is_pair_constant(s: Sequence[int]) -> bool:
@@ -190,8 +188,7 @@ def is_pair_constant(s: Sequence[int]) -> bool:
     return all(s[2 * j] == s[2 * j + 1] for j in range(len(s) // 2))
 
 
-def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str],
-            representation: str = "bell-diagonal"):
+def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellDiagonalState:
     """Four-term mixture with weight 1/4 on (pi_1(i), ..., pi_n(i)), i=1..4.
 
     Each copy carries its own Bell-index permutation; permutations may be
@@ -207,8 +204,7 @@ def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str],
     for i in (1, 2, 3, 4):
         s = tuple(p[i - 1] for p in parsed)
         weights[s] = weights.get(s, 0.0) + 0.25
-    structured = BellDiagonalState(n, weights)
-    return _as_representation(structured, representation)
+    return BellDiagonalState(n, weights)
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, int, int, int]:
@@ -231,15 +227,6 @@ def invert_permutation(perm: tuple[int, int, int, int]) -> tuple[int, int, int, 
     for i, image in enumerate(perm, start=1):
         inv[image - 1] = i
     return tuple(inv)
-
-
-def _as_representation(structured: BellDiagonalState, representation: str):
-    if representation == "bell-diagonal":
-        return structured
-    if representation == "dense":
-        return to_dense(structured)
-    raise ValueError(f"unknown representation {representation!r}; "
-                     "use 'dense' or 'bell-diagonal'")
 
 
 def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:

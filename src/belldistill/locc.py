@@ -16,7 +16,8 @@ are consumed, so n copies yield n - 2 ebits.
 
 The protocol has only 16 branches (4 hidden indices x 4 outcome paths), so
 it runs on kets once per n: `_protocol_tree` holds every branch's Born
-probabilities and output, and a sampled shot is a walk down that tree.
+probabilities and output, and a sampled shot, its record and a distillation
+report's sample transcript come from a walk down that tree.
 `discriminate_two_copies` keeps the stepwise ket simulation as the
 reference the tree is tested against.
 """
@@ -68,15 +69,14 @@ class Transcript:
     measurements: list[Measurement] = field(default_factory=list)
     communications: list[Communication] = field(default_factory=list)
 
-    def record_measurement(self, party: str, copy: int, basis: str, outcome: int) -> int:
-        self.measurements.append(Measurement(party, copy, basis, outcome))
-        return len(self.measurements) - 1
+    @classmethod
+    def of(cls, outcomes) -> "Transcript":
+        """The transcript of `(party, copy, basis, outcome)` measurements in
+        protocol order: Bob communicates each of his outcomes."""
 
-    def communicate(self, index: int) -> None:
-        if not 0 <= index < len(self.measurements):
-            raise ValueError("communication must reference a recorded measurement")
-        self.communications.append(
-            Communication(self.measurements[index].party, index))
+        measurements = [Measurement(*o) for o in outcomes]
+        return cls(measurements, [Communication(BOB, i)
+                                  for i, m in enumerate(measurements) if m.party == BOB])
 
     def communicated_bits(self, sender: str) -> list[int]:
         return [self.measurements[c.measurement_index].outcome
@@ -205,13 +205,12 @@ def discriminate_two_copies(state: ShotState,
     available = [c for c in range(1, state.n + 1) if c not in state.consumed]
     if len(available) < 2:
         raise ValueError("discrimination needs two unconsumed copies")
-    transcript = Transcript()
+    outcomes = []
     for party, slot, basis in PLAN:
         copy = available[slot - 1]
         outcome, state = measure_local(state, party, copy, basis, rng)
-        index = transcript.record_measurement(party, copy, basis, outcome)
-        if party == BOB:
-            transcript.communicate(index)
+        outcomes.append((party, copy, basis, outcome))
+    transcript = Transcript.of(outcomes)
 
     alice = [m.outcome for m in transcript.measurements if m.party == ALICE]
     bob = transcript.communicated_bits(BOB)
@@ -424,10 +423,8 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     records = [run_shot(n, k, seed) for k in range(shots)]
-    # deterministic sample transcript for the report, re-derived from shot 0
-    rng0 = np.random.default_rng([seed, 0])
-    state0 = ShotState.sample(n, rng0)
-    sample = discriminate_two_copies(state0, rng0).transcript.to_rows()
+    # the report's sample transcript is shot 0's branch
+    sample = Transcript.of(_walk(n, np.random.default_rng([seed, 0])).outcomes).to_rows()
     success = sum(r.correct for r in records) / shots
     fidelities = [r.fidelity for r in records]
     return DistillationReport(

@@ -12,7 +12,7 @@ n-copy mixture from its largest product-state overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class DivergenceReport:
     halved_bits: float | None = None
 
 
-def _structured_vs_pair_reference(p: BellDiagonalState, name: str,
-                                  halve: bool = False) -> DivergenceReport:
+def _structured_vs_pair_reference(p: BellDiagonalState, name: str) -> DivergenceReport:
     """Compare a Bell-diagonal state against the pairwise two-copy product
     reference (flat weight 4^-m over pair-constant strings) without
     materializing the reference."""
@@ -84,12 +83,11 @@ def _structured_vs_pair_reference(p: BellDiagonalState, name: str,
         raw_divergence_bits=raw if contained else math.inf,
         support_contained=contained,
         support_overlap=overlap,
-        halved_bits=value / 2.0 if halve else None,
     )
 
 
 def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
-                        name: str, halve: bool = False) -> DivergenceReport:
+                        name: str) -> DivergenceReport:
     """Dense counterpart: the reference must be flat on its support."""
 
     vals, vecs = np.linalg.eigh(q_dense.matrix)
@@ -113,7 +111,6 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
         raw_divergence_bits=raw,
         support_contained=contained,
         support_overlap=overlap,
-        halved_bits=value / 2.0 if halve else None,
     )
 
 
@@ -173,17 +170,8 @@ def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport
 
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = 2 * m + 1
-    report = er_bound_pair(n, method=method)
-    return DivergenceReport(
-        name=report.name,
-        method=report.method,
-        value_bits=report.value_bits,
-        raw_divergence_bits=report.raw_divergence_bits,
-        support_contained=report.support_contained,
-        support_overlap=report.support_overlap,
-        halved_bits=report.value_bits / 2.0,
-    )
+    report = er_bound_pair(2 * m + 1, method=method)
+    return replace(report, halved_bits=report.value_bits / 2.0)
 
 
 # --- PPT / negativity -------------------------------------------------------

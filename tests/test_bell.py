@@ -53,8 +53,8 @@ def test_bell_index_range_checked():
 
 
 def test_rho_n_dense_n1_is_maximally_mixed():
-    assert np.allclose(rho_n(1, "dense").matrix, np.eye(4) / 4, atol=1e-14)
-    marginal = partial_trace(rho_n(1, "dense"), ["A1"])
+    assert np.allclose(to_dense(rho_n(1)).matrix, np.eye(4) / 4, atol=1e-14)
+    marginal = partial_trace(to_dense(rho_n(1)), ["A1"])
     assert np.allclose(marginal.matrix, np.eye(2) / 2, atol=1e-14)
 
 
@@ -65,14 +65,14 @@ def test_rho_n_structured_weights():
 
 def test_rho_n_entropy_two_bits():
     for n in (1, 2, 3):
-        assert von_neumann_entropy(rho_n(n, "dense")) == pytest.approx(2.0, abs=1e-12)
+        assert von_neumann_entropy(to_dense(rho_n(n))) == pytest.approx(2.0, abs=1e-12)
     for n in (1, 2, 5, 9):
         assert rho_n(n).entropy_bits() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rho_n_dense_rejects_oversize():
     with pytest.raises(ValueError, match="Bell-diagonal"):
-        rho_n(7, "dense")
+        to_dense(rho_n(7))
 
 
 def test_rho2_power_structure():

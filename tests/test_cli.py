@@ -89,10 +89,33 @@ def test_verify_tolerance_override_can_fail(runner):
 def test_verify_usage_errors(runner):
     assert invoke(runner, ["verify", "eq5"]).exit_code == 2
     assert invoke(runner, ["verify", "eq5", "--m", "0"]).exit_code == 2
-    assert invoke(runner, ["verify", "eq10", "--m", "2", "--method", "dense"]).exit_code == 2
-    assert invoke(runner, ["verify", "er-pair", "--n", "4", "--method", "dense"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["verify", "eq10", "--m", "2", "--method", "dense"]))
+    assert_usage_error(invoke(runner, ["verify", "er-pair", "--n", "4", "--method", "dense"]))
     assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "4", "--method", "dense"]))
     assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", "-1"]))
+
+
+@pytest.mark.parametrize("command, bound, option, size", [
+    ("eq5", "er_bound_even", "--m", 2),
+    ("eq10", "er_bound_odd_doubled", "--m", 1),
+    ("er-pair", "er_bound_pair", "--n", 3),
+])
+def test_verify_calls_bound_through_module_name(runner, monkeypatch, command, bound,
+                                                option, size):
+    # a tracer times the bounds by rebinding belldistill.cli's global names, so
+    # a command must look its bound up there at call time
+    import belldistill.cli as cli
+
+    original, calls = getattr(cli, bound), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, bound, spy)
+    result = invoke(runner, ["verify", command, option, str(size)])
+    assert result.exit_code == 0
+    assert calls == [((size,), {"method": "structured"})]
 
 
 # --- distill / discriminate --------------------------------------------------
@@ -159,8 +182,9 @@ def test_protocol_size_cap_message(runner, command):
 
 
 # sha256 of stdout as printed by earlier code: the stepwise per-shot ket
-# simulation (distill, discriminate) and the exhaustive permutation closure
-# (permutations)
+# simulation (distill, discriminate), the exhaustive permutation closure
+# (permutations) and one emit path per command (verify, sigma-equiv,
+# discriminate --n 4)
 RECORDED_STDOUT = {
     "distill --n 3 --shots 200 --seed 11":
         "9f3ec7db8322bdd5224a72cc9c76ef7c9e9abbd4560aa792f337d4716faa88fa",
@@ -172,6 +196,16 @@ RECORDED_STDOUT = {
         "8cde6ac0c72837c94fc99d821bdc0d26158d898ca15e8d6ae2562bdccab63c5c",
     "permutations --format json":
         "d9c1326245c9ef689323204a1d448094a016b9fe572789ea9a3cb591ce115821",
+    "verify eq5 --m 1000":
+        "53764b57cd15d897f44b822e50162f98ef236142125bfd4101b6c7f12f8d21c1",
+    "verify eq10 --m 3":
+        "8d88678efb83a90c7c179151c54a5a02a785ace463471686504b4946dc2df5d2",
+    "verify er-pair --n 5":
+        "65b763c0565ccfd92ace65656727c39b58f75eb0fabdac2d38a527dd5f20046b",
+    "sigma-equiv --perms 2134,3412,1234":
+        "62b02c83b8c5128c9d62a4e9361b188921230b54392c3b37a971d3ccdbbf6143",
+    "discriminate --n 4 --shots 300 --seed 3":
+        "698e41fbb9990eece3a50f0a67bbc91943cbb695686ebd5e36c6bb3a37b49030",
 }
 
 # Recorded while every dense intermediate state was eigen-validated.  Dense
@@ -185,6 +219,14 @@ RECORDED_DENSE_STDOUT = {
         "9f0f0d4d9407d8842a457b98240395717eea177ed967edaec928892d1d32ecf0",
     "sigma-equiv --perms 2134,3412,1234 --method both":
         "bda8c952772c1a6c5ad8caea67b9cd7b2afa5237c05ca98bd9bb48748a4e16d7",
+    "separability --n 1":
+        "433019bc76083031b38ed29587898890cc3bb0066a8d4f079b042955a655f0cd",
+    "separability --n 2":
+        "565d8516a4c064d52a51f0405c1b5c2dc4a548ac311f27749a04b05343ef95ae",
+    "distill --n 2":
+        "ce2075796f9aa199099db56a2c86912d019e369410c6c99b45c437989a2b631f",
+    "explore er --n 3 --restarts 2 --seed 5":
+        "1174a51306e611c2ac7e9d61e715adcea063e0431a440c5772f2363d99a49e33",
 }
 ONE_BLAS_THREAD = {name: "1" for name in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -267,8 +309,8 @@ def test_sigma_equiv_structured_large_n(runner):
 
 def test_sigma_equiv_usage_errors(runner):
     assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
-    assert invoke(runner, ["sigma-equiv", "--perms", "2134,2134,2134,2134",
-                           "--method", "dense"]).exit_code == 2
+    assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134,2134,2134,2134",
+                                       "--method", "dense"]))
     assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", "-1"]))
 
 
