@@ -92,13 +92,13 @@ def _reporting(*formats: str):
 
 
 class _Toolkit(click.Group):
-    """Reports the library's size-cap and range errors as usage errors
-    (exit 2, one line) instead of tracebacks."""
+    """Reports the library's size-cap and range errors, and files that cannot
+    be written, as usage errors (exit 2, one line) instead of tracebacks."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 
@@ -305,8 +305,6 @@ def sigma_equiv_cmd(perms, method, tol, dump):
     if not perm_list:
         raise click.UsageError("--perms must list at least one permutation")
     n = len(perm_list)
-    if method in ("dense", "both") and n > 3:
-        raise click.UsageError("dense equivalence is capped at n = 3")
     sigma = sigma_n(perm_list)
     corrected = sigma.permute_per_copy([invert_permutation(p) for p in perm_list])
     structured_exact = corrected.weights == rho_n(n).weights

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .states import DensityOperator, Ket
+from .states import DensityOperator, Ket, _eigh_blocks
 
 # Eigenvalues at or below this are treated as exact zeros for entropy and
 # support purposes; dimensions are <= 4096 so eigensolver noise stays well
@@ -26,7 +26,8 @@ HERM_INPUT_TOL = 1e-10
 def herm_eig(matrix: np.ndarray | DensityOperator):
     """Eigenvalues (real, descending) and matching orthonormal eigenvectors.
 
-    Rejects inputs that are not Hermitian within 1e-10.
+    Rejects inputs that are not Hermitian within 1e-10.  Blocks of the
+    exact-nonzero pattern are solved separately.
     """
 
     m = matrix.matrix if isinstance(matrix, DensityOperator) else np.asarray(matrix, dtype=complex)
@@ -35,8 +36,36 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > HERM_INPUT_TOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.2e})")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    d = len(m)
+    vals = np.empty(d)
+    vecs = np.zeros((d, d), dtype=complex)
+    start = 0
+    for rows, values, block_vecs in _eigh_blocks(m):
+        cols = start + np.arange(rows.size).reshape(rows.shape)
+        vals[cols] = values
+        vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
+        start += rows.size
+    order = np.argsort(vals, kind="stable")[::-1]
+    return vals[order], vecs[:, order]
+
+
+def _spectrum(m: np.ndarray, vectors: bool = False, weigh: np.ndarray | None = None):
+    """Eigenvalues of a Hermitian matrix in ascending order, solved block by
+    block (the stable sort keeps the order of a one-block solve).  `vectors`
+    solves with `eigh` instead of `eigvalsh`, whose last digits can differ,
+    where a one-block matrix must keep the digits of an earlier `eigh`.  With
+    `weigh`, also the weight <v|weigh|v> on each eigenvector v, in the same
+    order, from the diagonal blocks of `weigh` only."""
+
+    groups = _eigh_blocks(m, vectors=vectors or weigh is not None)
+    vals = np.concatenate([values.ravel() for _, values, _ in groups])
+    order = np.argsort(vals, kind="stable")
+    if weigh is None:
+        return vals[order]
+    w = np.concatenate([
+        np.real(np.sum(v.conj() * (weigh[rows[:, :, None], rows[:, None, :]] @ v), axis=1)).ravel()
+        for rows, _, v in groups])
+    return vals[order], w[order]
 
 
 def shannon_bits(probs: np.ndarray) -> float:
@@ -48,8 +77,22 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    vals, _ = herm_eig(rho)
-    return shannon_bits(np.clip(vals, 0.0, None))
+    return shannon_bits(np.clip(_spectrum(rho.matrix, vectors=True)[::-1], 0.0, None))
+
+
+def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
+    """Tr rho (log2 rho - log2 sigma) from rho's spectrum p, sigma's spectrum
+    q and rho's weight w on sigma's eigenvectors, summed in the given order."""
+
+    w = np.clip(w, 0.0, None)
+    on_support = q > SUPPORT_CUTOFF
+    leak = float(np.sum(w[~on_support]))
+    if leak > SUPPORT_LEAK_TOL:
+        return math.inf
+    p_pos = p[p > SUPPORT_CUTOFF]
+    s_rho = float(np.sum(p_pos * np.log2(p_pos)))
+    cross = float(np.sum(w[on_support] * np.log2(q[on_support])))
+    return s_rho - cross
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -63,19 +106,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     if rho.layout != sigma.layout:
         raise ValueError("states must share a layout")
-    p, _ = herm_eig(rho)
-    q, v = herm_eig(sigma)
-    # weight of rho along each eigenvector of sigma
-    w = np.real(np.sum(v.conj() * (rho.matrix @ v), axis=0))
-    w = np.clip(w, 0.0, None)
-    on_support = q > SUPPORT_CUTOFF
-    leak = float(np.sum(w[~on_support]))
-    if leak > SUPPORT_LEAK_TOL:
-        return math.inf
-    p_pos = p[p > SUPPORT_CUTOFF]
-    s_rho = float(np.sum(p_pos * np.log2(p_pos)))
-    cross = float(np.sum(w[on_support] * np.log2(q[on_support])))
-    return s_rho - cross
+    q, w = _spectrum(sigma.matrix, weigh=rho.matrix)
+    return _divergence(_spectrum(rho.matrix, vectors=True)[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
@@ -92,9 +124,7 @@ def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
 
     if rho.layout != tau.layout:
         raise ValueError("states must share a layout")
-    diff = rho.matrix - tau.matrix
-    vals = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return float(0.5 * np.sum(np.abs(_spectrum(rho.matrix - tau.matrix))))
 
 
 def purity(rho: DensityOperator) -> float:

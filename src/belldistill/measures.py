@@ -27,8 +27,9 @@ from .bell import (
 from .entropies import (
     SUPPORT_CUTOFF,
     SUPPORT_LEAK_TOL,
-    relative_entropy,
-    von_neumann_entropy,
+    _divergence,
+    _spectrum,
+    shannon_bits,
 )
 from .registers import ALICE, BOB, BipartiteCut, RegisterLayout
 from .states import DensityOperator, partial_transpose, reorder
@@ -90,7 +91,9 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
                         name: str) -> DivergenceReport:
     """Dense counterpart: the reference must be flat on its support."""
 
-    vals, vecs = np.linalg.eigh(q_dense.matrix)
+    # sigma's blocks give support, flatness, overlap and the raw divergence;
+    # rho's spectrum gives its entropy (each matrix is solved once)
+    vals, w = _spectrum(q_dense.matrix, weigh=p_dense.matrix)
     on_support = vals > SUPPORT_CUTOFF
     support_vals = vals[on_support]
     if support_vals.size == 0:
@@ -99,11 +102,11 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
     if flat > 1e-9:
         raise ValueError(f"reference is not flat on its support (spread {flat:.2e})")
     ref_bits = -math.log2(float(support_vals.mean()))
-    w = np.real(np.sum(vecs.conj() * (p_dense.matrix @ vecs), axis=0))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    raw = relative_entropy(p_dense, q_dense)
-    value = ref_bits - von_neumann_entropy(p_dense)
+    p = _spectrum(p_dense.matrix, vectors=True)[::-1]
+    raw = _divergence(p, vals[::-1], w[::-1])
+    value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
         name=name,
         method="dense",
@@ -190,7 +193,7 @@ def ppt_check(rho: DensityOperator, cut: BipartiteCut | None = None) -> PptRepor
         cut = BipartiteCut.from_owners(rho.layout)
     cut.validate(rho.layout)
     pt = partial_transpose(rho, sorted(cut.bob))
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    min_eig = float(_spectrum(pt)[0])
     return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
 
 
@@ -201,7 +204,7 @@ def log_negativity(rho: DensityOperator, cut: BipartiteCut | None = None) -> flo
         cut = BipartiteCut.from_owners(rho.layout)
     cut.validate(rho.layout)
     pt = partial_transpose(rho, sorted(cut.bob))
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
+    trace_norm = float(np.sum(np.abs(_spectrum(pt))))
     return math.log2(trace_norm)
 
 

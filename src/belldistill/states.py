@@ -135,10 +135,63 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         if psi.layout != layout:
             raise ValueError("all ensemble members must share a layout")
         total += w
-        rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        # only the ket's support is touched; outside it the full outer product
+        # would add exact zeros, so every entry gets the same arithmetic
+        a = psi.amplitudes
+        on = np.flatnonzero(a)
+        rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
     return DensityOperator._trusted(layout, rho)
+
+
+def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
+    """Eigensolve a Hermitian matrix block by block.
+
+    The blocks are the connected components of the matrix's exact-nonzero
+    pattern, symmetrised, so no tolerance decides the split, and a matrix
+    that forms one block is solved whole by one `np.linalg.eigh` (or
+    `eigvalsh` without `vectors`) with the same digits.  Blocks of one size
+    go through one stacked call; 1x1 blocks are read off the diagonal.
+    Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
+    lists the k blocks of that size, `values` (k, s) their ascending
+    eigenvalues and `vecs` (k, s, s) their eigenvectors, or None.
+    """
+
+    def solve(a):
+        if vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a), None
+
+    d = len(m)
+    nz = m != 0
+    # each index takes the smallest label among its neighbours in either
+    # direction until nothing changes, and pointer jumping shortens the
+    # chains; int16 labels keep the d x d temporaries at 2 bytes an entry
+    label = np.arange(d, dtype=np.int16 if d < 2 ** 15 else np.intp)
+    far = label.dtype.type(d)
+    while True:
+        new = np.minimum(np.where(nz, label, far).min(axis=1),
+                         np.where(nz, label[:, None], far).min(axis=0))
+        new = np.minimum(new, label)
+        if np.array_equal(new, label):
+            break
+        label = new[new]
+    if not label.any():
+        values, vecs = solve(m)
+        return [(np.arange(d)[None], values[None], None if vecs is None else vecs[None])]
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    groups = []
+    for s in np.unique(sizes):
+        rows = order[starts[sizes == s][:, None] + np.arange(s)]
+        if s == 1:
+            values = m[rows, rows].real
+            vecs = np.ones((len(rows), 1, 1), dtype=m.dtype) if vectors else None
+        else:
+            values, vecs = solve(m[rows[:, :, None], rows[:, None, :]])
+        groups.append((rows, values, vecs))
+    return groups
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:

@@ -78,12 +78,25 @@ def test_verify_er_pair(runner):
 
 
 def test_verify_tolerance_override_can_fail(runner):
-    # dense value differs from 2.0 by ~1e-15; an absurdly tight tolerance
+    # dense value differs from 0 by ~1e-15; an absurdly tight tolerance
     # must flip the exit code to 1, not crash
-    result = invoke(runner, ["verify", "eq5", "--m", "2", "--method", "dense",
+    result = invoke(runner, ["verify", "er-pair", "--n", "2", "--method", "dense",
                              "--tol", "1e-18"])
     assert result.exit_code == 1
     assert payload_of(result)["pass"] is False
+
+
+def test_verify_eq5_dense_twelve_qubits(runner):
+    # 12 qubits: every dense matrix here splits into blocks of at most 32
+    result = invoke(runner, ["verify", "eq5", "--m", "3", "--method", "dense"])
+    assert result.exit_code == 0
+    assert abs(payload_of(result)["checks"][0]["computed"] - 4.0) <= 1e-8
+
+
+def test_unwritable_output_is_usage_error(runner, tmp_path):
+    missing = str(tmp_path / "missing" / "x.json")
+    assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "1", "--out", missing]))
+    assert_usage_error(invoke(runner, ["separability", "--n", "1", "--dump", missing]))
 
 
 def test_verify_usage_errors(runner):
@@ -208,15 +221,15 @@ RECORDED_STDOUT = {
         "698e41fbb9990eece3a50f0a67bbc91943cbb695686ebd5e36c6bb3a37b49030",
 }
 
-# Recorded while every dense intermediate state was eigen-validated.  Dense
-# payloads print eigensolver rounding digits, which move with the BLAS thread
-# count (er-pair --n 2 differs between one and two threads), so these run in
-# a child process on one BLAS thread.
+# Dense payloads print eigensolver rounding digits, which can move with the
+# BLAS thread count, so these run in a child process on one BLAS thread.  The
+# two verify digests were recorded once eigensolves ran block by block; the
+# rest were recorded earlier and did not change.
 RECORDED_DENSE_STDOUT = {
     "verify eq5 --m 2 --method dense":
-        "d45fe4d4e180e61c848b5b250db2f184aa04ace5157be368d0468df8d50a493c",
+        "3b69c7c28cea261c1c2a9676dccd09d3c30a14a08114914ee19cb0f72f35428b",
     "verify er-pair --n 2 --method dense":
-        "9f0f0d4d9407d8842a457b98240395717eea177ed967edaec928892d1d32ecf0",
+        "3d7f52052147e188c98bee1542803632183b388ef8943ef88c40d63aba9eccef",
     "sigma-equiv --perms 2134,3412,1234 --method both":
         "bda8c952772c1a6c5ad8caea67b9cd7b2afa5237c05ca98bd9bb48748a4e16d7",
     "separability --n 1":
@@ -307,10 +320,20 @@ def test_sigma_equiv_structured_large_n(runner):
     assert payload_of(result)["n"] == 8
 
 
+def test_sigma_equiv_dense_four_copies(runner):
+    result = invoke(runner, ["sigma-equiv", "--perms", "2134,3412,4321,1234",
+                             "--method", "both"])
+    assert result.exit_code == 0
+    assert payload_of(result)["pass"] is True
+
+
 def test_sigma_equiv_usage_errors(runner):
     assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
-    assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134,2134,2134,2134",
-                                       "--method", "dense"]))
+    # seven copies are 14 qubits: the library's dense cap applies
+    result = invoke(runner, ["sigma-equiv", "--perms", ",".join(["2134"] * 7),
+                             "--method", "dense"])
+    assert_usage_error(result)
+    assert "capped at 12 qubits" in result.stderr
     assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", "-1"]))
 
 

@@ -51,6 +51,59 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _planted_blocks(gen, sizes):
+    """Random Hermitian matrix that is block-diagonal after a hidden
+    permutation, with the given block sizes (0 gives an all-zero row)."""
+
+    d = sum(max(s, 1) for s in sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for s in sizes:
+        if s:
+            g = gen.standard_normal((s, s)) + 1j * gen.standard_normal((s, s))
+            m[start:start + s, start:start + s] = g + g.conj().T
+        start += max(s, 1)
+    perm = gen.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 1, 1, 5, 0, 3), (2, 2, 2, 2), (8, 1, 0, 4, 4, 4)])
+def test_herm_eig_blocks_match_full_solve(sizes):
+    gen = np.random.default_rng(sum(sizes))
+    m = _planted_blocks(gen, sizes)
+    vals, vecs = herm_eig(m)
+    full = np.linalg.eigvalsh(m)[::-1]
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    assert np.max(np.abs(vals - full)) <= 1e-12 * scale
+    assert np.all(np.diff(vals) <= 0)
+    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(m)))) <= 1e-12
+
+
+def test_herm_eig_single_block_is_one_full_solve(rng):
+    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    m = g + g.conj().T
+    vals, vecs = herm_eig(m)
+    full_vals, full_vecs = np.linalg.eigh(m)
+    assert np.array_equal(vals, full_vals[::-1])
+    assert np.array_equal(vecs, full_vecs[:, ::-1])
+
+
+def test_entropy_solves_only_small_blocks(monkeypatch):
+    # to_dense(rho_n(5)) is 1024 x 1024 but block-diagonal with blocks of at most 32
+    widths = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    assert von_neumann_entropy(to_dense(rho_n(5))) == pytest.approx(2.0, abs=1e-12)
+    assert widths and max(widths) <= 32
+
+
 def test_entropy_examples():
     assert von_neumann_entropy(bell_ket(1).to_dm()) == pytest.approx(0.0, abs=1e-12)
     one_qubit = RegisterLayout.bell_pairs(1).subset(["A1"])

@@ -12,6 +12,7 @@ from belldistill import (
     apply_local,
     basis_ket,
     bell_ket,
+    bell_product_ket,
     dm_from_ensemble,
     dm_from_json,
     dm_tensor,
@@ -87,6 +88,32 @@ def test_dm_from_ensemble_examples():
     half = dm_from_ensemble([(0.5, bell_ket(1)), (0.5, bell_ket(2))])
     eig = np.linalg.eigvalsh(half.matrix)
     assert np.allclose(sorted(eig), [0, 0, 0.5, 0.5], atol=1e-12)
+
+
+def test_dm_from_ensemble_matches_full_outer_products(rng):
+    # adding each term on its ket's support only must give the same bytes as
+    # adding the full outer product, signed zeros included
+    layout = RegisterLayout.bell_pairs(2)
+    g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    sparse = np.where(np.arange(16) % 3 == 0, g, 0)
+    ensembles = [
+        [(0.25, bell_ket(i)) for i in (1, 2, 3, 4)],
+        [(0.3, Ket(layout, g / np.linalg.norm(g))),
+         (0.7, Ket(layout, sparse / np.linalg.norm(sparse)))],
+    ]
+    ensembles += [[(w, psi) for w, psi in zip(rng.dirichlet(np.ones(4)),
+                                              (bell_ket(i, copy=1) for i in (4, 2, 1, 3)))]]
+    for members in ensembles:
+        naive = np.zeros((members[0][1].layout.dim,) * 2, dtype=complex)
+        for w, psi in members:
+            naive += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+        assert dm_from_ensemble(members).matrix.tobytes() == naive.tobytes()
+    rho = to_dense(rho_n(3))
+    naive = np.zeros((64, 64), dtype=complex)
+    for i in (1, 2, 3, 4):
+        a = bell_product_ket((i,) * 3).amplitudes
+        naive += 0.25 * np.outer(a, a.conj())
+    assert rho.matrix.tobytes() == naive.tobytes()
 
 
 def test_dm_from_ensemble_rejects_bad_weights():
