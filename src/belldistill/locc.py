@@ -33,10 +33,11 @@ from functools import cache
 
 import numpy as np
 
-from .bell import bell_amplitudes, bell_product_ket, rho_n, smolin_flip_check, to_dense
+from .bell import (bell_amplitudes, bell_product_ket, check_bell_index, rho_n,
+                   smolin_flip_check, to_dense)
 from .entropies import trace_distance, von_neumann_entropy
 from .measures import PptReport, ppt_check
-from .permutations import H, I2, X, Z, IDENTITY_PAIR, LocalUnitaryPair
+from .permutations import H, I2, PAULIS, LocalUnitaryPair
 from .registers import ALICE, BOB, MAX_DENSE_QUBITS, RegisterLayout
 from .states import DensityOperator, Ket, apply_local, partial_trace
 
@@ -223,15 +224,8 @@ def discriminate_two_copies(state: ShotState,
 def correction_unitary(i: int) -> LocalUnitaryPair:
     """One-sided Pauli on Alice mapping Phi_i to Phi_1 up to a global phase."""
 
-    if i == 1:
-        return IDENTITY_PAIR
-    if i == 2:
-        return LocalUnitaryPair(Z, I2, name="Z⊗I")
-    if i == 3:
-        return LocalUnitaryPair(X, I2, name="X⊗I")
-    if i == 4:
-        return LocalUnitaryPair(Z @ X, I2, name="ZX⊗I")
-    raise ValueError(f"Bell index must be in 1..4, got {i}")
+    name, p = PAULIS[check_bell_index(i) - 1]
+    return LocalUnitaryPair(p, I2, name=f"{name}⊗I")
 
 
 def _corrected(ket: Ket, guess: int, copies: range) -> Ket:

@@ -186,26 +186,27 @@ class PptReport:
     is_ppt: bool
 
 
-def ppt_check(rho: DensityOperator, cut: BipartiteCut | None = None) -> PptReport:
-    """Spectrum test of the partial transpose over Bob's side of the cut."""
+def _pt_spectrum(rho: DensityOperator, cut: BipartiteCut | None) -> np.ndarray:
+    """Ascending spectrum of the partial transpose over Bob's side of the cut
+    (by default the cut between the owners)."""
 
     if cut is None:
         cut = BipartiteCut.from_owners(rho.layout)
     cut.validate(rho.layout)
-    pt = partial_transpose(rho, sorted(cut.bob))
-    min_eig = float(_spectrum(pt)[0])
+    return _spectrum(partial_transpose(rho, sorted(cut.bob)))
+
+
+def ppt_check(rho: DensityOperator, cut: BipartiteCut | None = None) -> PptReport:
+    """Spectrum test of the partial transpose over Bob's side of the cut."""
+
+    min_eig = float(_pt_spectrum(rho, cut)[0])
     return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
 
 
 def log_negativity(rho: DensityOperator, cut: BipartiteCut | None = None) -> float:
     """log2 of the trace norm of the partial transpose (bits)."""
 
-    if cut is None:
-        cut = BipartiteCut.from_owners(rho.layout)
-    cut.validate(rho.layout)
-    pt = partial_transpose(rho, sorted(cut.bob))
-    trace_norm = float(np.sum(np.abs(_spectrum(pt))))
-    return math.log2(trace_norm)
+    return math.log2(float(np.sum(np.abs(_pt_spectrum(rho, cut)))))
 
 
 # --- Separable-state sampling ------------------------------------------------

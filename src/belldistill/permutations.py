@@ -2,8 +2,11 @@
 
 A pair (U_A, U_B) acts on one copy as U_A x U_B.  When every Bell state is
 mapped to another Bell state up to a unit phase, the pair induces a
-permutation of the four indices.  A breadth-first search over one-qubit
-generators recovers a realizing pair for each of the 24 permutations.
+permutation of the four indices.  Every permutation is one Klein
+relabeling after one permutation fixing index 1 (S4 = V4 x| S3): the
+one-sided Paulis P x I give the four Klein relabelings, and the conjugate
+Clifford pairs C x C* fix Phi1 and permute Phi2..Phi4 in all 3! ways, so the
+4 x 6 pairs (P C) x C* realize every permutation exactly once.
 """
 
 from __future__ import annotations
@@ -26,12 +29,17 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
-# One-sided phase/bit-flip gates alone only preserve or swap the parity
-# blocks {Phi1,Phi2} and {Phi3,Phi4} wholesale (they act monomially on the
-# computational basis), which reaches just 8 of the 24 permutations.  The
-# Hadamard pair mixes the blocks, e.g. H x H exchanges Phi2 and Phi3, and
-# closes the full group.
-GENERATORS = {"I": I2, "S": S, "Z": Z, "X": X, "H": H}
+# Phi_i = (P_i x I) Phi1 for the one-sided Pauli P_i, listed by Bell index, so
+# P_i x I also maps Phi_i back to Phi1 up to a phase.  They act monomially on
+# the computational basis and realize the Klein four-group of relabelings.
+PAULIS = (("I", I2), ("Z", Z), ("X", X), ("ZX", Z @ X))
+
+# The six single-qubit Clifford classes modulo Paulis and phases.  Since
+# (C x C*) Phi1 = Phi1, the pair maps (P x I) Phi1 to (C P C^dag x I) Phi1: it
+# permutes Phi2..Phi4 as C permutes the Pauli axes.  C* is C with S replaced
+# by S* = ZS.
+CLIFFORDS = (("I", I2), ("H", H), ("S", S), ("HS", H @ S), ("SH", S @ H),
+             ("HSH", H @ S @ H))
 
 ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
@@ -57,31 +65,6 @@ class LocalUnitaryPair:
 
     def tensor(self) -> np.ndarray:
         return np.kron(self.u_alice, self.u_bob)
-
-    def compose(self, other: "LocalUnitaryPair") -> "LocalUnitaryPair":
-        """This pair applied after `other`."""
-
-        return LocalUnitaryPair(self.u_alice @ other.u_alice,
-                                self.u_bob @ other.u_bob,
-                                name=_join_names(self.name, other.name))
-
-
-def _join_names(after: str, before: str) -> str:
-    if not before or before == "I⊗I":
-        return after
-    if not after or after == "I⊗I":
-        return before
-    a_after, b_after = after.split("⊗")
-    a_before, b_before = before.split("⊗")
-    return f"{_word(a_after, a_before)}⊗{_word(b_after, b_before)}"
-
-
-def _word(after: str, before: str) -> str:
-    if before == "I":
-        return after
-    if after == "I":
-        return before
-    return f"{after}{before}"
 
 
 IDENTITY_PAIR = LocalUnitaryPair(I2, I2, name="I⊗I")
@@ -121,80 +104,28 @@ def permutation_action(pair: LocalUnitaryPair,
     return PermutationAction(tuple(perm), tuple(phases))
 
 
-def _phase_normalized(u: np.ndarray) -> np.ndarray:
-    """Divide out the phase of the first large entry (all nonzero entries of
-    the generated matrices have magnitude >= 1/2, far above rounding noise)."""
-
-    flat = u.ravel()
-    ref = int(np.argmax(np.abs(flat) > 0.4))
-    return flat * (abs(flat[ref]) / flat[ref])
-
-
-def _canonical_key(pair: LocalUnitaryPair) -> bytes:
-    """Key for the pair up to a phase on each side.  Per-side phases rotate
-    all four Bell images jointly, so alignment and the induced permutation
-    are unaffected; deduplicating this way keeps the closure at 576 nodes."""
-
-    # adding complex zero collapses -0.0 to +0.0 so byte keys are stable
-    a = np.round(_phase_normalized(pair.u_alice), 6) + (0.0 + 0.0j)
-    b = np.round(_phase_normalized(pair.u_bob), 6) + (0.0 + 0.0j)
-    return a.tobytes() + b.tobytes()
-
-
-# The per-side phase classes form a group of order 24 each (generated by the
-# phase gate and Hadamard), so the closure has at most 576 distinct nodes.
-# The search stops as soon as all 24 permutations have an entry, at the
-# 515th node, partway through the fourth level (words of length four); a
-# table entry is only set on first discovery, so stopping there gives the
-# same table as exhausting the closure.
-_MAX_BFS_DEPTH = 12
-
-
 @lru_cache(maxsize=1)
 def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
-    """Breadth-first search over the generator pairs, deduplicated by induced
-    permutation, until all 24 permutations are reached."""
+    """The 24 pairs (P C) x C*, keyed by the permutation each induces.
 
-    table: dict[tuple[int, int, int, int], LocalUnitaryPair] = {}
-    seen = {_canonical_key(IDENTITY_PAIR)}
-    frontier = [IDENTITY_PAIR]
-    action = permutation_action(IDENTITY_PAIR)
-    table[action.perm] = IDENTITY_PAIR
-    steps = [LocalUnitaryPair(g, h, name=f"{ga}⊗{gb}")
-             for ga, g in GENERATORS.items() for gb, h in GENERATORS.items()]
-    for _ in range(_MAX_BFS_DEPTH):
-        if not frontier:
-            break
-        next_frontier = []
-        for node in frontier:
-            for step in steps:
-                candidate = step.compose(node)
-                key = _canonical_key(candidate)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_frontier.append(candidate)
-                act = permutation_action(candidate)
-                if act is not None and act.perm not in table:
-                    table[act.perm] = candidate
-                    if len(table) == len(ALL_PERMUTATIONS):
-                        return table
-        frontier = next_frontier
+    Every pair is checked by `permutation_action`; one that does not align,
+    or two that induce the same permutation, raise, so a returned table
+    certifies that all 24 permutations are realized.
+    """
+
+    table = {}
+    for (p_name, p), (c_name, c) in itertools.product(PAULIS, CLIFFORDS):
+        alice = "".join(w for w in (p_name, c_name) if w != "I") or "I"
+        bob = c_name.replace("S", "ZS")
+        pair = LocalUnitaryPair(p @ c, c.conj(), name=f"{alice}⊗{bob}")
+        action = permutation_action(pair)
+        if action is None or action.perm in table:
+            raise RuntimeError(f"{pair.name} does not realize a new Bell permutation")
+        table[action.perm] = pair
     return table
 
 
 def local_permutation_search(target) -> LocalUnitaryPair:
-    """A local unitary pair whose Bell action equals the target permutation.
+    """A local unitary pair whose Bell action equals the target permutation."""
 
-    The closure always contains all 24 permutations; a miss would falsify
-    the construction and raises.
-    """
-
-    target = check_permutation(target)
-    table = permutation_table()
-    if target not in table:
-        raise RuntimeError(
-            f"no local unitary pair found for permutation {target}; "
-            "the generator closure should realize all 24 permutations"
-        )
-    return table[target]
+    return permutation_table()[check_permutation(target)]

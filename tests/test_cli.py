@@ -195,9 +195,9 @@ def test_protocol_size_cap_message(runner, command):
 
 
 # sha256 of stdout as printed by earlier code: the stepwise per-shot ket
-# simulation (distill, discriminate), the exhaustive permutation closure
-# (permutations) and one emit path per command (verify, sigma-equiv,
-# discriminate --n 4)
+# simulation (distill, discriminate) and one emit path per command (verify,
+# sigma-equiv, discriminate --n 4).  The two permutations digests were
+# recorded once the table was built from its Klein x S3 factors.
 RECORDED_STDOUT = {
     "distill --n 3 --shots 200 --seed 11":
         "9f3ec7db8322bdd5224a72cc9c76ef7c9e9abbd4560aa792f337d4716faa88fa",
@@ -206,9 +206,9 @@ RECORDED_STDOUT = {
     "discriminate --n 2 --shots 200 --seed 11":
         "c5cd9613f3663ba7b305eee0849b5163e6cc67fc1a5bd585e9cd17484bb0157b",
     "permutations":
-        "8cde6ac0c72837c94fc99d821bdc0d26158d898ca15e8d6ae2562bdccab63c5c",
+        "6d6106448712c98cdf93bb9261c863a90226e604493de8736a09a998caa510a8",
     "permutations --format json":
-        "d9c1326245c9ef689323204a1d448094a016b9fe572789ea9a3cb591ce115821",
+        "eec256e2cdcbc7a450ef9610958d7ba9d0978776081d2e07406631e0fc111f00",
     "verify eq5 --m 1000":
         "53764b57cd15d897f44b822e50162f98ef236142125bfd4101b6c7f12f8d21c1",
     "verify eq10 --m 3":
@@ -291,7 +291,7 @@ def test_permutations_table(runner):
     result = invoke(runner, ["permutations"])
     assert result.exit_code == 0
     assert "realized 24/24" in result.stdout
-    assert "S⊗S" in result.stdout
+    assert "ZS⊗ZS" in result.stdout
 
 
 def test_permutations_json(runner):
@@ -300,7 +300,7 @@ def test_permutations_json(runner):
     assert data["count"] == 24
     assert all(r["realized"] for r in data["rows"])
     swap12 = next(r for r in data["rows"] if r["perm"] == "2134")
-    assert swap12["pair"] == "S⊗S"
+    assert swap12["pair"] == "ZS⊗ZS"
 
 
 def test_sigma_equiv_structured_and_dense(runner):
@@ -325,6 +325,20 @@ def test_sigma_equiv_dense_four_copies(runner):
                              "--method", "both"])
     assert result.exit_code == 0
     assert payload_of(result)["pass"] is True
+
+
+def test_sigma_equiv_six_copies_same_bytes_on_one_and_two_blas_threads():
+    args = ["sigma-equiv", "--perms", "2134,3412,4321,1234,2413,3142", "--method", "both"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {name: threads for name in ONE_BLAS_THREAD}
+        proc = subprocess.run([sys.executable, "-m", "belldistill", *args],
+                              capture_output=True,
+                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", **env})
+        assert proc.returncode == 0
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["pass"] is True
 
 
 def test_sigma_equiv_usage_errors(runner):

@@ -10,6 +10,7 @@ from belldistill import (
     permutation_action,
     permutation_table,
 )
+from belldistill import permutations
 from belldistill.permutations import H, I2, S, X, Z, IDENTITY_PAIR
 
 
@@ -63,16 +64,30 @@ def test_search_identity_is_identity_pair():
     assert np.allclose(pair.tensor(), np.eye(4))
 
 
-def test_search_swap12_found_at_depth_one():
-    pair = local_permutation_search((2, 1, 3, 4))
-    # the breadth-first closure finds the two-sided phase-gate pair first
-    assert pair.name == "S⊗S"
+def test_cold_build_checks_exactly_24_pairs(monkeypatch):
+    # the table is built from its 4 x 6 group factors, one checked pair each
+    calls = []
+    action = permutations.permutation_action
+
+    def counted(pair):
+        calls.append(pair.name)
+        return action(pair)
+
+    monkeypatch.setattr(permutations, "permutation_action", counted)
+    permutation_table.cache_clear()
+    try:
+        table = permutation_table()
+    finally:
+        permutation_table.cache_clear()
+    assert len(calls) == 24 and len(set(calls)) == 24
+    assert set(table) == set(ALL_PERMUTATIONS)
 
 
 def test_group_property_composition():
     table = permutation_table()
     for a, b in itertools.islice(itertools.product(sorted(table), repeat=2), 0, 60):
-        pair = table[a].compose(table[b])
+        pair = LocalUnitaryPair(table[a].u_alice @ table[b].u_alice,
+                                table[a].u_bob @ table[b].u_bob)
         composed = permutation_action(pair)
         expected = tuple(a[b[i] - 1] for i in range(4))
         assert composed is not None and composed.perm == expected
