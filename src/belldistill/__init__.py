@@ -1,19 +1,16 @@
 """Bell-state ensembles, LOCC discrimination/distillation, and
 relative-entropy bounds for the uniform four-Bell mixture."""
 
-from .registers import ALICE, BOB, BipartiteCut, QubitSpec, RegisterLayout
+from .registers import ALICE, BOB, QubitSpec, RegisterLayout
 from .states import (
     DensityOperator,
     Ket,
     apply_local,
-    basis_ket,
     dm_from_ensemble,
     dm_from_json,
     dm_tensor,
     dm_to_json,
-    ket_from_json,
     ket_tensor,
-    ket_to_json,
     partial_trace,
     partial_transpose,
     reorder,
@@ -21,14 +18,12 @@ from .states import (
 from .entropies import (
     fidelity_pure,
     herm_eig,
-    purity,
     relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 from .bell import (
     BellDiagonalState,
-    bell_basis_weights,
     bell_diagonal_kl,
     bell_ket,
     bell_product_ket,
@@ -66,7 +61,6 @@ from .locc import (
     DiscriminationResult,
     DistillationReport,
     ShotState,
-    Transcript,
     correction_unitary,
     discriminate_two_copies,
     distill,
@@ -77,5 +71,24 @@ from .locc import (
     output_copy_entropy,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ALICE", "BOB", "QubitSpec", "RegisterLayout",
+    "DensityOperator", "Ket", "apply_local", "dm_from_ensemble", "dm_from_json",
+    "dm_tensor", "dm_to_json", "ket_tensor", "partial_trace", "partial_transpose",
+    "reorder",
+    "fidelity_pure", "herm_eig", "relative_entropy", "trace_distance",
+    "von_neumann_entropy",
+    "BellDiagonalState", "bell_diagonal_kl", "bell_ket", "bell_product_ket",
+    "invert_permutation", "parse_permutation", "rho2_power", "rho_n", "sigma_n",
+    "smolin_flip_check", "to_dense",
+    "ALL_PERMUTATIONS", "LocalUnitaryPair", "PermutationAction",
+    "local_permutation_search", "permutation_action", "permutation_table",
+    "DivergenceReport", "ErReport", "PptReport", "er_bound_even",
+    "er_bound_odd_doubled", "er_bound_pair", "er_search", "log_negativity",
+    "ppt_check", "sample_pairwise_separable", "sample_separable",
+    "BranchAnalysis", "DiscriminationResult", "DistillationReport", "ShotState",
+    "correction_unitary", "discriminate_two_copies", "distill",
+    "distill_exact_branches", "distill_trivial", "measure_local",
+    "measure_local_exact", "output_copy_entropy",
+]
 __version__ = "0.1.0"

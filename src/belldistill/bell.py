@@ -256,34 +256,6 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     return dm_from_ensemble(members)
 
 
-def bell_basis_weights(rho: DensityOperator) -> BellDiagonalState:
-    """Project a dense state onto the Bell product basis.
-
-    Only valid as a round-trip check for states that are Bell-diagonal;
-    the diagonal weights are returned regardless.
-    """
-
-    n2 = rho.layout.n_qubits
-    if n2 % 2 != 0:
-        raise ValueError("register must consist of whole copies")
-    n = n2 // 2
-    weights = {}
-    for code in range(4 ** n):
-        s = []
-        c = code
-        for _ in range(n):
-            s.append(c % 4 + 1)
-            c //= 4
-        s = tuple(s)
-        psi = bell_product_ket(s)
-        if psi.layout != rho.layout:
-            psi = reorder(psi, rho.layout.labels)
-        w = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-        if w > 1e-15:
-            weights[s] = w
-    return BellDiagonalState(n, weights)
-
-
 # --- The two-copy flip identity --------------------------------------------
 #
 # The uniform four-fold mixture on two copies equals the same mixture with

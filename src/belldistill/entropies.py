@@ -125,7 +125,3 @@ def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
     if rho.layout != tau.layout:
         raise ValueError("states must share a layout")
     return float(0.5 * np.sum(np.abs(_spectrum(rho.matrix - tau.matrix))))
-
-
-def purity(rho: DensityOperator) -> float:
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))

@@ -1,5 +1,5 @@
-"""LOCC protocol machinery: local measurements, classical communication
-transcripts, two-copy Bell discrimination, and distillation.
+"""LOCC protocol machinery: local measurements, two-copy Bell
+discrimination, and distillation.
 
 The discrimination protocol measures one copy in Z on both sides and one in
 X on both sides.  The outcome parities identify the Bell state exactly:
@@ -19,7 +19,10 @@ it runs on kets once per n: `_protocol_tree` holds every branch's Born
 probabilities and output, and a sampled shot, its record and a distillation
 report's sample transcript come from a walk down that tree.
 `discriminate_two_copies` keeps the stepwise ket simulation as the
-reference the tree is tested against.
+reference the tree is tested against.  Both record a measurement as a
+`(party, copy, basis, outcome)` tuple.  Neither chooses an outcome whose
+Born probability was pruned (below 1e-14); a draw that falls on one takes
+its sibling instead.
 """
 
 from __future__ import annotations
@@ -46,56 +49,6 @@ PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
 # (party, copy, basis) in protocol order on a fresh register; Bob's two
 # outcomes are the communicated bits.
 PLAN = ((ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X"))
-
-
-@dataclass(frozen=True)
-class Measurement:
-    party: str
-    copy: int
-    basis: str
-    outcome: int
-
-
-@dataclass(frozen=True)
-class Communication:
-    """A classical bit sent to the other party, referencing the measurement
-    (by transcript index) whose outcome it carries."""
-
-    sender: str
-    measurement_index: int
-
-
-@dataclass
-class Transcript:
-    measurements: list[Measurement] = field(default_factory=list)
-    communications: list[Communication] = field(default_factory=list)
-
-    @classmethod
-    def of(cls, outcomes) -> "Transcript":
-        """The transcript of `(party, copy, basis, outcome)` measurements in
-        protocol order: Bob communicates each of his outcomes."""
-
-        measurements = [Measurement(*o) for o in outcomes]
-        return cls(measurements, [Communication(BOB, i)
-                                  for i, m in enumerate(measurements) if m.party == BOB])
-
-    def communicated_bits(self, sender: str) -> list[int]:
-        return [self.measurements[c.measurement_index].outcome
-                for c in self.communications if c.sender == sender]
-
-    def validate(self) -> None:
-        for c in self.communications:
-            m = self.measurements[c.measurement_index]
-            if m.party != c.sender:
-                raise ValueError("communicated bit does not belong to its sender")
-
-    def to_rows(self) -> list[dict]:
-        comm_for = {c.measurement_index for c in self.communications}
-        return [
-            {"party": m.party, "copy": m.copy, "basis": m.basis,
-             "outcome": m.outcome, "communicated": i in comm_for}
-            for i, m in enumerate(self.measurements)
-        ]
 
 
 @dataclass(frozen=True)
@@ -158,15 +111,16 @@ def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket 
 def measure_local(state: ShotState, party: str, copy: int, basis: str,
                   rng: np.random.Generator) -> tuple[int, ShotState]:
     """Projective measurement of one party's qubit of one copy: outcome 0
-    when one uniform draw falls below its Born probability, and the state
-    collapses accordingly."""
+    when one uniform draw falls below its Born probability, never an outcome
+    whose probability was pruned, and the state collapses accordingly."""
 
     axis = _measured_axis(state, party, copy)
     p0, post = _project(state.ket, axis, basis, 0)
-    outcome = 0 if rng.random() < p0 else 1
-    if outcome:
-        _, post = _project(state.ket, axis, basis, 1)
-    return outcome, replace(state, ket=post)
+    if rng.random() >= p0 or post is None:
+        _, post1 = _project(state.ket, axis, basis, 1)
+        if post1 is not None:  # a pruned outcome 1 falls back to outcome 0
+            return 1, replace(state, ket=post1)
+    return 0, replace(state, ket=post)
 
 
 def measure_local_exact(state: ShotState, party: str, copy: int, basis: str,
@@ -189,7 +143,7 @@ class DiscriminationResult:
     guess: int
     parity_z: int
     parity_x: int
-    transcript: Transcript
+    outcomes: tuple[tuple[str, int, str, int], ...]  # (party, copy, basis, outcome)
     state: ShotState
 
 
@@ -211,14 +165,10 @@ def discriminate_two_copies(state: ShotState,
         copy = available[slot - 1]
         outcome, state = measure_local(state, party, copy, basis, rng)
         outcomes.append((party, copy, basis, outcome))
-    transcript = Transcript.of(outcomes)
-
-    alice = [m.outcome for m in transcript.measurements if m.party == ALICE]
-    bob = transcript.communicated_bits(BOB)
-    parity_z, parity_x, guess = _decode(alice[0], bob[0], alice[1], bob[1])
+    parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
     state = replace(state, consumed=state.consumed | set(available[:2]))
     return DiscriminationResult(guess=guess, parity_z=parity_z, parity_x=parity_x,
-                                transcript=transcript, state=state)
+                                outcomes=tuple(outcomes), state=state)
 
 
 def correction_unitary(i: int) -> LocalUnitaryPair:
@@ -271,7 +221,7 @@ class _Step:
     """One measurement of PLAN: the Born probabilities of outcomes 0 and 1
     (raw, even below the pruning threshold, so sampling compares each draw
     against the same value as the stepwise protocol) and the subtree of
-    each, None where the outcome is impossible."""
+    each, None where the outcome is pruned; sampling never takes a None."""
 
     probs: tuple[float, float]
     children: tuple[_Step | Branch | None, _Step | Branch | None]
@@ -320,12 +270,23 @@ def _leaves(node: _Step | Branch | None):
 def _walk(n: int, rng: np.random.Generator) -> Branch:
     """Sample one branch with the stepwise protocol's draws: the hidden index,
     then one uniform per measurement, outcome 0 when it falls below the Born
-    probability of 0."""
+    probability of 0, and never a pruned outcome."""
 
     node = _protocol_tree(n)[int(rng.integers(1, 5)) - 1]
     for _ in PLAN:
-        node = node.children[0 if rng.random() < node.probs[0] else 1]
+        outcome = 0 if rng.random() < node.probs[0] else 1
+        if node.children[outcome] is None:  # pruned: take its sibling
+            outcome ^= 1
+        node = node.children[outcome]
     return node
+
+
+def _transcript_rows(outcomes) -> list[dict]:
+    """One row per measurement in protocol order; Bob communicates each of
+    his outcomes."""
+
+    return [{"party": party, "copy": copy, "basis": basis, "outcome": outcome,
+             "communicated": party == BOB} for party, copy, basis, outcome in outcomes]
 
 
 @dataclass
@@ -418,7 +379,7 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
         raise ValueError("shots must be >= 1")
     records = [run_shot(n, k, seed) for k in range(shots)]
     # the report's sample transcript is shot 0's branch
-    sample = Transcript.of(_walk(n, np.random.default_rng([seed, 0])).outcomes).to_rows()
+    sample = _transcript_rows(_walk(n, np.random.default_rng([seed, 0])).outcomes)
     success = sum(r.correct for r in records) / shots
     fidelities = [r.fidelity for r in records]
     return DistillationReport(

@@ -31,7 +31,7 @@ from .entropies import (
     _spectrum,
     shannon_bits,
 )
-from .registers import ALICE, BOB, BipartiteCut, RegisterLayout
+from .registers import ALICE, BOB, RegisterLayout
 from .states import DensityOperator, partial_transpose, reorder
 
 
@@ -186,27 +186,23 @@ class PptReport:
     is_ppt: bool
 
 
-def _pt_spectrum(rho: DensityOperator, cut: BipartiteCut | None) -> np.ndarray:
-    """Ascending spectrum of the partial transpose over Bob's side of the cut
-    (by default the cut between the owners)."""
+def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
+    """Ascending spectrum of the partial transpose over Bob's qubits."""
 
-    if cut is None:
-        cut = BipartiteCut.from_owners(rho.layout)
-    cut.validate(rho.layout)
-    return _spectrum(partial_transpose(rho, sorted(cut.bob)))
+    return _spectrum(partial_transpose(rho, rho.layout.owner_labels(BOB)))
 
 
-def ppt_check(rho: DensityOperator, cut: BipartiteCut | None = None) -> PptReport:
-    """Spectrum test of the partial transpose over Bob's side of the cut."""
+def ppt_check(rho: DensityOperator) -> PptReport:
+    """Spectrum test of the partial transpose across the Alice:Bob cut."""
 
-    min_eig = float(_pt_spectrum(rho, cut)[0])
+    min_eig = float(_pt_spectrum(rho)[0])
     return PptReport(min_eigenvalue=min_eig, is_ppt=min_eig >= -1e-10)
 
 
-def log_negativity(rho: DensityOperator, cut: BipartiteCut | None = None) -> float:
+def log_negativity(rho: DensityOperator) -> float:
     """log2 of the trace norm of the partial transpose (bits)."""
 
-    return math.log2(float(np.sum(np.abs(_pt_spectrum(rho, cut)))))
+    return math.log2(float(np.sum(np.abs(_pt_spectrum(rho)))))
 
 
 # --- Separable-state sampling ------------------------------------------------

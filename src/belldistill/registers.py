@@ -83,12 +83,6 @@ class RegisterLayout:
     def owner_labels(self, owner: str) -> tuple[str, ...]:
         return tuple(q.label for q in self.qubits if q.owner == owner)
 
-    def copy_labels(self, copy: int) -> tuple[str, ...]:
-        out = tuple(q.label for q in self.qubits if q.copy == copy)
-        if not out:
-            raise ValueError(f"layout has no qubits for copy {copy}")
-        return out
-
     def subset(self, labels: Iterable[str]) -> "RegisterLayout":
         """Sub-layout of the given labels, keeping this layout's order."""
         wanted = set(labels)
@@ -108,27 +102,6 @@ class RegisterLayout:
             raise ValueError("new order must be a permutation of the layout labels")
         by_label = {q.label: q for q in self.qubits}
         return RegisterLayout(tuple(by_label[l] for l in new_order))
-
-
-@dataclass(frozen=True)
-class BipartiteCut:
-    """Alice-side / Bob-side split of a register (disjoint, exhaustive)."""
-
-    alice: frozenset[str]
-    bob: frozenset[str]
-
-    def __post_init__(self):
-        if self.alice & self.bob:
-            raise ValueError("cut sides must be disjoint")
-
-    @classmethod
-    def from_owners(cls, layout: RegisterLayout) -> "BipartiteCut":
-        return cls(frozenset(layout.owner_labels(ALICE)),
-                   frozenset(layout.owner_labels(BOB)))
-
-    def validate(self, layout: RegisterLayout) -> None:
-        if self.alice | self.bob != set(layout.labels):
-            raise ValueError("cut does not cover the layout exactly")
 
 
 def check_dense_size(n_qubits: int) -> None:

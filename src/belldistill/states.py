@@ -93,21 +93,6 @@ class DensityOperator:
         return rho
 
 
-def basis_ket(layout: RegisterLayout, bits: Sequence[int]) -> Ket:
-    """Computational basis ket |b1 b2 ...> in the layout's big-endian order."""
-
-    if len(bits) != layout.n_qubits:
-        raise ValueError("bit string length must match layout size")
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        index = (index << 1) | b
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[index] = 1.0
-    return Ket(layout, amps)
-
-
 def ket_tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product; layouts are concatenated (a's qubits most significant)."""
 
@@ -310,15 +295,6 @@ def _complex_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def ket_to_json(psi: Ket) -> str:
-    payload = {
-        "kind": "ket",
-        "qubits": _layout_to_json(psi.layout),
-        "amplitudes": [_complex_out(z) for z in psi.amplitudes],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
 def dm_to_json(rho: DensityOperator) -> str:
     payload = {
         "kind": "density_operator",
@@ -326,15 +302,6 @@ def dm_to_json(rho: DensityOperator) -> str:
         "matrix": [[_complex_out(z) for z in row] for row in rho.matrix],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def ket_from_json(text: str) -> Ket:
-    data = json.loads(text)
-    if data.get("kind") != "ket":
-        raise ValueError("not a ket payload")
-    layout = _layout_from_json(data["qubits"])
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return Ket(layout, amps)
 
 
 def dm_from_json(text: str) -> DensityOperator:

@@ -12,7 +12,6 @@ from belldistill import (
     dm_tensor,
     fidelity_pure,
     herm_eig,
-    purity,
     relative_entropy,
     rho_n,
     to_dense,
@@ -199,7 +198,3 @@ def test_trace_distance_examples():
     mixed = DensityOperator(one_qubit, np.eye(2) / 2)
     zero = DensityOperator(one_qubit, np.diag([1.0, 0.0]))
     assert trace_distance(mixed, zero) == pytest.approx(0.5, abs=1e-13)
-
-
-def test_purity_of_pure_state():
-    assert purity(bell_ket(3).to_dm()) == pytest.approx(1.0, abs=1e-12)

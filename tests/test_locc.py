@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -19,8 +20,11 @@ from belldistill import (
 )
 from belldistill.locc import (
     PARITY_TO_INDEX,
+    PLAN,
+    Branch,
     _corrected,
     _remaining_copy_fidelity,
+    _transcript_rows,
     _walk,
     run_shot,
 )
@@ -123,17 +127,17 @@ def test_discrimination_needs_two_copies(rng):
 def test_transcript_structure(rng):
     state = ShotState.prepared(3, 4)
     result = discriminate_two_copies(state, rng)
-    t = result.transcript
-    t.validate()
-    assert len(t.measurements) == 4
-    assert [m.basis for m in t.measurements] == ["Z", "Z", "X", "X"]
+    outcomes = result.outcomes
+    assert len(outcomes) == 4
+    assert [basis for _, _, basis, _ in outcomes] == ["Z", "Z", "X", "X"]
     # only Bob's bits travel; the guess is a function of parities alone
-    assert len(t.communications) == 2
-    assert all(c.sender == "bob" for c in t.communications)
-    rows = t.to_rows()
+    rows = _transcript_rows(outcomes)
+    sent = [r for r in rows if r["communicated"]]
+    assert len(sent) == 2
+    assert all(r["party"] == "bob" for r in sent)
     assert sum(r["communicated"] for r in rows) == 2
-    bob_bits = t.communicated_bits("bob")
-    alice = {(m.basis): m.outcome for m in t.measurements if m.party == "alice"}
+    bob_bits = [r["outcome"] for r in sent]
+    alice = {basis: outcome for party, _, basis, outcome in outcomes if party == "alice"}
     assert PARITY_TO_INDEX[(alice["Z"] ^ bob_bits[0], alice["X"] ^ bob_bits[1])] == result.guess
 
 
@@ -268,8 +272,7 @@ def test_tree_walk_matches_stepwise_protocol(n):
             state = ShotState.sample(n, rng)
             result = discriminate_two_copies(state, rng)
             assert leaf.hidden == state.hidden
-            assert [o[3] for o in leaf.outcomes] == [
-                m.outcome for m in result.transcript.measurements]
+            assert leaf.outcomes == result.outcomes
             assert (leaf.guess, leaf.parity_z, leaf.parity_x) == (
                 result.guess, result.parity_z, result.parity_x)
             if remaining:
@@ -278,6 +281,42 @@ def test_tree_walk_matches_stepwise_protocol(n):
                 assert leaf.output_fidelity == fid
             else:
                 assert leaf.output_fidelity is None
+
+
+class _ScriptedGenerator:
+    """Stands in for a numpy Generator: a fixed hidden index, then the given
+    uniform draws in order."""
+
+    def __init__(self, hidden, draws):
+        self.hidden, self.draws = hidden, list(draws)
+
+    def integers(self, low, high):
+        return self.hidden
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+LARGEST_DRAW = 1 - 2 ** -53  # the largest value Generator.random() returns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pruned_outcomes_are_never_taken(n):
+    # next to a pruned outcome the stored Born probability of outcome 0 is
+    # raw (0.9999999999999996, or 5e-34), so the extreme draws 0.0 and
+    # 1 - 2^-53 fall on the pruned side unless the sibling is taken instead
+    scripts = [(1, (0.1, 0.1, 0.1, LARGEST_DRAW))]
+    scripts += [(hidden, draws) for hidden in (1, 2, 3, 4)
+                for draws in itertools.product((0.0, LARGEST_DRAW), repeat=len(PLAN))]
+    for hidden, draws in scripts:
+        leaf = _walk(n, _ScriptedGenerator(hidden, draws))
+        assert isinstance(leaf, Branch)
+        assert leaf.guess == leaf.hidden == hidden
+        gen = _ScriptedGenerator(hidden, draws)
+        result = discriminate_two_copies(ShotState.sample(n, gen), gen)
+        assert result.guess == hidden
+        assert result.state.ket is not None
+        assert result.outcomes == leaf.outcomes
 
 
 def test_output_copy_entropy_is_one_ebit():

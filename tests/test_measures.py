@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from belldistill import (
-    BipartiteCut,
+    BellDiagonalState,
     DensityOperator,
     Ket,
     RegisterLayout,
     apply_local,
-    bell_basis_weights,
     bell_diagonal_kl,
     bell_ket,
+    bell_product_ket,
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,
     er_search,
+    fidelity_pure,
     local_permutation_search,
     log_negativity,
     ppt_check,
@@ -132,12 +133,6 @@ def test_log_negativity_rho3_bruteforce():
     assert value == pytest.approx(2.0, abs=1e-10)
 
 
-def test_ppt_respects_explicit_cut():
-    rho = to_dense(rho_n(2))
-    cut = BipartiteCut(frozenset({"A1", "A2"}), frozenset({"B1", "B2"}))
-    assert ppt_check(rho, cut).is_ppt
-
-
 # --- separable sampling -----------------------------------------------------------
 
 
@@ -224,9 +219,11 @@ def test_er_search_dense_certificate(n):
     report = er_search(n, restarts=1, seed=7)
     sigma = _certificate(report)
     # the twirl left a Bell-diagonal state with equal constant-string weights
-    weights = bell_basis_weights(sigma)
-    assert np.allclose(to_dense(weights).matrix, sigma.matrix, atol=1e-12)
-    constant = [weights.weight((i,) * n) for i in (1, 2, 3, 4)]
+    weights = {s: fidelity_pure(sigma, bell_product_ket(s))
+               for s in itertools.product((1, 2, 3, 4), repeat=n)}
+    diagonal = BellDiagonalState(n, {s: w for s, w in weights.items() if w > 1e-15})
+    assert np.allclose(to_dense(diagonal).matrix, sigma.matrix, atol=1e-12)
+    constant = [weights[(i,) * n] for i in (1, 2, 3, 4)]
     assert max(constant) - min(constant) <= 1e-12
     assert ppt_check(sigma).is_ppt
     assert relative_entropy(to_dense(rho_n(n)), sigma) == pytest.approx(

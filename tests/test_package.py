@@ -1,0 +1,43 @@
+"""The package's public names, and every library name the benchmark in
+`perfbench/` reaches: a trim of the library must not break a traced run."""
+
+import importlib
+import importlib.util
+import re
+import types
+from pathlib import Path
+
+import belldistill
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolve(owner, path: str):
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_all_is_unique_resolvable_and_holds_no_modules():
+    assert len(set(belldistill.__all__)) == len(belldistill.__all__)
+    for name in belldistill.__all__:
+        assert not isinstance(getattr(belldistill, name), types.ModuleType), name
+
+
+def test_instrumented_functions_resolve():
+    # Tracer.install raises AttributeError on a name it cannot find, which
+    # fails every traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.INSTRUMENTED
+    for module, path, _, _ in spans.INSTRUMENTED:
+        assert callable(_resolve(importlib.import_module(module), path)), (module, path)
+    # called by the exact-branches question, not instrumented
+    assert callable(_resolve(belldistill, "BranchAnalysis.total_probability"))
+
+
+def test_benchmark_questions_use_exported_names():
+    names = set(re.findall(r"\bbd\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert names
+    assert sorted(names - set(belldistill.__all__)) == []

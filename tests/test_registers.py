@@ -1,6 +1,6 @@
 import pytest
 
-from belldistill import BipartiteCut, QubitSpec, RegisterLayout
+from belldistill import QubitSpec, RegisterLayout
 from belldistill.registers import check_dense_size
 
 
@@ -9,7 +9,6 @@ def test_bell_pairs_layout_is_copy_major():
     assert layout.labels == ("A1", "B1", "A2", "B2", "A3", "B3")
     assert layout.n_qubits == 6
     assert layout.n_copies == 3
-    assert layout.copy_labels(2) == ("A2", "B2")
     assert layout.owner_labels("alice") == ("A1", "A2", "A3")
 
 
@@ -36,19 +35,6 @@ def test_concat_rejects_collision():
     a = RegisterLayout.bell_pairs(1)
     with pytest.raises(ValueError, match="collision"):
         a.concat(a)
-
-
-def test_cut_from_owners_covers_layout():
-    layout = RegisterLayout.bell_pairs(2)
-    cut = BipartiteCut.from_owners(layout)
-    assert cut.alice == {"A1", "A2"}
-    assert cut.bob == {"B1", "B2"}
-    cut.validate(layout)
-
-
-def test_cut_disjointness_enforced():
-    with pytest.raises(ValueError, match="disjoint"):
-        BipartiteCut(frozenset({"A1"}), frozenset({"A1"}))
 
 
 def test_dense_cap():
