@@ -68,18 +68,82 @@ def bell_product_ket(indices: Sequence[int]) -> Ket:
     return reduce(ket_tensor, kets)
 
 
+_BELL_INDICES = frozenset((1, 2, 3, 4))
+
+
 def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
-    s = tuple(int(i) for i in indices)
+    s = tuple(map(int, indices))
     if len(s) != n:
         raise ValueError(f"Bell string has length {len(s)}, expected {n}")
-    for i in s:
-        check_bell_index(i)
+    if not _BELL_INDICES.issuperset(s):
+        for i in s:  # raises for the first bad index
+            check_bell_index(i)
     return s
 
 
-def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
+class _Product(Mapping):
+    """Read-only weight map of a tensor product, kept as its factor states.
+
+    A lookup multiplies one weight per factor, left to right, as a chain of
+    expanded products would; iteration expands lazily, with the last factor
+    varying fastest (the first one, if `first_fastest`).
+    """
+
+    def __init__(self, factors: Sequence["BellDiagonalState"], first_fastest: bool = False):
+        self.factors = tuple(factors)
+        self.first_fastest = first_fastest
+        self.slices = []
+        start = 0
+        for f in self.factors:
+            self.slices.append((start, start + f.n, f.weights))
+            start += f.n
+        self.n = start
+        # rounding is monotone, so every product is nonzero iff this one is
+        self.smallest = math.prod(_smallest(f.weights) for f in self.factors)
+
+    def __getitem__(self, s):
+        if not isinstance(s, tuple) or len(s) != self.n:
+            raise KeyError(s)
+        w = 1.0
+        for a, b, weights in self.slices:
+            w *= weights[s[a:b]]
+        return w
+
+    def __len__(self) -> int:
+        return math.prod(len(f.weights) for f in self.factors)
+
+    def items(self):
+        from itertools import product
+
+        maps = [f.weights.items() for f in self.factors]
+        if self.first_fastest:
+            combos = (c[::-1] for c in product(*maps[::-1]))
+        else:
+            combos = product(*maps)
+        for combo in combos:
+            s, w = (), 1.0
+            for t, v in combo:
+                s += t
+                w *= v
+            yield s, w
+
+    def __iter__(self):
+        return (s for s, _ in self.items())
+
+
+def _smallest(weights: Mapping[tuple[int, ...], float]) -> float:
+    return weights.smallest if isinstance(weights, _Product) else min(weights.values())
+
+
+def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
+    if isinstance(weights, _Product):
+        return math.prod(_weight_total(f.weights) for f in weights.factors)
     # a running float sum drifts past the tolerance over 10^6 strings; fsum does not
-    total = math.fsum(weights.values())
+    return math.fsum(weights.values())
+
+
+def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
+    total = _weight_total(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, expected 1")
 
@@ -107,10 +171,11 @@ class BellDiagonalState:
         object.__setattr__(self, "weights", clean)
 
     @classmethod
-    def _trusted(cls, n: int, weights: dict[tuple[int, ...], float]) -> "BellDiagonalState":
+    def _trusted(cls, n: int, weights: Mapping[tuple[int, ...], float]) -> "BellDiagonalState":
         """Wrap a map built from valid states by an operation that yields
         distinct valid strings with positive float weights: only the weight
-        sum is checked, and the map is kept as given."""
+        sum is checked (from the factors, for a product), and the map is
+        kept as given."""
 
         _check_weight_sum(weights)
         state = object.__new__(cls)
@@ -124,13 +189,22 @@ class BellDiagonalState:
     def entropy_bits(self) -> float:
         return float(-sum(w * math.log2(w) for w in self.weights.values() if w > 0))
 
-    def tensor(self, other: "BellDiagonalState") -> "BellDiagonalState":
-        """Tensor product; the other state's copies are appended after ours."""
+    def tensor(self, *others: "BellDiagonalState") -> "BellDiagonalState":
+        """Tensor product; the others' copies are appended after ours, in
+        order.  The result keeps the factors and looks weights up in them."""
 
-        # a product that underflows to 0.0 is dropped, as the public constructor does
-        combined = {s + t: p for s, w in self.weights.items()
-                    for t, v in other.weights.items() if (p := w * v)}
-        return BellDiagonalState._trusted(self.n + other.n, combined)
+        factors = []
+        for state in (self, *others):
+            weights = state.weights
+            if isinstance(weights, _Product) and not weights.first_fastest:
+                factors.extend(weights.factors)
+            else:
+                factors.append(state)
+        combined = _Product(factors)
+        if combined.smallest == 0.0:
+            # a product that underflows to 0.0 is dropped, as the public constructor does
+            combined = {s: w for s, w in combined.items() if w}
+        return BellDiagonalState._trusted(sum(f.n for f in factors), combined)
 
     def permute_per_copy(self, perms: Sequence[tuple[int, int, int, int]]) -> "BellDiagonalState":
         """Relabel Bell indices copy-by-copy: s_j -> perms[j][s_j - 1]."""
@@ -138,6 +212,12 @@ class BellDiagonalState:
         if len(perms) != self.n:
             raise ValueError(f"need {self.n} permutations, got {len(perms)}")
         perms = [check_permutation(p) for p in perms]
+        if isinstance(self.weights, _Product):
+            # permuting each factor keeps the product, and its order, factored
+            factored = self.weights
+            factors = [f.permute_per_copy(perms[a:b])
+                       for f, (a, b, _) in zip(factored.factors, factored.slices)]
+            return BellDiagonalState._trusted(self.n, _Product(factors, factored.first_fastest))
         # a bijection per copy maps distinct strings to distinct strings
         out = {tuple(p[i - 1] for p, i in zip(perms, s)): w for s, w in self.weights.items()}
         return BellDiagonalState._trusted(self.n, out)
@@ -152,7 +232,7 @@ class BellDiagonalState:
     @classmethod
     def from_json(cls, text: str) -> "BellDiagonalState":
         data = json.loads(text)
-        weights = {tuple(int(c) for c in key): w for key, w in data["weights"].items()}
+        weights = {tuple(map(int, key)): w for key, w in data["weights"].items()}
         return cls(int(data["n"]), weights)
 
 
@@ -169,17 +249,16 @@ def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
-    The sparse map holds 4^m strings, so materialize only for moderate m.
+    The 4^m strings are never stored: the map keeps the m blocks, and its
+    iteration varies the first block fastest.
     """
 
     if m < 1:
         raise ValueError("block count must be >= 1")
-    if m > 10:
-        raise ValueError("refusing to materialize more than 4^10 strings")
-    strings = [()]
-    for _ in range(m):  # the first block varies fastest
-        strings = [s + (k, k) for k in (1, 2, 3, 4) for s in strings]
-    return BellDiagonalState._trusted(2 * m, dict.fromkeys(strings, 4.0 ** (-m)))
+    if m > 511:
+        raise ValueError(f"block count {m} > 511: the weight 4^-m is not a normal float")
+    block = BellDiagonalState._trusted(2, {(k, k): 0.25 for k in (1, 2, 3, 4)})
+    return BellDiagonalState._trusted(2 * m, _Product([block] * m, first_fastest=True))
 
 
 def is_pair_constant(s: Sequence[int]) -> bool:

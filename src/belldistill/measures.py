@@ -261,10 +261,7 @@ def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalS
             for k2 in (1, 2, 3, 4):
                 w[(k1, k2)] = lam * 0.25 * (k1 == k2) + (1.0 - lam) / 16.0
         block_weights.append(BellDiagonalState(2, w))
-    state = block_weights[0]
-    for blk in block_weights[1:]:
-        state = state.tensor(blk)
-    return state
+    return block_weights[0].tensor(*block_weights[1:])
 
 
 # --- Product-overlap bound ---------------------------------------------------

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,9 +114,12 @@ def test_sigma_n_rejects_empty():
 def test_bell_diagonal_kl_examples():
     p = rho_n(3)
     assert bell_diagonal_kl(p, p) == pytest.approx(0.0, abs=1e-15)
-    for m in range(1, 11):
+    for m in (*range(1, 11), 511):
         val = bell_diagonal_kl(rho_n(2 * m), rho2_power(m))
         assert val == pytest.approx(2 * m - 2, abs=1e-12)
+    # 4^-512 is below the smallest normal float
+    with pytest.raises(ValueError, match="511"):
+        rho2_power(512)
 
 
 def test_bell_diagonal_kl_infinite_off_support():
@@ -183,6 +189,20 @@ def test_weights_validation():
         BellDiagonalState(1, {(1,): 1.5, (2,): -0.5})
     with pytest.raises(ValueError, match="length"):
         BellDiagonalState(2, {(1,): 1.0})
+
+
+def test_bell_string_messages():
+    cases = [((1, 2, 3), "Bell string has length 3, expected 4"),
+             ((1, 0, 2, 5), "Bell index must be in 1..4, got 0"),
+             ((1, 2, 5, 3), "Bell index must be in 1..4, got 5"),
+             ("12a4", "invalid literal for int() with base 10: 'a'")]
+    for indices, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bell.check_bell_string(indices, 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BellDiagonalState.from_json(json.dumps({"n": 4, "weights": {
+                "".join(map(str, indices)): 1.0}}))
+    assert bell.check_bell_string("1234", 4) == (1, 2, 3, 4)
 
 
 def test_permutation_parsing():
@@ -270,3 +290,76 @@ def test_tensor_drops_underflowed_products():
     product = tiny.tensor(tiny)
     assert (2, 2) not in product.weights
     assert len(product.weights) == 3
+
+
+def _chained_tensor(states):
+    """The expanded product, built as chained dict tensors used to build it."""
+
+    out = {(): 1.0}
+    for state in states:
+        out = {s + t: w * v for s, w in out.items() for t, v in state.weights.items()}
+    return out
+
+
+def _expanded_rho2_power(m):
+    """rho(2)^m as a dict, built string by string (the first block varies fastest)."""
+
+    strings = [()]
+    for _ in range(m):
+        strings = [s + (k, k) for k in (1, 2, 3, 4) for s in strings]
+    return dict.fromkeys(strings, 4.0 ** (-m))
+
+
+def test_factored_maps_match_their_expansion(rng):
+    sigma = sigma_n(["2134", "3412", "1234"])
+    perms = [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]
+    separable = sample_pairwise_separable(3, rng)
+    cases = {
+        "tensor": (rho_n(2).tensor(sigma), _chained_tensor([rho_n(2), sigma])),
+        **{f"rho2_power({m})": (rho2_power(m), _expanded_rho2_power(m)) for m in (1, 2, 3, 4)},
+        "permute_per_copy": (rho2_power(2).permute_per_copy(perms),
+                             {tuple(p[i - 1] for p, i in zip(perms, s)): w
+                              for s, w in _expanded_rho2_power(2).items()}),
+        "sample_pairwise_separable(3)": (separable,
+                                         _chained_tensor(separable.weights.factors)),
+    }
+    for name, (state, expanded) in cases.items():
+        weights = state.weights
+        assert isinstance(weights, bell._Product), name
+        assert len(weights) == len(expanded), name
+        assert list(weights.items()) == list(expanded.items()), name
+        assert list(weights) == list(dict(weights)) == list(expanded), name
+        n = state.n
+        probes = list(expanded)
+        probes += [s + (1,) for s in expanded] + [s[:-1] for s in expanded]
+        probes += [(1,) * (n - 1) + (2,), (4,) * (n + 2), (), (1, 1, 2, 2, 3, 3, 4)]
+        if n <= 6:
+            probes += list(itertools.product((1, 2, 3, 4), repeat=n))
+        for s in probes:
+            assert state.weight(s) == expanded.get(s, 0.0), (name, s)
+            assert (s in weights) == (s in expanded), (name, s)
+            assert weights.get(s) == expanded.get(s), (name, s)
+    assert rho2_power(3).weight((1, 1, 2, 2, 3, 3, 4)) == 0.0
+
+
+def test_product_weight_sum_checked_from_factors():
+    # each factor passes the 1e-12 check; the product sums to about 1 + 1.8e-12
+    edge = BellDiagonalState(1, {(1,): 0.5 + 0.9e-12, (2,): 0.5})
+    with pytest.raises(ValueError, match="sum"):
+        edge.tensor(edge)
+    with pytest.raises(ValueError, match="sum"):
+        BellDiagonalState(2, _chained_tensor([edge, edge]))
+
+
+def test_factored_hot_paths_never_expand(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("a factored product was expanded")
+
+    monkeypatch.setattr(bell._Product, "__iter__", refuse)
+    monkeypatch.setattr(bell._Product, "items", refuse)
+    separable = sample_pairwise_separable(5, rng)
+    assert len(separable.weights) == 16 ** 5
+    assert bell_diagonal_kl(rho_n(10), separable) >= 8 - 1e-12
+    assert bell_diagonal_kl(rho_n(18), rho2_power(9)) == pytest.approx(16, abs=1e-12)
+    permuted = rho2_power(3).permute_per_copy([(2, 1, 3, 4), (1, 2, 3, 4)] * 3)
+    assert permuted.weight((2, 1, 2, 1, 1, 2)) == 1 / 64  # from (1, 1, 1, 1, 2, 2)
