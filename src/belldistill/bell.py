@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, chain, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,7 +74,14 @@ _BELL_INDICES = frozenset((1, 2, 3, 4))
 
 
 def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
-    s = tuple(map(int, indices))
+    try:
+        s = tuple(map(int, indices))
+    except OverflowError as exc:  # an infinite index
+        raise ValueError(str(exc)) from None
+    if s != indices:  # digit characters convert; any other index must be integral
+        for i, v in zip(indices, s):
+            if i != v and not isinstance(i, str):
+                raise ValueError(f"Bell index must be an integer, got {i!r}")
     if len(s) != n:
         raise ValueError(f"Bell string has length {len(s)}, expected {n}")
     if not _BELL_INDICES.issuperset(s):
@@ -81,12 +90,18 @@ def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
     return s
 
 
+# most strings an iteration over a factored product holds at once, unless
+# one factor has more
+_PIECE = 4096
+
+
 class _Product(Mapping):
     """Read-only weight map of a tensor product, kept as its factor states.
 
     A lookup multiplies one weight per factor, left to right, as a chain of
-    expanded products would; iteration expands lazily, with the last factor
-    varying fastest (the first one, if `first_fastest`).
+    expanded products would.  Iteration expands the map a factor at a time,
+    in pieces of at most `_PIECE` strings, with the same products, the last
+    factor varying fastest (the first one, if `first_fastest`).
     """
 
     def __init__(self, factors: Sequence["BellDiagonalState"], first_fastest: bool = False):
@@ -112,23 +127,45 @@ class _Product(Mapping):
     def __len__(self) -> int:
         return math.prod(len(f.weights) for f in self.factors)
 
-    def items(self):
-        from itertools import product
+    def pieces(self, key=tuple):
+        """Yield the expanded map in order, as consecutive dicts.  Each
+        factor's strings pass through `key` (tuples, or digit strings for
+        JSON) and are concatenated."""
 
-        maps = [f.weights.items() for f in self.factors]
-        if self.first_fastest:
-            combos = (c[::-1] for c in product(*maps[::-1]))
-        else:
-            combos = product(*maps)
-        for combo in combos:
-            s, w = (), 1.0
-            for t, v in combo:
-                s += t
-                w *= v
-            yield s, w
+        parts = [_keyed(f.weights, key) for f in self.factors]
+        ff = self.first_fastest
+        slowest_first = parts[::-1] if ff else parts
+        # the fastest-varying factors that fit in one piece are expanded together
+        sizes = accumulate(map(len, reversed(slowest_first)), operator.mul)
+        j = max(1, sum(size <= _PIECE for size in sizes))
+        slow, fast = slowest_first[:-j], slowest_first[-j:]
+        start = {key(()): 1.0}
+        if ff:  # the fast factors lead every string and product: expand them once
+            for part in reversed(fast):
+                start = {s + t: w * v for t, v in part.items() for s, w in start.items()}
+            fast = ()
+        for combo in product(*(part.items() for part in slow)):
+            piece = start
+            for t, v in reversed(combo) if ff else combo:
+                piece = {s + t: w * v for s, w in piece.items()}
+            for part in fast:
+                piece = {s + t: w * v for s, w in piece.items() for t, v in part.items()}
+            yield piece
+
+    def items(self):
+        return chain.from_iterable(map(dict.items, self.pieces()))
 
     def __iter__(self):
-        return (s for s, _ in self.items())
+        return chain.from_iterable(self.pieces())
+
+
+def _keyed(weights: Mapping[tuple[int, ...], float], key) -> dict:
+    if isinstance(weights, _Product):
+        out = {}
+        for piece in weights.pieces(key):
+            out.update(piece)
+        return out
+    return {key(s): w for s, w in weights.items()}
 
 
 def _smallest(weights: Mapping[tuple[int, ...], float]) -> float:
@@ -144,7 +181,7 @@ def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
 
 def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
     total = _weight_total(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1")
 
 
@@ -172,10 +209,10 @@ class BellDiagonalState:
 
     @classmethod
     def _trusted(cls, n: int, weights: Mapping[tuple[int, ...], float]) -> "BellDiagonalState":
-        """Wrap a map built from valid states by an operation that yields
-        distinct valid strings with positive float weights: only the weight
-        sum is checked (from the factors, for a product), and the map is
-        kept as given."""
+        """Wrap a map of distinct valid strings with positive float weights,
+        built from valid states by an operation or parsed by `from_json`
+        from keys and weights it has checked: only the weight sum is checked
+        (from the factors, for a product), and the map is kept as given."""
 
         _check_weight_sum(weights)
         state = object.__new__(cls)
@@ -223,16 +260,25 @@ class BellDiagonalState:
         return BellDiagonalState._trusted(self.n, out)
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "weights": {"".join(str(i) for i in s): w for s, w in sorted(self.weights.items())},
-        }
+        # sort_keys orders digit strings of one length as the tuples sort
+        payload = {"n": self.n, "weights": _keyed(self.weights, lambda s: "".join(map(str, s)))}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "BellDiagonalState":
         data = json.loads(text)
-        weights = {tuple(map(int, key)): w for key, w in data["weights"].items()}
+        raw, n = data["weights"], data.get("n")
+        if (type(n) is int and n >= 1 and type(raw) is dict and set(map(len, raw)) == {n}
+                and (joined := "".join(raw)).isascii()
+                and not (codes := joined.encode()).translate(None, b"1234")
+                and all(type(w) is float and w > 0 for w in raw.values())):
+            # every key is n of the characters 1234 and every weight a positive
+            # float: convert all keys at once; _trusted still checks the sum.
+            # These are the rules of check_bell_string and __post_init__, which
+            # any other document goes through; the two routes must agree.
+            codes = iter(codes.translate(bytes.maketrans(b"1234", b"\1\2\3\4")))
+            return cls._trusted(n, dict(zip(zip(*[codes] * n), raw.values())))
+        weights = {tuple(map(int, key)): w for key, w in raw.items()}
         return cls(int(data["n"]), weights)
 
 
@@ -249,8 +295,9 @@ def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
-    The 4^m strings are never stored: the map keeps the m blocks, and its
-    iteration varies the first block fastest.
+    The map keeps the m blocks.  Iterating it varies the first block fastest
+    and holds a few thousand strings at a time; only `to_json` and a
+    comparison with another map store all 4^m.
     """
 
     if m < 1:

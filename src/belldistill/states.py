@@ -31,7 +31,7 @@ def _frozen_array(a, shape, copy: bool = True) -> np.ndarray:
 
 def _check_trace(m: np.ndarray) -> None:
     tr_err = abs(float(m.trace().real) - 1.0)
-    if tr_err > TRACE_TOL:
+    if not tr_err <= TRACE_TOL:  # NaN fails too
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
 
@@ -47,7 +47,7 @@ class Ket:
         amps = _frozen_array(self.amplitudes, (self.layout.dim,))
         object.__setattr__(self, "amplitudes", amps)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL * 10:
+        if not abs(norm2 - 1.0) <= NORM_TOL * 10:
             raise ValueError(f"ket is not normalized: |psi|^2 = {norm2}")
 
     def tensor_view(self) -> np.ndarray:
@@ -71,7 +71,7 @@ class DensityOperator:
         m = _frozen_array(self.matrix, (d, d))
         object.__setattr__(self, "matrix", m)
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if herm_err > HERM_TOL * 10:
+        if not herm_err <= HERM_TOL * 10:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.2e})")
         _check_trace(m)
         min_eig = float(np.linalg.eigvalsh(m)[0])
@@ -125,7 +125,7 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         a = psi.amplitudes
         on = np.flatnonzero(a)
         rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
     return DensityOperator._trusted(layout, rho)
 

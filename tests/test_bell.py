@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -189,6 +190,8 @@ def test_weights_validation():
         BellDiagonalState(1, {(1,): 1.5, (2,): -0.5})
     with pytest.raises(ValueError, match="length"):
         BellDiagonalState(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match=r"^weights sum to nan, expected 1$"):
+        BellDiagonalState(1, {(1,): float("nan")})
 
 
 def test_bell_string_messages():
@@ -203,6 +206,15 @@ def test_bell_string_messages():
             BellDiagonalState.from_json(json.dumps({"n": 4, "weights": {
                 "".join(map(str, indices)): 1.0}}))
     assert bell.check_bell_string("1234", 4) == (1, 2, 3, 4)
+    # an index is never truncated to an integer
+    for indices, message in [((2.9, True), "Bell index must be an integer, got 2.9"),
+                             ((1, 7.5), "Bell index must be an integer, got 7.5"),
+                             ((math.inf, 1), "cannot convert float infinity to integer")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bell.check_bell_string(indices, 2)
+    with pytest.raises(ValueError, match="^Bell index must be an integer, got 1.7$"):
+        BellDiagonalState(1, {(1.7,): 0.5, (1,): 0.5})
+    assert bell.check_bell_string((2.0, True), 2) == (2, 1)
 
 
 def test_permutation_parsing():
@@ -255,18 +267,81 @@ def test_permute_per_copy_rejects_non_permutations():
         rho_n(2).permute_per_copy([(1, 1, 3, 4), (1, 2, 3, 4)])
 
 
+def _reference_json(state):
+    """The serializer as it was written string by string, over the expanded map."""
+
+    weights = dict(state.weights)
+    payload = {"n": state.n,
+               "weights": {"".join(str(i) for i in s): w for s, w in sorted(weights.items())}}
+    return json.dumps(payload, sort_keys=True)
+
+
 def test_trusted_producers_pass_public_validation(rng):
     produced = {
         "tensor": rho_n(2).tensor(sigma_n(["2134", "3412", "1234"])),
-        **{f"rho2_power({m})": rho2_power(m) for m in (1, 2, 3, 4)},
+        **{f"rho2_power({m})": rho2_power(m) for m in (1, 2, 3, 4, 7)},
         "permute_per_copy": rho2_power(2).permute_per_copy(
             [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]),
         "sample_pairwise_separable(3)": sample_pairwise_separable(3, rng),
     }
     for name, state in produced.items():
         again = BellDiagonalState(state.n, dict(state.weights))
-        assert again == state, name
+        assert again == state and state == again, name
         assert list(again.weights) == list(state.weights), name
+        text = state.to_json()
+        assert text == again.to_json() == _reference_json(state), name
+        assert BellDiagonalState.from_json(text) == state, name
+    text = produced["rho2_power(7)"].to_json()
+    assert len(text) == 573_462
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "431a3e6ce7052b2f240c8fd02679598472bdfea099626fcc1275855f414edea0")
+
+
+def _per_entry_from_json(text):
+    """from_json as it was: every key converted and checked on its own."""
+
+    data = json.loads(text)
+    weights = {tuple(map(int, key)): w for key, w in data["weights"].items()}
+    return BellDiagonalState(int(data["n"]), weights)
+
+
+def _outcome(parse, text):
+    try:
+        state = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return state.n, repr(list(state.weights.items()))
+
+
+def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
+    documents = [
+        ('{"n": 2, "weights": {"11": 0.5, "22": 0.25, "43": 0.25}}', True),
+        ('{"n": 1, "weights": {"1": 0.7}}', True),  # bulk keys, bad sum
+        ('{"n": 1, "weights": {"1": Infinity}}', True),
+        ('{"n": 1, "weights": {"1": 1}}', False),  # int weight
+        ('{"n": 2, "weights": {"11": 1.0, "22": 0.0}}', False),  # zero dropped
+        ('{"n": 1, "weights": {"1": 1.5, "2": -0.5}}', False),
+        ('{"n": 2, "weights": {"11": NaN, "22": 0.5}}', False),
+        ('{"n": 4, "weights": {"12a4": 1.0}}', False),
+        ('{"n": 4, "weights": {"1234": 0.5, "123": 0.5}}', False),  # wrong length
+        ('{"n": 2, "weights": {"15": 1.0}}', False),
+        ('{"n": 1, "weights": {"\uff11": 1.0}}', False),  # full-width digit one
+        ('{"n": 1, "weights": {"1": 0.5, "\uff11": 0.5}}', False),  # the same string twice
+        ('{"n": 1, "weights": {"\ud800": 1.0}}', False),  # a lone surrogate
+        ('{"n": "2", "weights": {"11": 1.0}}', False),
+        ('{"n": 0, "weights": {}}', False),
+        ('{"n": 0, "weights": {"": 1.0}}', False),
+        ('{"n": 1, "weights": {}}', False),
+    ]
+    checked = []
+    real = bell.check_bell_string
+    monkeypatch.setattr(bell, "check_bell_string",
+                        lambda indices, n: checked.append(n) or real(indices, n))
+    for text, bulk in documents:
+        checked.clear()
+        outcome = _outcome(BellDiagonalState.from_json, text)
+        assert checked == [] or not bulk, text
+        assert outcome == _outcome(_per_entry_from_json, text), text
 
 
 def test_trusted_producers_skip_string_checks(monkeypatch):
@@ -310,25 +385,36 @@ def _expanded_rho2_power(m):
     return dict.fromkeys(strings, 4.0 ** (-m))
 
 
-def test_factored_maps_match_their_expansion(rng):
+def test_factored_maps_match_their_expansion(rng, monkeypatch):
     sigma = sigma_n(["2134", "3412", "1234"])
     perms = [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]
     separable = sample_pairwise_separable(3, rng)
+    tenths = BellDiagonalState(1, {(1,): 0.1, (2,): 0.2, (3,): 0.3, (4,): 0.4})
     cases = {
         "tensor": (rho_n(2).tensor(sigma), _chained_tensor([rho_n(2), sigma])),
-        **{f"rho2_power({m})": (rho2_power(m), _expanded_rho2_power(m)) for m in (1, 2, 3, 4)},
+        **{f"rho2_power({m})": (rho2_power(m), _expanded_rho2_power(m)) for m in (1, 2, 3, 4, 7)},
+        "nested": (rho_n(2).tensor(rho2_power(2), sigma),
+                   _chained_tensor([rho_n(2), rho2_power(2), sigma])),
+        "tenths": (tenths.tensor(tenths, tenths, tenths), _chained_tensor([tenths] * 4)),
         "permute_per_copy": (rho2_power(2).permute_per_copy(perms),
                              {tuple(p[i - 1] for p, i in zip(perms, s)): w
                               for s, w in _expanded_rho2_power(2).items()}),
         "sample_pairwise_separable(3)": (separable,
                                          _chained_tensor(separable.weights.factors)),
     }
+    # a small piece size splits every product into pieces, as large ones are
+    for piece in (1, 16, bell._PIECE):
+        monkeypatch.setattr(bell, "_PIECE", piece)
+        for name, (state, expanded) in cases.items():
+            weights = state.weights
+            assert isinstance(weights, bell._Product), name
+            assert len(weights) == len(expanded), name
+            assert list(weights.items()) == list(expanded.items()), (name, piece)
+            assert list(weights) == list(dict(weights)) == list(expanded), (name, piece)
+            assert weights == expanded and expanded == weights, name
+            assert weights != {**expanded, next(iter(expanded)): 0.5}, name
     for name, (state, expanded) in cases.items():
         weights = state.weights
-        assert isinstance(weights, bell._Product), name
-        assert len(weights) == len(expanded), name
-        assert list(weights.items()) == list(expanded.items()), name
-        assert list(weights) == list(dict(weights)) == list(expanded), name
         n = state.n
         probes = list(expanded)
         probes += [s + (1,) for s in expanded] + [s[:-1] for s in expanded]
@@ -340,6 +426,15 @@ def test_factored_maps_match_their_expansion(rng):
             assert (s in weights) == (s in expanded), (name, s)
             assert weights.get(s) == expanded.get(s), (name, s)
     assert rho2_power(3).weight((1, 1, 2, 2, 3, 3, 4)) == 0.0
+    # different factors, the same map
+    uniform = BellDiagonalState(2, dict.fromkeys(itertools.product(range(1, 5), repeat=2), 1 / 16))
+    three = rho_n(1).tensor(rho_n(1), rho_n(1))
+    assert three == rho_n(1).tensor(uniform) and three != rho_n(1).tensor(rho_n(2))
+    # iteration holds one piece at a time, however large the product
+    for big in (rho2_power(8), sample_pairwise_separable(4, rng)):
+        assert len(big.weights) == 16 ** 4
+        assert next(iter(big.weights)) == (1,) * big.n
+        assert all(len(p) <= bell._PIECE for p in itertools.islice(big.weights.pieces(), 5))
 
 
 def test_product_weight_sum_checked_from_factors():
@@ -352,11 +447,12 @@ def test_product_weight_sum_checked_from_factors():
 
 
 def test_factored_hot_paths_never_expand(monkeypatch, rng):
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("a factored product was expanded")
 
     monkeypatch.setattr(bell._Product, "__iter__", refuse)
     monkeypatch.setattr(bell._Product, "items", refuse)
+    monkeypatch.setattr(bell._Product, "pieces", refuse)
     separable = sample_pairwise_separable(5, rng)
     assert len(separable.weights) == 16 ** 5
     assert bell_diagonal_kl(rho_n(10), separable) >= 8 - 1e-12

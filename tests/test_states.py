@@ -241,6 +241,23 @@ def test_trusted_producers_skip_the_eigensolve(monkeypatch):
     assert calls == [64]
 
 
+def test_nan_fails_every_sum_and_trace_check():
+    # a comparison with NaN is False, so each check must fail unless it holds
+    layout = RegisterLayout.bell_pairs(1)
+    nan = np.full((4, 4), np.nan)
+    cases = [
+        (lambda: Ket(layout, np.array([np.nan, 0, 0, 0])), "ket is not normalized: |psi|^2 = nan"),
+        (lambda: DensityOperator(layout, nan), "matrix is not Hermitian (max asymmetry nan)"),
+        (lambda: DensityOperator._trusted(layout, nan), "trace differs from 1 by nan"),
+        (lambda: dm_from_ensemble([(float("nan"), bell_ket(1))]),
+         "ensemble weights sum to nan, expected 1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_trusted_wrapper_still_checks_trace_and_shape():
     layout = RegisterLayout.bell_pairs(1)
     with pytest.raises(ValueError, match="trace"):
