@@ -67,8 +67,6 @@ from .locc import (
     distill_exact_branches,
     distill_trivial,
     measure_local,
-    measure_local_exact,
-    output_copy_entropy,
 )
 
 __all__ = [
@@ -89,6 +87,5 @@ __all__ = [
     "BranchAnalysis", "DiscriminationResult", "DistillationReport", "ShotState",
     "correction_unitary", "discriminate_two_copies", "distill",
     "distill_exact_branches", "distill_trivial", "measure_local",
-    "measure_local_exact", "output_copy_entropy",
 ]
 __version__ = "0.1.0"

@@ -224,7 +224,7 @@ class BellDiagonalState:
         return self.weights.get(tuple(s), 0.0)
 
     def entropy_bits(self) -> float:
-        return float(-sum(w * math.log2(w) for w in self.weights.values() if w > 0))
+        return float(-sum(w * math.log2(w) for _, w in self.weights.items() if w > 0))
 
     def tensor(self, *others: "BellDiagonalState") -> "BellDiagonalState":
         """Tensor product; the others' copies are appended after ours, in

@@ -14,15 +14,17 @@ Bob sends his two bits to Alice, who computes the parities, announces the
 index, and applies a one-sided Pauli to every remaining copy.  Two copies
 are consumed, so n copies yield n - 2 ebits.
 
-The protocol has only 16 branches (4 hidden indices x 4 outcome paths), so
-it runs on kets once per n: `_protocol_tree` holds every branch's Born
-probabilities and output, and a sampled shot, its record and a distillation
-report's sample transcript come from a walk down that tree.
-`discriminate_two_copies` keeps the stepwise ket simulation as the
-reference the tree is tested against.  Both record a measurement as a
-`(party, copy, basis, outcome)` tuple.  Neither chooses an outcome whose
-Born probability was pruned (below 1e-14); a draw that falls on one takes
-its sibling instead.
+Every branch is a product of Bell pairs, so the protocol runs in the Bell
+(Pauli) frame for any n, with no ket: `FRAME` holds each Bell index's
+parities, read off the states' <Z⊗Z> and <X⊗X>.  A branch is the hidden
+index and Alice's two outcomes; Bob's outcomes follow from the parities, so
+every branch has probability exactly 1/16 and every corrected copy is
+exactly Phi1.  A sampled shot, its record and a distillation report's
+sample transcript come from the frame.  `measure_local` and
+`discriminate_two_copies` keep the stepwise ket simulation (n <= 6) as the
+reference the frame is tested against; it never chooses an outcome whose
+Born probability was pruned (below 1e-14).  Both record a measurement as a
+`(party, copy, basis, outcome)` tuple.
 """
 
 from __future__ import annotations
@@ -31,18 +33,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .bell import (bell_amplitudes, bell_product_ket, check_bell_index, rho_n,
                    smolin_flip_check, to_dense)
-from .entropies import trace_distance, von_neumann_entropy
+from .entropies import trace_distance
 from .measures import PptReport, ppt_check
-from .permutations import H, I2, PAULIS, LocalUnitaryPair
-from .registers import ALICE, BOB, MAX_DENSE_QUBITS, RegisterLayout
-from .states import DensityOperator, Ket, apply_local, partial_trace
+from .permutations import H, I2, PAULIS, X, Z, LocalUnitaryPair
+from .registers import ALICE, BOB, RegisterLayout
+from .states import DensityOperator, Ket
 
 
 PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
@@ -123,14 +125,6 @@ def measure_local(state: ShotState, party: str, copy: int, basis: str,
     return 0, replace(state, ket=post)
 
 
-def measure_local_exact(state: ShotState, party: str, copy: int, basis: str,
-                        outcome: int) -> tuple[float, ShotState | None]:
-    """Forced-outcome variant returning the exact Born probability."""
-
-    prob, post = _project(state.ket, _measured_axis(state, party, copy), basis, outcome)
-    return prob, None if post is None else replace(state, ket=post)
-
-
 def _decode(a_z: int, b_z: int, a_x: int, b_x: int) -> tuple[int, int, int]:
     """Parities and announced Bell index from the four outcomes in PLAN order."""
 
@@ -178,33 +172,23 @@ def correction_unitary(i: int) -> LocalUnitaryPair:
     return LocalUnitaryPair(p, I2, name=f"{name}⊗I")
 
 
-def _corrected(ket: Ket, guess: int, copies: range) -> Ket:
-    """Alice's correction for the announced index on each of `copies`."""
+def _parities(i: int) -> tuple[int, int]:
+    """(Z, X) parity of Bell state i: 1 where its <Z⊗Z> or <X⊗X> is -1."""
 
-    if guess == 1 or not copies:
-        return ket  # identity correction
-    u = correction_unitary(guess).u_alice
-    return apply_local(ket, {_qubit_label(ket.layout, ALICE, c): u for c in copies})
+    psi = bell_amplitudes(i)
+    return tuple(int(np.real(np.vdot(psi, np.kron(p, p) @ psi)) < 0) for p in (Z, X))
 
 
-def _remaining_copy_fidelity(ket: Ket, copy: int) -> float:
-    """<Phi1| rho_copy |Phi1> for one copy's reduced state, straight from the
-    ket tensor (cheap: no full density matrix)."""
-
-    layout = ket.layout
-    ax_a = layout.index_of(_qubit_label(layout, ALICE, copy))
-    ax_b = layout.index_of(_qubit_label(layout, BOB, copy))
-    t = ket.tensor_view()
-    moved = np.moveaxis(t, (ax_a, ax_b), (0, 1)).reshape(4, -1)
-    reduced = moved @ moved.conj().T
-    phi1 = bell_amplitudes(1)
-    return float(np.real(phi1.conj() @ reduced @ phi1))
+# Bell index -> (Z parity, X parity), read off the states and not inverted
+# from PARITY_TO_INDEX, so that guess == hidden checks the table.
+FRAME = {i: _parities(i) for i in (1, 2, 3, 4)}
 
 
 @dataclass(frozen=True)
 class Branch:
-    """One leaf of the protocol tree: its probability, the outcomes that lead
-    to it, Alice's parities and guess, and the corrected state."""
+    """One branch of the protocol: its probability, the outcomes that lead
+    to it, Alice's parities and guess, and the fidelity of the worst
+    corrected copy."""
 
     hidden: int
     probability: float
@@ -213,72 +197,43 @@ class Branch:
     output_fidelity: float | None  # worst corrected copy; None for n = 2
     parity_z: int
     parity_x: int
-    ket: Ket = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class _Step:
-    """One measurement of PLAN: the Born probabilities of outcomes 0 and 1
-    (raw, even below the pruning threshold, so sampling compares each draw
-    against the same value as the stepwise protocol) and the subtree of
-    each, None where the outcome is pruned; sampling never takes a None."""
+@cache  # 32 keys: whether copies remain, the hidden index, Alice's two outcomes
+def _branch(copies_left: bool, hidden: int, a_z: int, a_x: int) -> Branch:
+    """The branch where Alice sees a_z on copy 1 and a_x on copy 2.
 
-    probs: tuple[float, float]
-    children: tuple[_Step | Branch | None, _Step | Branch | None]
+    Bob's outcome on each copy is Alice's XOR that copy's parity, so he has
+    no choice and the branch has probability 1/4 * 1/2 * 1/2.  The one-sided
+    Paulis multiply like the Klein group up to a phase, so the correction
+    for the guess returns every remaining copy to Phi1 exactly when the
+    guess is the hidden index, and to an orthogonal Bell state otherwise.
+    """
 
-
-def _grow(state: ShotState, prob: float, outcomes: tuple) -> _Step | Branch:
-    if len(outcomes) == len(PLAN):
-        parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
-        remaining = range(3, state.n + 1)
-        ket = _corrected(state.ket, guess, remaining)
-        fid = min((_remaining_copy_fidelity(ket, c) for c in remaining), default=None)
-        return Branch(hidden=state.hidden, probability=prob, outcomes=outcomes,
-                      guess=guess, output_fidelity=fid, parity_z=parity_z,
-                      parity_x=parity_x, ket=ket)
-    party, copy, basis = PLAN[len(outcomes)]
-    probs, children = [], []
-    for outcome in (0, 1):
-        p, post = measure_local_exact(state, party, copy, basis, outcome)
-        probs.append(p)
-        children.append(None if post is None else _grow(
-            post, prob * p, outcomes + ((party, copy, basis, outcome),)))
-    return _Step(tuple(probs), tuple(children))
+    parity_z, parity_x = FRAME[hidden]
+    bits = (a_z, a_z ^ parity_z, a_x, a_x ^ parity_x)  # PLAN order
+    parity_z, parity_x, guess = _decode(*bits)
+    return Branch(hidden=hidden, probability=1 / 16,
+                  outcomes=tuple(step + (bit,) for step, bit in zip(PLAN, bits)),
+                  guess=guess, output_fidelity=float(guess == hidden) if copies_left else None,
+                  parity_z=parity_z, parity_x=parity_x)
 
 
-@cache  # five keys at most: n = 2..6
-def _protocol_tree(n: int) -> tuple[_Step, ...]:
-    """Every branch of the protocol on n copies, one root per hidden index."""
-
+def _check_copies(n: int) -> None:
     if n < 2:
         raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
-    if 2 * n > MAX_DENSE_QUBITS:
-        raise ValueError(f"the protocol simulates the 2n-qubit ket densely, capped at "
-                         f"{MAX_DENSE_QUBITS} qubits (n <= {MAX_DENSE_QUBITS // 2}); "
-                         f"got n = {n}")
-    return tuple(_grow(ShotState.prepared(hidden, n), 0.25, ()) for hidden in (1, 2, 3, 4))
-
-
-def _leaves(node: _Step | Branch | None):
-    if isinstance(node, Branch):
-        yield node
-    elif node is not None:
-        for child in node.children:
-            yield from _leaves(child)
 
 
 def _walk(n: int, rng: np.random.Generator) -> Branch:
     """Sample one branch with the stepwise protocol's draws: the hidden index,
-    then one uniform per measurement, outcome 0 when it falls below the Born
-    probability of 0, and never a pruned outcome."""
+    then one uniform per PLAN step.  Alice's outcome is 0 when her draw falls
+    below 1/2; Bob's draws are taken and ignored, as the frame fixes his
+    outcomes."""
 
-    node = _protocol_tree(n)[int(rng.integers(1, 5)) - 1]
-    for _ in PLAN:
-        outcome = 0 if rng.random() < node.probs[0] else 1
-        if node.children[outcome] is None:  # pruned: take its sibling
-            outcome ^= 1
-        node = node.children[outcome]
-    return node
+    _check_copies(n)
+    hidden = int(rng.integers(1, 5))
+    a_z, _, a_x, _ = (int(rng.random() >= 0.5) for _ in PLAN)
+    return _branch(n > 2, hidden, a_z, a_x)
 
 
 def _transcript_rows(outcomes) -> list[dict]:
@@ -343,18 +298,21 @@ class DistillationReport:
 
 
 def run_shot(n: int, shot_index: int, seed: int) -> ShotRecord:
-    """One seeded shot, sampled from the exact branch tree; shot k draws from
-    generator (seed, k) so reports are reproducible bit for bit and shots can
-    run independently."""
+    """One seeded shot; shot k draws from generator (seed, k) so reports are
+    reproducible bit for bit and shots can run independently.  A record holds
+    no outcomes, so only the hidden index is drawn, as `_walk` draws it
+    first."""
 
-    leaf = _walk(n, np.random.default_rng([seed, shot_index]))
+    _check_copies(n)
+    hidden = int(np.random.default_rng([seed, shot_index]).integers(1, 5))
+    leaf = _branch(n > 2, hidden, 0, 0)
     return ShotRecord(
         shot=shot_index,
-        hidden=leaf.hidden,
+        hidden=hidden,
         guess=leaf.guess,
         parity_z=leaf.parity_z,
         parity_x=leaf.parity_x,
-        correct=leaf.guess == leaf.hidden,
+        correct=leaf.guess == hidden,
         ebits=n - 2,
         fidelity=leaf.output_fidelity,
     )
@@ -447,20 +405,13 @@ class BranchAnalysis:
 
 
 def distill_exact_branches(n: int) -> BranchAnalysis:
-    """Density-operator-level confirmation without sampling: every measurement
-    branch of the protocol for each of the four equally likely hidden indices,
-    with its exact Born probability and output, outcome 0 before 1."""
+    """Every branch of the protocol without sampling: for each of the four
+    equally likely hidden indices, Alice's four outcome pairs, outcome 0
+    before 1.  Each branch has probability exactly 1/16 and leaves every
+    remaining copy exactly Phi1, for any n >= 3."""
 
     if n < 3:
         raise ValueError("branch analysis needs n >= 3")
-    return BranchAnalysis(n=n, branches=[b for root in _protocol_tree(n)
-                                         for b in _leaves(root)])
-
-
-def output_copy_entropy(n: int = 3) -> float:
-    """Entanglement entropy of one distilled copy's Alice marginal: 1 ebit."""
-
-    ket = distill_exact_branches(n).branches[0].ket
-    copy_dm = partial_trace(ket.to_dm(), [f"A{n}", f"B{n}"])
-    alice_marginal = partial_trace(copy_dm, [f"A{n}"])
-    return von_neumann_entropy(alice_marginal)
+    return BranchAnalysis(n=n, branches=[_branch(True, hidden, a_z, a_x)
+                                         for hidden in (1, 2, 3, 4)
+                                         for a_z in (0, 1) for a_x in (0, 1)])

@@ -92,7 +92,7 @@ def test_acceptance_pair_byproduct():
     report("er-pair byproduct", True, "2n-4 exact for n=2..10")
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 50])
 def test_acceptance_distillation(n):
     t0 = time.perf_counter()
     result = run_cli(["distill", "--n", str(n), "--shots", "10000", "--seed", "0"])

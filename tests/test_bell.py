@@ -459,3 +459,15 @@ def test_factored_hot_paths_never_expand(monkeypatch, rng):
     assert bell_diagonal_kl(rho_n(18), rho2_power(9)) == pytest.approx(16, abs=1e-12)
     permuted = rho2_power(3).permute_per_copy([(2, 1, 3, 4), (1, 2, 3, 4)] * 3)
     assert permuted.weight((2, 1, 2, 1, 1, 2)) == 1 / 64  # from (1, 1, 1, 1, 2, 2)
+
+
+def test_entropy_of_a_product_never_looks_strings_up(monkeypatch):
+    # the entropy expands a factored product once; a lookup per string slices
+    # it once per factor and doubles the time
+    def refuse(self, key):
+        raise AssertionError("a string was looked up in a factored product")
+
+    state = rho2_power(4)
+    assert isinstance(state.weights, bell._Product)
+    monkeypatch.setattr(bell._Product, "__getitem__", refuse)
+    assert state.entropy_bits() == 8.0

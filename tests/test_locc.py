@@ -1,6 +1,8 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -8,22 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belldistill import (
+    Ket,
     ShotState,
+    apply_local,
     correction_unitary,
     discriminate_two_copies,
     distill,
     distill_exact_branches,
     distill_trivial,
     measure_local,
-    measure_local_exact,
-    output_copy_entropy,
+    partial_trace,
+    von_neumann_entropy,
 )
+from belldistill.bell import bell_amplitudes
 from belldistill.locc import (
     PARITY_TO_INDEX,
     PLAN,
     Branch,
-    _corrected,
-    _remaining_copy_fidelity,
+    _branch,
+    _decode,
+    _measured_axis,
+    _project,
+    _qubit_label,
     _transcript_rows,
     _walk,
     run_shot,
@@ -43,6 +51,71 @@ def _pauli_correlation(i: int, op: np.ndarray) -> float:
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+# --- the dense ket tree: the reference the Bell frame is checked against -----
+
+
+def measure_local_exact(state, party, copy, basis, outcome):
+    """Forced-outcome measurement: the exact Born probability and the
+    collapsed state (None for a pruned outcome)."""
+
+    prob, post = _project(state.ket, _measured_axis(state, party, copy), basis, outcome)
+    return prob, None if post is None else replace(state, ket=post)
+
+
+def _corrected(ket, guess, copies):
+    """Alice's correction for the announced index on each of `copies`."""
+
+    if guess == 1 or not copies:
+        return ket  # identity correction
+    u = correction_unitary(guess).u_alice
+    return apply_local(ket, {_qubit_label(ket.layout, "alice", c): u for c in copies})
+
+
+def _remaining_copy_fidelity(ket, copy):
+    """<Phi1| rho_copy |Phi1> for one copy's reduced state, from the ket tensor."""
+
+    layout = ket.layout
+    ax_a = layout.index_of(_qubit_label(layout, "alice", copy))
+    ax_b = layout.index_of(_qubit_label(layout, "bob", copy))
+    moved = np.moveaxis(ket.tensor_view(), (ax_a, ax_b), (0, 1)).reshape(4, -1)
+    reduced = moved @ moved.conj().T
+    phi1 = bell_amplitudes(1)
+    return float(np.real(phi1.conj() @ reduced @ phi1))
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    branch: Branch
+    ket: Ket  # corrected
+
+
+def _grow(state, prob, outcomes):
+    """Every leaf below `state`, outcome 0 before 1; a pruned outcome has none."""
+
+    if len(outcomes) == len(PLAN):
+        parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
+        remaining = range(3, state.n + 1)
+        ket = _corrected(state.ket, guess, remaining)
+        fid = min((_remaining_copy_fidelity(ket, c) for c in remaining), default=None)
+        yield _Leaf(Branch(hidden=state.hidden, probability=prob, outcomes=outcomes,
+                           guess=guess, output_fidelity=fid, parity_z=parity_z,
+                           parity_x=parity_x), ket)
+        return
+    party, copy, basis = PLAN[len(outcomes)]
+    for outcome in (0, 1):
+        p, post = measure_local_exact(state, party, copy, basis, outcome)
+        if post is not None:
+            yield from _grow(post, prob * p, outcomes + ((party, copy, basis, outcome),))
+
+
+@cache
+def _protocol_tree(n):
+    """Every leaf of the protocol on n copies, hidden index 1 before 4."""
+
+    return [leaf for hidden in (1, 2, 3, 4)
+            for leaf in _grow(ShotState.prepared(hidden, n), 0.25, ())]
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -183,6 +256,12 @@ def test_distill_rejects_small_n():
         distill(2, shots=10)
 
 
+def test_protocol_needs_two_copies():
+    for sample in (lambda: run_shot(1, 0, 0), lambda: _walk(1, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="need n >= 2, got n = 1"):
+            sample()
+
+
 def test_shot_records_follow_parity_table():
     report = distill(4, shots=200, seed=3)
     for r in report.records:
@@ -260,10 +339,36 @@ def test_sampled_frequencies_match_exact_branches():
         assert abs(counts[cell] - p * shots) <= 3 * sigma
 
 
+def _frame_branches(n):
+    return [_branch(n > 2, hidden, a_z, a_x)
+            for hidden in (1, 2, 3, 4) for a_z in (0, 1) for a_x in (0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_frame_branches_match_ket_tree(n):
+    # the frame's 16 branches are the ket tree's leaves, in the same order;
+    # the tree's Born values and fidelities carry rounding, the frame's none
+    reference = [leaf.branch for leaf in _protocol_tree(n)]
+    frame = _frame_branches(n)
+    assert len(reference) == len(frame) == 16
+    for ref, got in zip(reference, frame):
+        assert (got.hidden, got.outcomes, got.guess, got.parity_z, got.parity_x) == (
+            ref.hidden, ref.outcomes, ref.guess, ref.parity_z, ref.parity_x)
+        assert got.probability == 1 / 16
+        assert abs(got.probability - ref.probability) <= 1e-15
+        if n == 2:
+            assert got.output_fidelity is ref.output_fidelity is None
+        else:
+            assert got.output_fidelity == 1.0
+            assert abs(got.output_fidelity - ref.output_fidelity) <= 1e-15
+    if n > 2:
+        assert distill_exact_branches(n).branches == frame
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tree_walk_matches_stepwise_protocol(n):
-    # a shot sampled from the branch tree and the stepwise ket simulation take
-    # the same draws from the same generator, so they must agree shot by shot
+    # a shot sampled in the frame and the stepwise ket simulation take the
+    # same draws from the same generator, so they must agree shot by shot
     remaining = range(3, n + 1)
     for seed in range(20):
         for k in range(10):
@@ -275,10 +380,15 @@ def test_tree_walk_matches_stepwise_protocol(n):
             assert leaf.outcomes == result.outcomes
             assert (leaf.guess, leaf.parity_z, leaf.parity_x) == (
                 result.guess, result.parity_z, result.parity_x)
+            record = run_shot(n, k, seed)
+            assert (record.hidden, record.guess, record.parity_z, record.parity_x) == (
+                leaf.hidden, leaf.guess, leaf.parity_z, leaf.parity_x)
+            assert record.fidelity == leaf.output_fidelity
             if remaining:
                 ket = _corrected(result.state.ket, result.guess, remaining)
                 fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
-                assert leaf.output_fidelity == fid
+                assert leaf.output_fidelity == 1.0
+                assert abs(leaf.output_fidelity - fid) <= 1e-15
             else:
                 assert leaf.output_fidelity is None
 
@@ -302,9 +412,10 @@ LARGEST_DRAW = 1 - 2 ** -53  # the largest value Generator.random() returns
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pruned_outcomes_are_never_taken(n):
-    # next to a pruned outcome the stored Born probability of outcome 0 is
+    # next to a pruned outcome the stepwise Born probability of outcome 0 is
     # raw (0.9999999999999996, or 5e-34), so the extreme draws 0.0 and
-    # 1 - 2^-53 fall on the pruned side unless the sibling is taken instead
+    # 1 - 2^-53 fall on the pruned side unless the sibling is taken instead;
+    # the frame ignores Bob's draws
     scripts = [(1, (0.1, 0.1, 0.1, LARGEST_DRAW))]
     scripts += [(hidden, draws) for hidden in (1, 2, 3, 4)
                 for draws in itertools.product((0.0, LARGEST_DRAW), repeat=len(PLAN))]
@@ -320,7 +431,11 @@ def test_pruned_outcomes_are_never_taken(n):
 
 
 def test_output_copy_entropy_is_one_ebit():
-    assert output_copy_entropy(3) == pytest.approx(1.0, abs=1e-12)
+    # entanglement entropy of one distilled copy's Alice marginal, on the
+    # reference tree's corrected ket
+    ket = _protocol_tree(3)[0].ket
+    copy_dm = partial_trace(ket.to_dm(), ["A3", "B3"])
+    assert von_neumann_entropy(partial_trace(copy_dm, ["A3"])) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
