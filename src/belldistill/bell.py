@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .registers import ALICE, BOB, QubitSpec, RegisterLayout
+from .registers import ALICE, BOB, QubitSpec, RegisterLayout, check_dense_size
 from .states import DensityOperator, Ket, dm_from_ensemble, ket_tensor, reorder
 
 WEIGHT_SUM_TOL = 1e-12
@@ -90,23 +88,17 @@ def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
     return s
 
 
-# most strings an iteration over a factored product holds at once, unless
-# one factor has more
-_PIECE = 4096
-
-
 class _Product(Mapping):
-    """Read-only weight map of a tensor product, kept as its factor states.
+    """Read-only weight map of a tensor product, kept as its factor states,
+    none of which is itself a product.
 
     A lookup multiplies one weight per factor, left to right, as a chain of
-    expanded products would.  Iteration expands the map a factor at a time,
-    in pieces of at most `_PIECE` strings, with the same products, the last
-    factor varying fastest (the first one, if `first_fastest`).
+    expanded products would.  Iteration builds the whole map with the same
+    products, the last factor varying fastest.
     """
 
-    def __init__(self, factors: Sequence["BellDiagonalState"], first_fastest: bool = False):
+    def __init__(self, factors: Sequence["BellDiagonalState"]):
         self.factors = tuple(factors)
-        self.first_fastest = first_fastest
         self.slices = []
         start = 0
         for f in self.factors:
@@ -114,7 +106,7 @@ class _Product(Mapping):
             start += f.n
         self.n = start
         # rounding is monotone, so every product is nonzero iff this one is
-        self.smallest = math.prod(_smallest(f.weights) for f in self.factors)
+        self.smallest = math.prod(min(f.weights.values()) for f in self.factors)
 
     def __getitem__(self, s):
         if not isinstance(s, tuple) or len(s) != self.n:
@@ -127,49 +119,22 @@ class _Product(Mapping):
     def __len__(self) -> int:
         return math.prod(len(f.weights) for f in self.factors)
 
-    def pieces(self, key=tuple):
-        """Yield the expanded map in order, as consecutive dicts.  Each
-        factor's strings pass through `key` (tuples, or digit strings for
-        JSON) and are concatenated."""
+    def expand(self, key=tuple) -> dict:
+        """The whole map as a dict, in order.  Each factor's strings pass
+        through `key` once (tuples, or digit strings for JSON) and are
+        concatenated."""
 
-        parts = [_keyed(f.weights, key) for f in self.factors]
-        ff = self.first_fastest
-        slowest_first = parts[::-1] if ff else parts
-        # the fastest-varying factors that fit in one piece are expanded together
-        sizes = accumulate(map(len, reversed(slowest_first)), operator.mul)
-        j = max(1, sum(size <= _PIECE for size in sizes))
-        slow, fast = slowest_first[:-j], slowest_first[-j:]
-        start = {key(()): 1.0}
-        if ff:  # the fast factors lead every string and product: expand them once
-            for part in reversed(fast):
-                start = {s + t: w * v for t, v in part.items() for s, w in start.items()}
-            fast = ()
-        for combo in product(*(part.items() for part in slow)):
-            piece = start
-            for t, v in reversed(combo) if ff else combo:
-                piece = {s + t: w * v for s, w in piece.items()}
-            for part in fast:
-                piece = {s + t: w * v for s, w in piece.items() for t, v in part.items()}
-            yield piece
+        out = {key(()): 1.0}
+        for f in self.factors:
+            part = {key(t): v for t, v in f.weights.items()}
+            out = {s + t: w * v for s, w in out.items() for t, v in part.items()}
+        return out
 
     def items(self):
-        return chain.from_iterable(map(dict.items, self.pieces()))
+        return self.expand().items()
 
     def __iter__(self):
-        return chain.from_iterable(self.pieces())
-
-
-def _keyed(weights: Mapping[tuple[int, ...], float], key) -> dict:
-    if isinstance(weights, _Product):
-        out = {}
-        for piece in weights.pieces(key):
-            out.update(piece)
-        return out
-    return {key(s): w for s, w in weights.items()}
-
-
-def _smallest(weights: Mapping[tuple[int, ...], float]) -> float:
-    return weights.smallest if isinstance(weights, _Product) else min(weights.values())
+        return iter(self.expand())
 
 
 def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
@@ -183,6 +148,10 @@ def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
     total = _weight_total(weights)
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1")
+
+
+def _digits(s: tuple[int, ...]) -> str:
+    return "".join(map(str, s))
 
 
 @dataclass(frozen=True)
@@ -233,7 +202,7 @@ class BellDiagonalState:
         factors = []
         for state in (self, *others):
             weights = state.weights
-            if isinstance(weights, _Product) and not weights.first_fastest:
+            if isinstance(weights, _Product):
                 factors.extend(weights.factors)
             else:
                 factors.append(state)
@@ -250,18 +219,23 @@ class BellDiagonalState:
             raise ValueError(f"need {self.n} permutations, got {len(perms)}")
         perms = [check_permutation(p) for p in perms]
         if isinstance(self.weights, _Product):
-            # permuting each factor keeps the product, and its order, factored
+            # permuting each factor keeps the product factored
             factored = self.weights
             factors = [f.permute_per_copy(perms[a:b])
                        for f, (a, b, _) in zip(factored.factors, factored.slices)]
-            return BellDiagonalState._trusted(self.n, _Product(factors, factored.first_fastest))
+            return BellDiagonalState._trusted(self.n, _Product(factors))
         # a bijection per copy maps distinct strings to distinct strings
         out = {tuple(p[i - 1] for p, i in zip(perms, s)): w for s, w in self.weights.items()}
         return BellDiagonalState._trusted(self.n, out)
 
     def to_json(self) -> str:
         # sort_keys orders digit strings of one length as the tuples sort
-        payload = {"n": self.n, "weights": _keyed(self.weights, lambda s: "".join(map(str, s)))}
+        weights = self.weights
+        if isinstance(weights, _Product):
+            keyed = weights.expand(_digits)
+        else:
+            keyed = {_digits(s): w for s, w in weights.items()}
+        payload = {"n": self.n, "weights": keyed}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
@@ -295,9 +269,8 @@ def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
-    The map keeps the m blocks.  Iterating it varies the first block fastest
-    and holds a few thousand strings at a time; only `to_json` and a
-    comparison with another map store all 4^m.
+    The map keeps the m blocks, so a lookup costs O(m); iterating it builds
+    all 4^m strings, the last block varying fastest.
     """
 
     if m < 1:
@@ -305,7 +278,7 @@ def rho2_power(m: int) -> BellDiagonalState:
     if m > 511:
         raise ValueError(f"block count {m} > 511: the weight 4^-m is not a normal float")
     block = BellDiagonalState._trusted(2, {(k, k): 0.25 for k in (1, 2, 3, 4)})
-    return BellDiagonalState._trusted(2 * m, _Product([block] * m, first_fastest=True))
+    return BellDiagonalState._trusted(2 * m, _Product([block] * m))
 
 
 def is_pair_constant(s: Sequence[int]) -> bool:
@@ -378,6 +351,7 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     """Dense density operator sum_s w(s) |Phi_s><Phi_s| on the canonical
     copy-major register (capped at 12 qubits)."""
 
+    check_dense_size(2 * b.n)
     members = [(w, bell_product_ket(s)) for s, w in sorted(b.weights.items())]
     return dm_from_ensemble(members)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cache
@@ -281,9 +280,6 @@ class DistillationReport:
             "transcript_sample": self.transcript_sample,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     CSV_HEADER = ["shot", "hidden", "guess", "parity_z", "parity_x",
                   "correct", "ebits", "fidelity"]
 
@@ -374,9 +370,6 @@ class TrivialReport:
         if self.smolin_residual is not None:
             out["smolin_residual"] = self.smolin_residual
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def distill_trivial(n: int) -> TrivialReport:

@@ -117,6 +117,16 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
     )
 
 
+def _versus_pair_reference(p: BellDiagonalState, name: str, method: str) -> DivergenceReport:
+    """Compare p against the (p.n / 2)-fold two-copy product by `method`."""
+
+    if method == "structured":
+        return _structured_vs_pair_reference(p, name)
+    if method == "dense":
+        return _dense_vs_reference(to_dense(p), to_dense(rho2_power(p.n // 2)), name)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def er_bound_even(m: int, method: str = "structured") -> DivergenceReport:
     """Divergence of the 2m-copy mixture from the m-fold two-copy product.
 
@@ -126,14 +136,7 @@ def er_bound_even(m: int, method: str = "structured") -> DivergenceReport:
 
     if m < 1:
         raise ValueError("m must be >= 1")
-    if method == "structured":
-        return _structured_vs_pair_reference(rho_n(2 * m), name=f"S(rho({2*m}) || rho(2)^{m})")
-    if method == "dense":
-        if m > 3:
-            raise ValueError("dense path capped at m <= 3 (12 qubits); use structured")
-        return _dense_vs_reference(to_dense(rho_n(2 * m)), to_dense(rho2_power(m)),
-                                   name=f"S(rho({2*m}) || rho(2)^{m})")
-    raise ValueError(f"unknown method {method!r}")
+    return _versus_pair_reference(rho_n(2 * m), f"S(rho({2*m}) || rho(2)^{m})", method)
 
 
 def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
@@ -151,16 +154,8 @@ def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    name = f"S(rho({n}) x rho({n}) || rho(2)^{n})"
-    if method == "structured":
-        p = rho_n(n).tensor(rho_n(n))
-        return _structured_vs_pair_reference(p, name=name)
-    if method == "dense":
-        if n > 3:
-            raise ValueError("dense path capped at n <= 3 (12 qubits); use structured")
-        p = to_dense(rho_n(n).tensor(rho_n(n)))
-        return _dense_vs_reference(p, to_dense(rho2_power(n)), name=name)
-    raise ValueError(f"unknown method {method!r}")
+    return _versus_pair_reference(rho_n(n).tensor(rho_n(n)),
+                                  f"S(rho({n}) x rho({n}) || rho(2)^{n})", method)
 
 
 def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport:

@@ -67,9 +67,6 @@ class LocalUnitaryPair:
         return np.kron(self.u_alice, self.u_bob)
 
 
-IDENTITY_PAIR = LocalUnitaryPair(I2, I2, name="I⊗I")
-
-
 @dataclass(frozen=True)
 class PermutationAction:
     """Result of a Bell-aligned pair: the induced permutation and the unit

@@ -280,6 +280,7 @@ def test_trusted_producers_pass_public_validation(rng):
     produced = {
         "tensor": rho_n(2).tensor(sigma_n(["2134", "3412", "1234"])),
         **{f"rho2_power({m})": rho2_power(m) for m in (1, 2, 3, 4, 7)},
+        "nested": rho_n(2).tensor(rho2_power(2), sigma_n(["2134", "3412", "1234"])),
         "permute_per_copy": rho2_power(2).permute_per_copy(
             [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]),
         "sample_pairwise_separable(3)": sample_pairwise_separable(3, rng),
@@ -377,15 +378,15 @@ def _chained_tensor(states):
 
 
 def _expanded_rho2_power(m):
-    """rho(2)^m as a dict, built string by string (the first block varies fastest)."""
+    """rho(2)^m as a dict, built string by string (the last block varies fastest)."""
 
     strings = [()]
     for _ in range(m):
-        strings = [s + (k, k) for k in (1, 2, 3, 4) for s in strings]
+        strings = [s + (k, k) for s in strings for k in (1, 2, 3, 4)]
     return dict.fromkeys(strings, 4.0 ** (-m))
 
 
-def test_factored_maps_match_their_expansion(rng, monkeypatch):
+def test_factored_maps_match_their_expansion(rng):
     sigma = sigma_n(["2134", "3412", "1234"])
     perms = [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]
     separable = sample_pairwise_separable(3, rng)
@@ -402,17 +403,16 @@ def test_factored_maps_match_their_expansion(rng, monkeypatch):
         "sample_pairwise_separable(3)": (separable,
                                          _chained_tensor(separable.weights.factors)),
     }
-    # a small piece size splits every product into pieces, as large ones are
-    for piece in (1, 16, bell._PIECE):
-        monkeypatch.setattr(bell, "_PIECE", piece)
-        for name, (state, expanded) in cases.items():
-            weights = state.weights
-            assert isinstance(weights, bell._Product), name
-            assert len(weights) == len(expanded), name
-            assert list(weights.items()) == list(expanded.items()), (name, piece)
-            assert list(weights) == list(dict(weights)) == list(expanded), (name, piece)
-            assert weights == expanded and expanded == weights, name
-            assert weights != {**expanded, next(iter(expanded)): 0.5}, name
+    for name, (state, expanded) in cases.items():
+        weights = state.weights
+        assert isinstance(weights, bell._Product), name
+        # tensor splices a factored operand's factors in: products never nest
+        assert not any(isinstance(f.weights, bell._Product) for f in weights.factors), name
+        assert len(weights) == len(expanded), name
+        assert list(weights.items()) == list(expanded.items()), name
+        assert list(weights) == list(dict(weights)) == list(expanded), name
+        assert weights == expanded and expanded == weights, name
+        assert weights != {**expanded, next(iter(expanded)): 0.5}, name
     for name, (state, expanded) in cases.items():
         weights = state.weights
         n = state.n
@@ -430,11 +430,9 @@ def test_factored_maps_match_their_expansion(rng, monkeypatch):
     uniform = BellDiagonalState(2, dict.fromkeys(itertools.product(range(1, 5), repeat=2), 1 / 16))
     three = rho_n(1).tensor(rho_n(1), rho_n(1))
     assert three == rho_n(1).tensor(uniform) and three != rho_n(1).tensor(rho_n(2))
-    # iteration holds one piece at a time, however large the product
     for big in (rho2_power(8), sample_pairwise_separable(4, rng)):
         assert len(big.weights) == 16 ** 4
         assert next(iter(big.weights)) == (1,) * big.n
-        assert all(len(p) <= bell._PIECE for p in itertools.islice(big.weights.pieces(), 5))
 
 
 def test_product_weight_sum_checked_from_factors():
@@ -452,7 +450,7 @@ def test_factored_hot_paths_never_expand(monkeypatch, rng):
 
     monkeypatch.setattr(bell._Product, "__iter__", refuse)
     monkeypatch.setattr(bell._Product, "items", refuse)
-    monkeypatch.setattr(bell._Product, "pieces", refuse)
+    monkeypatch.setattr(bell._Product, "expand", refuse)
     separable = sample_pairwise_separable(5, rng)
     assert len(separable.weights) == 16 ** 5
     assert bell_diagonal_kl(rho_n(10), separable) >= 8 - 1e-12

@@ -102,9 +102,11 @@ def test_unwritable_output_is_usage_error(runner, tmp_path):
 def test_verify_usage_errors(runner):
     assert invoke(runner, ["verify", "eq5"]).exit_code == 2
     assert invoke(runner, ["verify", "eq5", "--m", "0"]).exit_code == 2
-    assert_usage_error(invoke(runner, ["verify", "eq10", "--m", "2", "--method", "dense"]))
-    assert_usage_error(invoke(runner, ["verify", "er-pair", "--n", "4", "--method", "dense"]))
-    assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "4", "--method", "dense"]))
+    # 14 or more qubits: the library's dense cap applies
+    for args in (["eq10", "--m", "2"], ["er-pair", "--n", "4"], ["eq5", "--m", "4"]):
+        result = invoke(runner, ["verify", *args, "--method", "dense"])
+        assert_usage_error(result)
+        assert "capped at 12 qubits" in result.stderr
     assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", "-1"]))
 
 

@@ -240,7 +240,7 @@ def test_distill_yield_and_fidelity(n):
 def test_distill_reports_are_deterministic():
     a = distill(3, shots=64, seed=5)
     b = distill(3, shots=64, seed=5)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     assert a.to_csv() == b.to_csv()
 
 

@@ -91,7 +91,7 @@ def test_pair_bound_n2_coincides_dense():
 
 
 def test_even_bound_rejects_oversize_dense():
-    with pytest.raises(ValueError, match="structured"):
+    with pytest.raises(ValueError, match="capped at 12 qubits"):
         er_bound_even(4, method="dense")
 
 

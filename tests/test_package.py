@@ -1,6 +1,7 @@
 """The package's public names, and every library name the benchmark in
 `perfbench/` reaches: a trim of the library must not break a traced run."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import belldistill
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(belldistill.__file__).resolve().parent
 
 
 def _resolve(owner, path: str):
@@ -41,3 +43,25 @@ def test_benchmark_questions_use_exported_names():
     names = set(re.findall(r"\bbd\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
     assert names
     assert sorted(names - set(belldistill.__all__)) == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_src_has_no_unused_imports():
+    # __init__.py imports only to re-export
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    for path in modules:
+        assert _unused_imports(path.read_text()) == [], path.name

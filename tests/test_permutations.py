@@ -11,11 +11,11 @@ from belldistill import (
     permutation_table,
 )
 from belldistill import permutations
-from belldistill.permutations import H, I2, S, X, Z, IDENTITY_PAIR
+from belldistill.permutations import H, I2, S, X, Z
 
 
 def test_identity_pair_action():
-    action = permutation_action(IDENTITY_PAIR)
+    action = permutation_action(LocalUnitaryPair(I2, I2))
     assert action.perm == (1, 2, 3, 4)
     assert np.allclose(action.phases, [1, 1, 1, 1])
 
