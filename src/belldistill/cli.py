@@ -52,6 +52,14 @@ STRUCTURED_TOL = 1e-12
 _SEED = click.option("--seed", type=int, default=0, show_default=True)
 
 
+def _finite(ctx, param, value):
+    """Reject a NaN or infinite option value, which strict JSON cannot hold."""
+
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter("must be finite")
+    return value
+
+
 def _json_num(x: float):
     if math.isinf(x):
         return "infinity"
@@ -129,7 +137,7 @@ def _verify(name: str, size: str, size_help: str, formula: str, closed_form):
                       help=size_help)
         @click.option("--method", type=click.Choice(["structured", "dense"]),
                       default="structured")
-        @click.option("--tol", type=click.FloatRange(min=0), default=None,
+        @click.option("--tol", type=click.FloatRange(min=0), default=None, callback=_finite,
                       help="override comparison tolerance")
         @_reporting("json")
         def command(k, method, tol):
@@ -291,7 +299,7 @@ def permutations_cmd(fmt):
               help="comma-separated one-line permutations, one per copy, e.g. 2134,1234")
 @click.option("--method", type=click.Choice(["structured", "dense", "both"]),
               default="structured")
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, callback=_finite)
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense permuted mixture in the JSON matrix format")
 @_reporting("json")

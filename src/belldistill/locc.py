@@ -19,8 +19,8 @@ Every branch is a product of Bell pairs, so the protocol runs in the Bell
 parities, read off the states' <Z⊗Z> and <X⊗X>.  A branch is the hidden
 index and Alice's two outcomes; Bob's outcomes follow from the parities, so
 every branch has probability exactly 1/16 and every corrected copy is
-exactly Phi1.  A sampled shot, its record and a distillation report's
-sample transcript come from the frame.  `measure_local` and
+exactly Phi1.  A sampled shot is one of these cached branches, and a
+distillation report's sample transcript is shot 0's.  `measure_local` and
 `discriminate_two_copies` keep the stepwise ket simulation (n <= 6) as the
 reference the frame is tested against; it never chooses an outcome whose
 Born probability was pruned (below 1e-14).  Both record a measurement as a
@@ -218,21 +218,18 @@ def _branch(copies_left: bool, hidden: int, a_z: int, a_x: int) -> Branch:
                   parity_z=parity_z, parity_x=parity_x)
 
 
-def _check_copies(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
-
-
 def _walk(n: int, rng: np.random.Generator) -> Branch:
     """Sample one branch with the stepwise protocol's draws: the hidden index,
     then one uniform per PLAN step.  Alice's outcome is 0 when her draw falls
     below 1/2; Bob's draws are taken and ignored, as the frame fixes his
-    outcomes."""
+    outcomes.  The outcomes go to `_branch` as ints: a bool would share
+    their cache slot and print as false in a transcript."""
 
-    _check_copies(n)
+    if n < 2:
+        raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
     hidden = int(rng.integers(1, 5))
-    a_z, _, a_x, _ = (int(rng.random() >= 0.5) for _ in PLAN)
-    return _branch(n > 2, hidden, a_z, a_x)
+    a_z, _, a_x, _ = rng.random(len(PLAN)).tolist()
+    return _branch(n > 2, hidden, int(a_z >= 0.5), int(a_x >= 0.5))
 
 
 def _transcript_rows(outcomes) -> list[dict]:
@@ -244,18 +241,6 @@ def _transcript_rows(outcomes) -> list[dict]:
 
 
 @dataclass
-class ShotRecord:
-    shot: int
-    hidden: int
-    guess: int
-    parity_z: int
-    parity_x: int
-    correct: bool
-    ebits: int
-    fidelity: float | None  # None for n = 2, where no copy remains
-
-
-@dataclass
 class DistillationReport:
     n: int
     shots: int
@@ -264,7 +249,7 @@ class DistillationReport:
     ebits_per_shot: int
     mean_fidelity: float
     min_fidelity: float
-    records: list[ShotRecord]
+    branches: list[Branch]  # shot k's branch at index k
     transcript_sample: list[dict]
 
     def to_dict(self) -> dict:
@@ -287,38 +272,26 @@ class DistillationReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.CSV_HEADER)
-        for r in self.records:
-            writer.writerow([r.shot, r.hidden, r.guess, r.parity_z, r.parity_x,
-                             int(r.correct), r.ebits, f"{r.fidelity:.15f}"])
+        for k, b in enumerate(self.branches):
+            writer.writerow([k, b.hidden, b.guess, b.parity_z, b.parity_x,
+                             int(b.guess == b.hidden), self.n - 2, f"{b.output_fidelity:.15f}"])
         return buf.getvalue()
 
 
-def run_shot(n: int, shot_index: int, seed: int) -> ShotRecord:
-    """One seeded shot; shot k draws from generator (seed, k) so reports are
-    reproducible bit for bit and shots can run independently.  A record holds
-    no outcomes, so only the hidden index is drawn, as `_walk` draws it
-    first."""
+def run_shot(n: int, shot_index: int, seed: int) -> Branch:
+    """One seeded shot: shot k walks the frame with generator (seed, k), so
+    reports are reproducible bit for bit and shots can run independently.
+    The result is one of the 32 cached branches, not a copy."""
 
-    _check_copies(n)
-    hidden = int(np.random.default_rng([seed, shot_index]).integers(1, 5))
-    leaf = _branch(n > 2, hidden, 0, 0)
-    return ShotRecord(
-        shot=shot_index,
-        hidden=hidden,
-        guess=leaf.guess,
-        parity_z=leaf.parity_z,
-        parity_x=leaf.parity_x,
-        correct=leaf.guess == hidden,
-        ebits=n - 2,
-        fidelity=leaf.output_fidelity,
-    )
+    return _walk(n, np.random.default_rng([seed, shot_index]))
 
 
 def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
     """Share of `shots` seeded shots on n copies whose announced index is the
     hidden one."""
 
-    return sum(run_shot(n, k, seed).correct for k in range(shots)) / shots
+    return sum(b.guess == b.hidden
+               for b in (run_shot(n, k, seed) for k in range(shots))) / shots
 
 
 def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
@@ -331,21 +304,18 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
                          "yield is 0 ebits (see distill_trivial)")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    records = [run_shot(n, k, seed) for k in range(shots)]
-    # the report's sample transcript is shot 0's branch
-    sample = _transcript_rows(_walk(n, np.random.default_rng([seed, 0])).outcomes)
-    success = sum(r.correct for r in records) / shots
-    fidelities = [r.fidelity for r in records]
+    branches = [run_shot(n, k, seed) for k in range(shots)]
+    fidelities = [b.output_fidelity for b in branches]
     return DistillationReport(
         n=n,
         shots=shots,
         seed=seed,
-        success_rate=success,
+        success_rate=sum(b.guess == b.hidden for b in branches) / shots,
         ebits_per_shot=n - 2,
         mean_fidelity=float(np.mean(fidelities)),
         min_fidelity=float(np.min(fidelities)),
-        records=records,
-        transcript_sample=sample,
+        branches=branches,
+        transcript_sample=_transcript_rows(branches[0].outcomes),
     )
 
 

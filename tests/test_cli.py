@@ -107,7 +107,8 @@ def test_verify_usage_errors(runner):
         result = invoke(runner, ["verify", *args, "--method", "dense"])
         assert_usage_error(result)
         assert "capped at 12 qubits" in result.stderr
-    assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", "-1"]))
+    for tol in ("-1", "nan", "inf"):
+        assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", tol]))
 
 
 @pytest.mark.parametrize("command, bound, option, size", [
@@ -358,7 +359,8 @@ def test_sigma_equiv_usage_errors(runner):
                              "--method", "dense"])
     assert_usage_error(result)
     assert "capped at 12 qubits" in result.stderr
-    assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", "-1"]))
+    for tol in ("-1", "nan", "inf"):
+        assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", tol]))
 
 
 # --- explore -----------------------------------------------------------------------

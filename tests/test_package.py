@@ -65,3 +65,38 @@ def test_src_has_no_unused_imports():
     assert modules
     for path in modules:
         assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _dead_private_names(modules) -> list[str]:
+    """Module-level `_name` definitions (dunders aside) that no Name,
+    Attribute or import in any of `modules` refers to."""
+
+    defined, used = {}, set()
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            for name in targets:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
+def test_src_has_no_dead_private_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _dead_private_names(modules) == []
