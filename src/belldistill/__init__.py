@@ -8,9 +8,7 @@ from .states import (
     apply_local,
     dm_from_ensemble,
     dm_from_json,
-    dm_tensor,
     dm_to_json,
-    ket_tensor,
     partial_trace,
     partial_transpose,
     reorder,
@@ -72,8 +70,7 @@ from .locc import (
 __all__ = [
     "ALICE", "BOB", "QubitSpec", "RegisterLayout",
     "DensityOperator", "Ket", "apply_local", "dm_from_ensemble", "dm_from_json",
-    "dm_tensor", "dm_to_json", "ket_tensor", "partial_trace", "partial_transpose",
-    "reorder",
+    "dm_to_json", "partial_trace", "partial_transpose", "reorder",
     "fidelity_pure", "herm_eig", "relative_entropy", "trace_distance",
     "von_neumann_entropy",
     "BellDiagonalState", "bell_diagonal_kl", "bell_ket", "bell_product_ket",

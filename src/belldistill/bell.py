@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .registers import ALICE, BOB, QubitSpec, RegisterLayout, check_dense_size
-from .states import DensityOperator, Ket, dm_from_ensemble, ket_tensor, reorder
+from .states import DensityOperator, Ket, dm_from_ensemble
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -52,26 +52,19 @@ def bell_ket(i: int, copy: int = 1) -> Ket:
     return Ket(layout, bell_amplitudes(i).copy())
 
 
-def bell_ket_on(i: int, qubit_a: QubitSpec, qubit_b: QubitSpec) -> Ket:
-    """The i-th Bell state on two explicitly named qubits."""
-
-    layout = RegisterLayout((qubit_a, qubit_b))
-    return Ket(layout, bell_amplitudes(i).copy())
-
-
 def bell_product_ket(indices: Sequence[int]) -> Ket:
     """|Phi_s1> x |Phi_s2> x ... on the canonical copy-major register."""
 
     if not indices:
         raise ValueError("need at least one Bell index")
-    kets = [bell_ket(check_bell_index(s), copy=j + 1) for j, s in enumerate(indices)]
-    return reduce(ket_tensor, kets)
+    rows = map(bell_amplitudes, indices)
+    return Ket(RegisterLayout.bell_pairs(len(indices)), reduce(np.kron, rows))
 
 
 _BELL_INDICES = frozenset((1, 2, 3, 4))
 
 
-def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
+def _integers(indices: Sequence[int]) -> tuple[int, ...]:
     try:
         s = tuple(map(int, indices))
     except OverflowError as exc:  # an infinite index
@@ -80,6 +73,11 @@ def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
         for i, v in zip(indices, s):
             if i != v and not isinstance(i, str):
                 raise ValueError(f"Bell index must be an integer, got {i!r}")
+    return s
+
+
+def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
+    s = _integers(indices)
     if len(s) != n:
         raise ValueError(f"Bell string has length {len(s)}, expected {n}")
     if not _BELL_INDICES.issuperset(s):
@@ -132,6 +130,11 @@ class _Product(Mapping):
 
     def items(self):
         return self.expand().items()
+
+    def __eq__(self, other):
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.expand() == other
 
     def __iter__(self):
         return iter(self.expand())
@@ -307,7 +310,10 @@ def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellD
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, int, int, int]:
-    t = tuple(int(i) for i in perm)
+    try:
+        t = _integers(perm)
+    except ValueError:  # a fractional, infinite or NaN entry
+        t = ()
     if sorted(t) != [1, 2, 3, 4]:
         raise ValueError(f"not a permutation of 1..4: {perm}")
     return t
@@ -365,16 +371,13 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
 
 def smolin_flipped_terms() -> list[Ket]:
     """The four flipped product terms |Phi_i>_{A1A2} x |Phi_i>_{B1B2},
-    re-expressed on the canonical A1,B1,A2,B2 register."""
+    on the canonical A1,B1,A2,B2 register."""
 
-    canonical = RegisterLayout.bell_pairs(2)
-    a1, b1, a2, b2 = canonical.qubits
+    layout = RegisterLayout.bell_pairs(2)
     terms = []
-    for i in (1, 2, 3, 4):
-        alice_part = bell_ket_on(i, a1, a2)
-        bob_part = bell_ket_on(i, b1, b2)
-        flipped = ket_tensor(alice_part, bob_part)  # order A1,A2,B1,B2
-        terms.append(reorder(flipped, canonical.labels))
+    for phi in BELL_AMPLITUDES:
+        flipped = np.kron(phi, phi).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
+        terms.append(Ket(layout, flipped.transpose(0, 2, 1, 3).reshape(16)))
     return terms
 
 

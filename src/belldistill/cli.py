@@ -307,9 +307,7 @@ def sigma_equiv_cmd(perms, method, tol, dump):
     """Map a per-copy permuted mixture back to the plain mixture by the local
     unitary pairs of the permutation table."""
 
-    perm_list = [parse_permutation(p.strip()) for p in perms.split(",") if p.strip()]
-    if not perm_list:
-        raise click.UsageError("--perms must list at least one permutation")
+    perm_list = [parse_permutation(p.strip()) for p in perms.split(",")]
     n = len(perm_list)
     sigma = sigma_n(perm_list)
     corrected = sigma.permute_per_copy([invert_permutation(p) for p in perm_list])

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from .bell import (
+    BELL_AMPLITUDES,
     BellDiagonalState,
-    bell_product_ket,
     is_pair_constant,
     rho2_power,
     rho_n,
@@ -31,8 +32,8 @@ from .entropies import (
     _spectrum,
     shannon_bits,
 )
-from .registers import ALICE, BOB, RegisterLayout
-from .states import DensityOperator, partial_transpose, reorder
+from .registers import BOB, RegisterLayout
+from .states import DensityOperator, partial_transpose
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,6 @@ def log_negativity(rho: DensityOperator) -> float:
 # --- Separable-state sampling ------------------------------------------------
 
 
-def _block_layout(n: int) -> tuple[RegisterLayout, RegisterLayout, RegisterLayout]:
-    """Alice block, Bob block, and the canonical copy-major layout."""
-
-    canonical = RegisterLayout.bell_pairs(n)
-    alice = RegisterLayout(tuple(q for q in canonical.qubits if q.owner == ALICE))
-    bob = RegisterLayout(tuple(q for q in canonical.qubits if q.owner == BOB))
-    return alice, bob, canonical
-
-
 def _random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
@@ -226,15 +218,15 @@ def sample_separable(n: int, terms: int, seed: int | None = 0,
         raise ValueError("need at least one product term")
     if rng is None:
         rng = np.random.default_rng(seed)
-    alice, bob, canonical = _block_layout(n)
     d = 2 ** n
+    copy_major = [ax for j in range(n) for ax in (j, n + j)]  # A1..An,B1..Bn -> A1,B1,...
     weights = rng.dirichlet(np.ones(terms))
     sigma = np.zeros((d * d, d * d), dtype=complex)
     for w in weights:
         v = np.kron(_random_pure(rng, d), _random_pure(rng, d))
+        v = v.reshape((2,) * (2 * n)).transpose(copy_major).reshape(d * d)
         sigma += w * np.outer(v, v.conj())
-    block = DensityOperator(alice.concat(bob), sigma)
-    return reorder(block, canonical.labels)
+    return DensityOperator(RegisterLayout.bell_pairs(n), sigma)
 
 
 def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalState:
@@ -328,14 +320,12 @@ def er_search(n: int, restarts: int = 20, budget: int = 4000, seed: int = 0) -> 
         raise ValueError("budget must be positive")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if 2 * n > 12:
-        raise ValueError("the product-overlap bound is dense; capped at n <= 6 (12 qubits)")
-    alice, bob, _ = _block_layout(n)
+    if not 1 <= n <= 6:
+        raise ValueError(f"the product-overlap bound is dense; needs 1 <= n <= 6 "
+                         f"(12 qubits), got n={n}")
     d = 2 ** n
-    block = alice.concat(bob).labels
-    # v[i] is |Phi_i^n> with rows on Alice's block and columns on Bob's
-    v = np.stack([reorder(bell_product_ket((i,) * n), block).amplitudes.reshape(d, d)
-                  for i in (1, 2, 3, 4)])
+    # v[i] is |Phi_i^n> with rows on Alice's qubits A1..An and columns on Bob's
+    v = np.stack([reduce(np.kron, [phi.reshape(2, 2)] * n) for phi in BELL_AMPLITUDES])
     floor = float(max(n - 2, 0))
     best_g = 0.0
     best_state = None

@@ -91,12 +91,6 @@ class RegisterLayout:
             raise ValueError(f"unknown qubit labels {sorted(missing)}")
         return RegisterLayout(tuple(q for q in self.qubits if q.label in wanted))
 
-    def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        clash = set(self.labels) & set(other.labels)
-        if clash:
-            raise ValueError(f"label collision on concat: {sorted(clash)}")
-        return RegisterLayout(self.qubits + other.qubits)
-
     def reordered(self, new_order: Sequence[str]) -> "RegisterLayout":
         if sorted(new_order) != sorted(self.labels):
             raise ValueError("new order must be a permutation of the layout labels")

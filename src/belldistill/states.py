@@ -93,18 +93,6 @@ class DensityOperator:
         return rho
 
 
-def ket_tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product; layouts are concatenated (a's qubits most significant)."""
-
-    layout = a.layout.concat(b.layout)
-    return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
-
-
-def dm_tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    layout = a.layout.concat(b.layout)
-    return DensityOperator._trusted(layout, np.kron(a.matrix, b.matrix))
-
-
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
     """Mixture sum(w_k |psi_k><psi_k|) of kets sharing one layout."""
 
@@ -257,20 +245,19 @@ def apply_local(state: Ket | DensityOperator,
 
     layout = state.layout
     n = layout.n_qubits
+    ops = []
     for label, g in gates.items():
         g = np.asarray(g, dtype=complex)
         if g.shape != (2, 2):
             raise ValueError(f"gate for {label!r} must be 2x2")
-        layout.index_of(label)
+        ops.append((layout.index_of(label), g))
     if isinstance(state, Ket):
-        t = state.tensor_view().copy()
-        for label, g in gates.items():
-            t = _apply_gate_axis(t, np.asarray(g, dtype=complex), layout.index_of(label))
+        t = state.tensor_view()
+        for ax, g in ops:
+            t = _apply_gate_axis(t, g, ax)
         return Ket(layout, t.reshape(layout.dim))
-    t = state.matrix.reshape((2,) * (2 * n)).copy()
-    for label, g in gates.items():
-        g = np.asarray(g, dtype=complex)
-        ax = layout.index_of(label)
+    t = state.matrix.reshape((2,) * (2 * n))
+    for ax, g in ops:
         t = _apply_gate_axis(t, g, ax)
         t = _apply_gate_axis(t, g.conj(), n + ax)
     return DensityOperator._trusted(layout, t.reshape(layout.dim, layout.dim))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from belldistill import DensityOperator, RegisterLayout
+from belldistill import DensityOperator, Ket, RegisterLayout
 
 
 @pytest.fixture
@@ -16,6 +16,17 @@ def random_density(layout: RegisterLayout, rng: np.random.Generator) -> DensityO
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityOperator(layout, m / m.trace())
+
+
+def kron_state(a, b):
+    """Tensor product of two kets or two density operators, a's qubits first;
+    the reference that states built on the copy-major register are checked
+    against."""
+
+    layout = RegisterLayout(a.layout.qubits + b.layout.qubits)
+    if isinstance(a, Ket):
+        return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
+    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator, support: int | None = None):

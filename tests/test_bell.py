@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 
 from belldistill import (
     BellDiagonalState,
+    Ket,
+    RegisterLayout,
     bell_diagonal_kl,
     bell_ket,
     bell_product_ket,
     dm_from_ensemble,
     invert_permutation,
+    local_permutation_search,
     parse_permutation,
     partial_trace,
     relative_entropy,
+    reorder,
     rho2_power,
     rho_n,
     sample_pairwise_separable,
@@ -28,9 +33,10 @@ from belldistill import (
     von_neumann_entropy,
 )
 from belldistill import bell
-from belldistill.bell import is_pair_constant, smolin_flipped_terms
+from belldistill.bell import (BELL_AMPLITUDES, check_permutation, is_pair_constant,
+                              smolin_flipped_terms)
 
-from conftest import random_bell_diagonal
+from conftest import kron_state, random_bell_diagonal
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -222,6 +228,13 @@ def test_permutation_parsing():
     assert invert_permutation((2, 3, 4, 1)) == (4, 1, 2, 3)
     with pytest.raises(ValueError, match="permutation"):
         parse_permutation("2133")
+    # entries must be integral, as Bell indices must: none is truncated
+    assert check_permutation((2.0, 1, "3", 4)) == (2, 1, 3, 4)
+    for bad in ((2.9, 1, 3, 4), (2.2, 1, 3, 4), (1, 2, 3, math.inf), (math.nan, 1, 3, 4),
+                (1, 2, 3, "x")):
+        for build in (check_permutation, lambda p: sigma_n([p]), local_permutation_search):
+            with pytest.raises(ValueError, match="not a permutation of 1..4"):
+                build(bad)
 
 
 # --- the two-copy flip identity ---------------------------------------------
@@ -244,6 +257,32 @@ def test_smolin_flip_residual_zero():
     assert np.max(np.abs(straight - flipped)) < 1e-12
 
     assert smolin_flip_check() <= 1e-10
+
+
+def test_smolin_flipped_terms_match_relabeled_reference():
+    # the terms as first built: Bell pairs on (A1,A2) and (B1,B2), joined and
+    # relabeled into the copy-major order
+    canonical = RegisterLayout.bell_pairs(2)
+    a1, b1, a2, b2 = canonical.qubits
+    for term, phi in zip(smolin_flipped_terms(), BELL_AMPLITUDES):
+        flipped = kron_state(Ket(RegisterLayout((a1, a2)), phi),
+                             Ket(RegisterLayout((b1, b2)), phi))
+        reference = reorder(flipped, canonical.labels)
+        assert term.layout == canonical
+        assert np.array_equal(term.amplitudes, reference.amplitudes)
+
+
+def test_bell_product_ket_matches_joined_pair_kets(rng):
+    # the product as first built: one ket per pair, joined left to right
+    for n in range(1, 7):
+        strings = [(i,) * n for i in (1, 2, 3, 4)]
+        strings += [tuple(rng.integers(1, 5, size=n).tolist()) for _ in range(4)]
+        for s in strings:
+            reference = functools.reduce(
+                kron_state, [bell_ket(i, copy=j) for j, i in enumerate(s, start=1)])
+            psi = bell_product_ket(s)
+            assert psi.layout == reference.layout == RegisterLayout.bell_pairs(n)
+            assert np.array_equal(psi.amplitudes, reference.amplitudes), s
 
 
 def test_smolin_flipped_terms_are_products_across_cut():
@@ -433,6 +472,20 @@ def test_factored_maps_match_their_expansion(rng):
     for big in (rho2_power(8), sample_pairwise_separable(4, rng)):
         assert len(big.weights) == 16 ** 4
         assert next(iter(big.weights)) == (1,) * big.n
+
+
+def test_product_equality_expands_once_without_copies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("equality copied a map item by item")
+
+    monkeypatch.setattr(bell._Product, "items", refuse)
+    state = rho2_power(3)
+    expanded = _expanded_rho2_power(3)
+    assert state.weights == expanded and expanded == state.weights
+    assert state.weights == rho2_power(3).weights
+    assert state.weights != rho2_power(2).weights
+    assert state.weights.__eq__(list(expanded)) is NotImplemented
+    assert state.weights != list(expanded)
 
 
 def test_product_weight_sum_checked_from_factors():

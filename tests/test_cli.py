@@ -354,6 +354,10 @@ def test_sigma_equiv_six_copies_same_bytes_on_one_and_two_blas_threads():
 
 def test_sigma_equiv_usage_errors(runner):
     assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
+    for perms in ("2134,,1234,", "2134,", ""):
+        result = invoke(runner, ["sigma-equiv", "--perms", perms])
+        assert_usage_error(result)
+        assert "got ''" in result.stderr
     # seven copies are 14 qubits: the library's dense cap applies
     result = invoke(runner, ["sigma-equiv", "--perms", ",".join(["2134"] * 7),
                              "--method", "dense"])

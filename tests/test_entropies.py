@@ -9,7 +9,6 @@ from belldistill import (
     DensityOperator,
     RegisterLayout,
     bell_ket,
-    dm_tensor,
     fidelity_pure,
     herm_eig,
     relative_entropy,
@@ -19,7 +18,7 @@ from belldistill import (
     von_neumann_entropy,
 )
 
-from conftest import random_density
+from conftest import kron_state, random_density
 
 
 def test_herm_eig_examples():
@@ -119,7 +118,7 @@ def test_entropy_additive_on_products(seed):
     a = random_density(RegisterLayout.bell_pairs(1), gen)
     bob_layout = RegisterLayout.bell_pairs(2).subset(["A2", "B2"])
     b = random_density(bob_layout, gen)
-    joint = dm_tensor(a, b)
+    joint = kron_state(a, b)
     assert von_neumann_entropy(joint) == pytest.approx(
         von_neumann_entropy(a) + von_neumann_entropy(b), abs=1e-9)
 

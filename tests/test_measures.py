@@ -149,6 +149,47 @@ def test_sample_separable_reproducible():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+def _block_layout(n):
+    canonical = RegisterLayout.bell_pairs(n)
+    return canonical.reordered([f"A{j}" for j in range(1, n + 1)]
+                               + [f"B{j}" for j in range(1, n + 1)])
+
+
+def test_sample_separable_matches_relabeled_block_mixture():
+    # the sampler as first built: the mixture on the A1..An,B1..Bn register,
+    # then relabeled into the copy-major order
+    for n in (1, 2, 3):
+        d = 2 ** n
+        for seed in (0, 5, 11, 2024):
+            for terms in (1, 6):
+                rng = np.random.default_rng(seed)
+                sigma = np.zeros((d * d, d * d), dtype=complex)
+                for w in rng.dirichlet(np.ones(terms)):
+                    v = np.kron(measures._random_pure(rng, d), measures._random_pure(rng, d))
+                    sigma += w * np.outer(v, v.conj())
+                reference = reorder(DensityOperator(_block_layout(n), sigma),
+                                    RegisterLayout.bell_pairs(n).labels)
+                sampled = sample_separable(n, terms=terms, seed=seed)
+                assert sampled.layout == reference.layout
+                assert np.array_equal(sampled.matrix, reference.matrix), (n, seed, terms)
+
+
+def test_dense_builders_make_no_intermediate_kets(monkeypatch):
+    made = []
+    real = Ket.__post_init__
+
+    def counting(self):
+        made.append(self.layout.n_qubits)
+        real(self)
+
+    monkeypatch.setattr(Ket, "__post_init__", counting)
+    to_dense(rho_n(6))
+    assert made == [12] * 4
+    made.clear()
+    er_search(3, restarts=2, budget=50, seed=1)
+    assert made == []
+
+
 @pytest.mark.parametrize("batch", range(4))
 def test_sampled_separables_ppt_and_bounded_away(batch):
     r2 = to_dense(rho_n(2))
@@ -192,9 +233,7 @@ def _certificate(report) -> DensityOperator:
 
     n = report.n
     canonical = RegisterLayout.bell_pairs(n)
-    block = canonical.reordered([f"A{j}" for j in range(1, n + 1)]
-                                + [f"B{j}" for j in range(1, n + 1)])
-    product = reorder(Ket(block, np.kron(report.alice_state, report.bob_state)),
+    product = reorder(Ket(_block_layout(n), np.kron(report.alice_state, report.bob_state)),
                       canonical.labels).to_dm()
     paulis = (I2, X, Z, X @ Z)
     twirled = np.zeros_like(product.matrix)

@@ -31,12 +31,6 @@ def test_index_and_subset():
     assert sub.labels == ("A1", "B2")
 
 
-def test_concat_rejects_collision():
-    a = RegisterLayout.bell_pairs(1)
-    with pytest.raises(ValueError, match="collision"):
-        a.concat(a)
-
-
 def test_dense_cap():
     check_dense_size(12)
     with pytest.raises(ValueError, match="Bell-diagonal"):

@@ -14,9 +14,7 @@ from belldistill import (
     bell_product_ket,
     dm_from_ensemble,
     dm_from_json,
-    dm_tensor,
     dm_to_json,
-    ket_tensor,
     partial_trace,
     partial_transpose,
     reorder,
@@ -26,7 +24,7 @@ from belldistill import (
 from belldistill.permutations import H, S
 from belldistill.states import partial_transpose_matrix
 
-from conftest import random_density
+from conftest import kron_state, random_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -48,32 +46,13 @@ def test_density_operator_invariants_enforced():
         DensityOperator(layout, neg)
 
 
-def test_ket_tensor_basis_case():
-    layout_a = RegisterLayout((RegisterLayout.bell_pairs(1).qubits[0],))
-    layout_b = RegisterLayout((RegisterLayout.bell_pairs(1).qubits[1],))
-    zero_a = Ket(layout_a, np.array([1.0, 0.0]))
-    zero_b = Ket(layout_b, np.array([1.0, 0.0]))
-    out = ket_tensor(zero_a, zero_b)
-    assert np.allclose(out.amplitudes, [1, 0, 0, 0])
-
-
-def test_ket_tensor_bell_pair_example():
+def test_bell_product_ket_bell_pair_example():
     # amplitude 1/2 on |0000>, |0011>, |1100>, |1111> in A1,B1,A2,B2 order
-    out = ket_tensor(bell_ket(1, copy=1), bell_ket(1, copy=2))
+    out = bell_product_ket((1, 1))
     expected = np.zeros(16)
     expected[[0b0000, 0b0011, 0b1100, 0b1111]] = 0.5
     assert np.allclose(out.amplitudes, expected)
     assert out.layout.labels == ("A1", "B1", "A2", "B2")
-
-
-def test_ket_tensor_norm_multiplicative():
-    out = ket_tensor(bell_ket(1, copy=1), bell_ket(4, copy=2))
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-
-def test_ket_tensor_rejects_label_collision():
-    with pytest.raises(ValueError, match="collision"):
-        ket_tensor(bell_ket(1, copy=1), bell_ket(2, copy=1))
 
 
 def test_dm_from_ensemble_examples():
@@ -129,7 +108,7 @@ def test_partial_trace_bell_gives_maximally_mixed():
 def test_partial_trace_product_recovers_factor(rng):
     a = random_density(RegisterLayout.bell_pairs(1).subset(["A1"]), rng)
     b = random_density(RegisterLayout.bell_pairs(1).subset(["B1"]), rng)
-    joint = dm_tensor(a, b)
+    joint = kron_state(a, b)
     back = partial_trace(joint, ["A1"])
     assert np.allclose(back.matrix, a.matrix, atol=1e-13)
 
@@ -185,10 +164,10 @@ def test_reorder_roundtrip(rng):
 
 
 def test_reorder_ket_matches_dense_conjugation(rng):
-    psi = ket_tensor(bell_ket(1, copy=1), bell_ket(3, copy=2))
+    psi = bell_product_ket((1, 3))
     rotated = reorder(psi, ["A2", "B2", "A1", "B1"])
     # swapping whole copies maps Phi1 x Phi3 to Phi3 x Phi1
-    expected = ket_tensor(bell_ket(3, copy=2), bell_ket(1, copy=1))
+    expected = kron_state(bell_ket(3, copy=2), bell_ket(1, copy=1))
     assert np.allclose(rotated.amplitudes, expected.amplitudes, atol=1e-15)
 
 
@@ -216,7 +195,6 @@ def test_trusted_producers_pass_public_validation(rng):
         "apply_local": apply_local(mixed, {"A1": H, "B1": S}),
         "reorder": reorder(rho3, ["B3", "A1", "B2", "A3", "B1", "A2"]),
         "partial_trace": partial_trace(rho3, ["A1", "B2", "A3"]),
-        "dm_tensor": dm_tensor(mixed, far),
         "Ket.to_dm": far,
     }
     for name, rho in produced.items():
@@ -252,8 +230,18 @@ def test_nan_fails_every_sum_and_trace_check():
         (lambda: dm_from_ensemble([(float("nan"), bell_ket(1))]),
          "ensemble weights sum to nan, expected 1"),
     ]
+    # a non-finite gate entry reaches the norm or the diagonal, so the
+    # trace check of the trusted wrapper catches it
+    for bad in (np.nan, np.inf):
+        gate = np.array([[bad, 0], [0, 1]])
+        cases += [
+            (lambda g=gate: apply_local(bell_ket(1), {"A1": g}),
+             "ket is not normalized: |psi|^2 = nan"),
+            (lambda g=gate: apply_local(bell_ket(1).to_dm(), {"B1": g}),
+             "trace differs from 1 by nan"),
+        ]
     for build, message in cases:
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(ValueError) as err, np.errstate(invalid="ignore"):
             build()
         assert str(err.value) == message
 
