@@ -49,7 +49,7 @@ from .states import apply_local, dm_from_ensemble, dm_to_json
 DENSE_TOL = 1e-8
 STRUCTURED_TOL = 1e-12
 
-_SEED = click.option("--seed", type=int, default=0, show_default=True)
+_SEED = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 
 
 def _finite(ctx, param, value):

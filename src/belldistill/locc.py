@@ -19,8 +19,8 @@ Every branch is a product of Bell pairs, so the protocol runs in the Bell
 parities, read off the states' <Z⊗Z> and <X⊗X>.  A branch is the hidden
 index and Alice's two outcomes; Bob's outcomes follow from the parities, so
 every branch has probability exactly 1/16 and every corrected copy is
-exactly Phi1.  A sampled shot is one of these cached branches, and a
-distillation report's sample transcript is shot 0's.  `measure_local` and
+exactly Phi1.  A seeded run draws every shot's cached branch from one
+generator; a report's sample transcript is shot 0's.  `measure_local` and
 `discriminate_two_copies` keep the stepwise ket simulation (n <= 6) as the
 reference the frame is tested against; it never chooses an outcome whose
 Born probability was pruned (below 1e-14).  Both record a measurement as a
@@ -64,10 +64,6 @@ class ShotState:
     @property
     def n(self) -> int:
         return self.ket.layout.n_copies
-
-    @classmethod
-    def sample(cls, n: int, rng: np.random.Generator) -> "ShotState":
-        return cls.prepared(int(rng.integers(1, 5)), n)
 
     @classmethod
     def prepared(cls, hidden: int, n: int) -> "ShotState":
@@ -218,18 +214,28 @@ def _branch(copies_left: bool, hidden: int, a_z: int, a_x: int) -> Branch:
                   parity_z=parity_z, parity_x=parity_x)
 
 
-def _walk(n: int, rng: np.random.Generator) -> Branch:
-    """Sample one branch with the stepwise protocol's draws: the hidden index,
-    then one uniform per PLAN step.  Alice's outcome is 0 when her draw falls
-    below 1/2; Bob's draws are taken and ignored, as the frame fixes his
-    outcomes.  The outcomes go to `_branch` as ints: a bool would share
-    their cache slot and print as false in a transcript."""
+def _frame_branches(n: int) -> tuple[Branch, ...]:
+    """The 16 cached branches on n copies in `distill_exact_branches` order.
+    Their outcomes are ints: a bool would share an int's `_branch` cache slot
+    and print as false in a transcript."""
 
     if n < 2:
         raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
-    hidden = int(rng.integers(1, 5))
-    a_z, _, a_x, _ = rng.random(len(PLAN)).tolist()
-    return _branch(n > 2, hidden, int(a_z >= 0.5), int(a_x >= 0.5))
+    return tuple(_branch(n > 2, hidden, a_z, a_x)
+                 for hidden in (1, 2, 3, 4) for a_z in (0, 1) for a_x in (0, 1))
+
+
+def _sample(n: int, seed: int, start: int, stop: int) -> list[Branch]:
+    """Shots start..stop-1 of the seeded run: shot k is the frame branch at
+    the k-th uniform draw of one stream, so it is the same in every longer run."""
+
+    frame = _frame_branches(n)
+    if start < 0:
+        raise ValueError(f"shot index must be >= 0, got {start}")
+    if stop <= start:
+        raise ValueError(f"shots must be >= 1, got {stop - start}")
+    draws = np.random.default_rng(seed).integers(16, size=stop)
+    return [frame[i] for i in draws[start:].tolist()]
 
 
 def _transcript_rows(outcomes) -> list[dict]:
@@ -279,19 +285,16 @@ class DistillationReport:
 
 
 def run_shot(n: int, shot_index: int, seed: int) -> Branch:
-    """One seeded shot: shot k walks the frame with generator (seed, k), so
-    reports are reproducible bit for bit and shots can run independently.
-    The result is one of the 32 cached branches, not a copy."""
+    """Shot k of the seeded run on n copies, as every longer `distill` run
+    reports it: one of the 32 cached branches, not a copy."""
 
-    return _walk(n, np.random.default_rng([seed, shot_index]))
+    return _sample(n, seed, shot_index, shot_index + 1)[0]
 
 
 def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
-    """Share of `shots` seeded shots on n copies whose announced index is the
-    hidden one."""
+    """Share of the seeded run's shots on n copies announcing the hidden index."""
 
-    return sum(b.guess == b.hidden
-               for b in (run_shot(n, k, seed) for k in range(shots))) / shots
+    return sum(b.guess == b.hidden for b in _sample(n, seed, 0, shots)) / shots
 
 
 def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
@@ -302,9 +305,7 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
     if n < 3:
         raise ValueError("distillation needs n >= 3; for n in {1, 2} the "
                          "yield is 0 ebits (see distill_trivial)")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    branches = [run_shot(n, k, seed) for k in range(shots)]
+    branches = _sample(n, seed, 0, shots)
     fidelities = [b.output_fidelity for b in branches]
     return DistillationReport(
         n=n,
@@ -375,6 +376,4 @@ def distill_exact_branches(n: int) -> BranchAnalysis:
 
     if n < 3:
         raise ValueError("branch analysis needs n >= 3")
-    return BranchAnalysis(n=n, branches=[_branch(True, hidden, a_z, a_x)
-                                         for hidden in (1, 2, 3, 4)
-                                         for a_z in (0, 1) for a_x in (0, 1)])
+    return BranchAnalysis(n=n, branches=list(_frame_branches(n)))

@@ -180,6 +180,10 @@ def test_distill_byte_identical_reruns(runner):
 def test_distill_usage_error(runner):
     assert invoke(runner, ["distill", "--n", "0"]).exit_code == 2
     assert invoke(runner, ["distill", "--n", "3", "--shots", "0"]).exit_code == 2
+    for n in ("2", "3"):  # the zero-yield path checks the seed too
+        result = invoke(runner, ["distill", "--n", n, "--seed", "-1"])
+        assert_usage_error(result)
+        assert "'--seed'" in result.stderr
     data = payload_of(invoke(runner, ["distill", "--n", "7"]))  # no longer capped
     assert (data["pass"], data["ebits_per_shot"], data["success_rate"]) == (True, 5, 1.0)
 
@@ -204,16 +208,17 @@ def test_protocol_has_no_size_cap(runner, command):
 
 
 # sha256 of stdout as printed by earlier code: the stepwise per-shot ket
-# simulation (distill --n 6 --format csv, discriminate) and one emit path per
-# command (verify, sigma-equiv, discriminate --n 4).  The two permutations
-# digests were recorded once the table was built from its Klein x S3
-# factors, and the distill --n 3 digest once the protocol ran in the Bell
-# frame, whose fidelities are exactly 1.0.
+# simulation (discriminate) and one emit path per command (verify,
+# sigma-equiv, discriminate --n 4).  The two permutations digests were
+# recorded once the table was built from its Klein x S3 factors.  The two
+# distill digests were recorded once a seeded run drew every shot's branch
+# from one generator, which changed the sampled transcript and CSV rows;
+# discriminate prints only the rate, so its digests held.
 RECORDED_STDOUT = {
     "distill --n 3 --shots 200 --seed 11":
-        "31efc9d8a191326f1a312eeaace551e228c42d0e1c481baf251fa35fb71c1f29",
+        "63a39202cd120b32d590c33be05354ff9393498f424885b6c87fd41d8adabf03",
     "distill --n 6 --shots 200 --seed 11 --format csv":
-        "c3b5cb9288586499db336b2b1e2748836e7b5643fbe94371a6a3d7720044ff5b",
+        "32fafe0e5f77522415381666bfc8226b37ee91cf203d84367c5afa212b0b25ae",
     "discriminate --n 2 --shots 200 --seed 11":
         "c5cd9613f3663ba7b305eee0849b5163e6cc67fc1a5bd585e9cd17484bb0157b",
     "permutations":
@@ -386,6 +391,9 @@ def test_explore_er_usage_error(runner):
     assert invoke(runner, ["explore", "er", "--n", "2", "--budget", "0"]).exit_code == 2
     assert_usage_error(invoke(runner, ["explore", "er", "--n", "7"]))
     assert_usage_error(invoke(runner, ["explore", "er", "--n", "2", "--restarts", "0"]))
+    result = invoke(runner, ["explore", "er", "--n", "2", "--seed", "-1"])
+    assert_usage_error(result)
+    assert "'--seed'" in result.stderr
 
 
 # --- module entry point --------------------------------------------------------------

@@ -29,11 +29,12 @@ from belldistill.locc import (
     Branch,
     _branch,
     _decode,
+    _frame_branches,
     _measured_axis,
     _project,
     _qubit_label,
     _transcript_rows,
-    _walk,
+    discrimination_rate,
     run_shot,
 )
 
@@ -177,7 +178,7 @@ def test_parity_map_is_the_documented_table():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_discrimination_zero_error_any_seed(seed):
     gen = np.random.default_rng(seed)
-    state = ShotState.sample(2, gen)
+    state = ShotState.prepared(int(gen.integers(1, 5)), 2)
     result = discriminate_two_copies(state, gen)
     assert result.guess == state.hidden
 
@@ -187,7 +188,7 @@ def test_discrimination_large_seeded_run():
     shots = 10_000
     for k in range(shots):
         gen = np.random.default_rng([1234, k])
-        state = ShotState.sample(2, gen)
+        state = ShotState.prepared(int(gen.integers(1, 5)), 2)
         correct += int(discriminate_two_copies(state, gen).guess == state.hidden)
     assert correct == shots
 
@@ -262,9 +263,20 @@ def test_distill_rejects_small_n():
 
 
 def test_protocol_needs_two_copies():
-    for sample in (lambda: run_shot(1, 0, 0), lambda: _walk(1, np.random.default_rng(0))):
+    for sample in (lambda: run_shot(1, 0, 0), lambda: discrimination_rate(1, 10)):
         with pytest.raises(ValueError, match="need n >= 2, got n = 1"):
             sample()
+
+
+@pytest.mark.parametrize("sample, message", [
+    (lambda: distill(3, shots=0), "shots must be >= 1, got 0"),
+    (lambda: discrimination_rate(2, 0), "shots must be >= 1, got 0"),
+    (lambda: discrimination_rate(2, -3), "shots must be >= 1, got -3"),
+    (lambda: run_shot(3, -1, 0), "shot index must be >= 0, got -1"),
+])
+def test_bad_shot_counts_are_value_errors(sample, message):
+    with pytest.raises(ValueError, match=message):
+        sample()
 
 
 def test_shot_records_follow_parity_table():
@@ -275,6 +287,15 @@ def test_shot_records_follow_parity_table():
 
 def test_run_shot_reproducible():
     assert run_shot(5, 17, seed=2) == run_shot(5, 17, seed=2)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_run_shot_is_a_prefix_of_every_longer_run(n):
+    # the branch draws come off one stream in order, so a longer run only
+    # appends shots
+    short, long = distill(n, 40, seed=8).branches, distill(n, 500, seed=8).branches
+    for k in range(40):
+        assert run_shot(n, k, 8) is short[k] is long[k]
 
 
 def test_distill_trivial_n1():
@@ -324,29 +345,15 @@ def test_exact_branch_outcome_structure():
 
 def test_sampled_frequencies_match_exact_branches():
     # 3-sigma binomial agreement between shot sampling and the exact branch
-    # distribution (16 equally likely branches)
+    # distribution: each of the 16 branches has probability 1/16
     shots = 10_000
-    report = distill(3, shots=shots, seed=99)
-    counts = Counter()
-    for r in report.branches:
-        counts[(r.hidden, r.parity_z, r.parity_x)] += 1
+    counts = Counter(distill(3, shots=shots, seed=99).branches)
     analysis = distill_exact_branches(3)
-    exact = Counter()
+    assert set(counts) == set(analysis.branches)
     for b in analysis.branches:
-        outs = {(p, c, bas): o for p, c, bas, o in b.outcomes}
-        pz = outs[("alice", 1, "Z")] ^ outs[("bob", 1, "Z")]
-        px = outs[("alice", 2, "X")] ^ outs[("bob", 2, "X")]
-        exact[(b.hidden, pz, px)] += b.probability
-    # parities are deterministic per hidden index: 4 observable cells of 1/4
-    assert set(counts) == set(exact)
-    for cell, p in exact.items():
+        p = b.probability
         sigma = math.sqrt(p * (1 - p) * shots)
-        assert abs(counts[cell] - p * shots) <= 3 * sigma
-
-
-def _frame_branches(n):
-    return [_branch(n > 2, hidden, a_z, a_x)
-            for hidden in (1, 2, 3, 4) for a_z in (0, 1) for a_x in (0, 1)]
+        assert abs(counts[b] - p * shots) <= 3 * sigma
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -354,7 +361,7 @@ def test_frame_branches_match_ket_tree(n):
     # the frame's 16 branches are the ket tree's leaves, in the same order;
     # the tree's Born values and fidelities carry rounding, the frame's none
     reference = [leaf.branch for leaf in _protocol_tree(n)]
-    frame = _frame_branches(n)
+    frame = list(_frame_branches(n))
     assert len(reference) == len(frame) == 16
     for ref, got in zip(reference, frame):
         assert (got.hidden, got.outcomes, got.guess, got.parity_z, got.parity_x) == (
@@ -370,50 +377,45 @@ def test_frame_branches_match_ket_tree(n):
         assert distill_exact_branches(n).branches == frame
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_tree_walk_matches_stepwise_protocol(n):
-    # a shot sampled in the frame and the stepwise ket simulation take the
-    # same draws from the same generator, so they must agree shot by shot
-    remaining = range(3, n + 1)
-    _branch.cache_clear()  # the first walk fills each slot: its bits must be ints
-    for seed in range(20):
-        for k in range(10):
-            leaf = _walk(n, np.random.default_rng([seed, k]))
-            rng = np.random.default_rng([seed, k])
-            state = ShotState.sample(n, rng)
-            result = discriminate_two_copies(state, rng)
-            assert leaf.hidden == state.hidden
-            assert leaf.outcomes == result.outcomes
-            assert all(type(bit) is int for *_, bit in leaf.outcomes)
-            assert (leaf.guess, leaf.parity_z, leaf.parity_x) == (
-                result.guess, result.parity_z, result.parity_x)
-            assert run_shot(n, k, seed) is leaf
-            if remaining:
-                ket = _corrected(result.state.ket, result.guess, remaining)
-                fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
-                assert leaf.output_fidelity == 1.0
-                assert abs(leaf.output_fidelity - fid) <= 1e-15
-            else:
-                assert leaf.output_fidelity is None
-
-
 class _ScriptedGenerator:
-    """Stands in for a numpy Generator: a fixed hidden index, then the given
-    uniform draws in order."""
+    """Stands in for a numpy Generator: the given uniform draws in order."""
 
-    def __init__(self, hidden, draws):
-        self.hidden, self.draws = hidden, list(draws)
+    def __init__(self, draws):
+        self.draws = list(draws)
 
-    def integers(self, low, high):
-        return self.hidden
-
-    def random(self, size=None):
-        if size is None:
-            return self.draws.pop(0)
-        return np.array([self.draws.pop(0) for _ in range(size)])
+    def random(self):
+        return self.draws.pop(0)
 
 
 LARGEST_DRAW = 1 - 2 ** -53  # the largest value Generator.random() returns
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tree_walk_matches_stepwise_protocol(n):
+    # the stepwise ket simulation, driven to each frame branch by Alice's
+    # draws (0 below 1/2), lands on that branch; Bob's outcomes are forced
+    remaining = range(3, n + 1)
+    _branch.cache_clear()  # the frame fills each slot: its bits must be ints
+    frame = iter(_frame_branches(n))
+    for hidden in (1, 2, 3, 4):
+        for a_z, a_x in itertools.product((0, 1), repeat=2):
+            branch = next(frame)
+            draws = (a_z * LARGEST_DRAW, 0.5, a_x * LARGEST_DRAW, 0.5)
+            result = discriminate_two_copies(ShotState.prepared(hidden, n),
+                                             _ScriptedGenerator(draws))
+            assert branch is _branch(n > 2, hidden, a_z, a_x)
+            assert branch.hidden == hidden
+            assert branch.outcomes == result.outcomes
+            assert all(type(bit) is int for *_, bit in branch.outcomes)
+            assert (branch.guess, branch.parity_z, branch.parity_x) == (
+                result.guess, result.parity_z, result.parity_x)
+            if remaining:
+                ket = _corrected(result.state.ket, result.guess, remaining)
+                fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
+                assert branch.output_fidelity == 1.0
+                assert abs(branch.output_fidelity - fid) <= 1e-15
+            else:
+                assert branch.output_fidelity is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -421,16 +423,15 @@ def test_pruned_outcomes_are_never_taken(n):
     # next to a pruned outcome the stepwise Born probability of outcome 0 is
     # raw (0.9999999999999996, or 5e-34), so the extreme draws 0.0 and
     # 1 - 2^-53 fall on the pruned side unless the sibling is taken instead;
-    # the frame ignores Bob's draws
+    # the frame branch is the one Alice's two draws select
     scripts = [(1, (0.1, 0.1, 0.1, LARGEST_DRAW))]
     scripts += [(hidden, draws) for hidden in (1, 2, 3, 4)
                 for draws in itertools.product((0.0, LARGEST_DRAW), repeat=len(PLAN))]
     for hidden, draws in scripts:
-        leaf = _walk(n, _ScriptedGenerator(hidden, draws))
-        assert isinstance(leaf, Branch)
+        leaf = _branch(n > 2, hidden, int(draws[0] >= 0.5), int(draws[2] >= 0.5))
         assert leaf.guess == leaf.hidden == hidden
-        gen = _ScriptedGenerator(hidden, draws)
-        result = discriminate_two_copies(ShotState.sample(n, gen), gen)
+        result = discriminate_two_copies(ShotState.prepared(hidden, n),
+                                         _ScriptedGenerator(draws))
         assert result.guess == hidden
         assert result.state.ket is not None
         assert result.outcomes == leaf.outcomes
