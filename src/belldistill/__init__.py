@@ -1,7 +1,7 @@
 """Bell-state ensembles, LOCC discrimination/distillation, and
 relative-entropy bounds for the uniform four-Bell mixture."""
 
-from .registers import ALICE, BOB, QubitSpec, RegisterLayout
+from .registers import ALICE, BOB
 from .states import (
     DensityOperator,
     Ket,
@@ -23,7 +23,6 @@ from .entropies import (
 from .bell import (
     BellDiagonalState,
     bell_diagonal_kl,
-    bell_ket,
     bell_product_ket,
     invert_permutation,
     parse_permutation,
@@ -68,12 +67,12 @@ from .locc import (
 )
 
 __all__ = [
-    "ALICE", "BOB", "QubitSpec", "RegisterLayout",
+    "ALICE", "BOB",
     "DensityOperator", "Ket", "apply_local", "dm_from_ensemble", "dm_from_json",
     "dm_to_json", "partial_trace", "partial_transpose", "reorder",
     "fidelity_pure", "herm_eig", "relative_entropy", "trace_distance",
     "von_neumann_entropy",
-    "BellDiagonalState", "bell_diagonal_kl", "bell_ket", "bell_product_ket",
+    "BellDiagonalState", "bell_diagonal_kl", "bell_product_ket",
     "invert_permutation", "parse_permutation", "rho2_power", "rho_n", "sigma_n",
     "smolin_flip_check", "to_dense",
     "ALL_PERMUTATIONS", "LocalUnitaryPair", "PermutationAction",

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .registers import ALICE, BOB, QubitSpec, RegisterLayout, check_dense_size
+from .registers import check_dense_size
 from .states import DensityOperator, Ket, dm_from_ensemble
 
 WEIGHT_SUM_TOL = 1e-12
@@ -44,21 +44,14 @@ def bell_amplitudes(i: int) -> np.ndarray:
     return BELL_AMPLITUDES[check_bell_index(i) - 1]
 
 
-def bell_ket(i: int, copy: int = 1) -> Ket:
-    """The i-th Bell state on the pair (A<copy>, B<copy>)."""
-
-    layout = RegisterLayout((QubitSpec(f"A{copy}", ALICE, copy),
-                             QubitSpec(f"B{copy}", BOB, copy)))
-    return Ket(layout, bell_amplitudes(i).copy())
-
-
 def bell_product_ket(indices: Sequence[int]) -> Ket:
-    """|Phi_s1> x |Phi_s2> x ... on the canonical copy-major register."""
+    """|Phi_s1> x |Phi_s2> x ... on the copy-major register (capped at 12
+    qubits before anything is built)."""
 
     if not indices:
         raise ValueError("need at least one Bell index")
-    rows = map(bell_amplitudes, indices)
-    return Ket(RegisterLayout.bell_pairs(len(indices)), reduce(np.kron, rows))
+    check_dense_size(2 * len(indices))
+    return Ket(reduce(np.kron, map(bell_amplitudes, indices)))
 
 
 _BELL_INDICES = frozenset((1, 2, 3, 4))
@@ -373,11 +366,10 @@ def smolin_flipped_terms() -> list[Ket]:
     """The four flipped product terms |Phi_i>_{A1A2} x |Phi_i>_{B1B2},
     on the canonical A1,B1,A2,B2 register."""
 
-    layout = RegisterLayout.bell_pairs(2)
     terms = []
     for phi in BELL_AMPLITUDES:
         flipped = np.kron(phi, phi).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
-        terms.append(Ket(layout, flipped.transpose(0, 2, 1, 3).reshape(16)))
+        terms.append(Ket(flipped.transpose(0, 2, 1, 3).reshape(16)))
     return terms
 
 

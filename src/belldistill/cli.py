@@ -325,9 +325,9 @@ def sigma_equiv_cmd(perms, method, tol, dump):
             with open(dump, "w") as fh:
                 fh.write(dm_to_json(to_dense(sigma)) + "\n")
         gates = {}
-        for j, perm in enumerate(perm_list, start=1):
+        for j, perm in enumerate(perm_list):
             pair = local_permutation_search(invert_permutation(perm))
-            gates.update({f"A{j}": pair.u_alice, f"B{j}": pair.u_bob})
+            gates.update({2 * j: pair.u_alice, 2 * j + 1: pair.u_bob})
         # gating sigma's four Bell-product kets, not its 4^n x 4^n matrix, is far
         # cheaper and leaves no rounding entries that join the matrix's blocks
         mapped = dm_from_ensemble((w, apply_local(bell_product_ket(s), gates))

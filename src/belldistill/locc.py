@@ -29,8 +29,6 @@ Born probability was pruned (below 1e-14).  Both record a measurement as a
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from functools import cache
@@ -42,7 +40,7 @@ from .bell import (bell_amplitudes, bell_product_ket, check_bell_index, rho_n,
 from .entropies import trace_distance
 from .measures import PptReport, ppt_check
 from .permutations import H, I2, PAULIS, X, Z, LocalUnitaryPair
-from .registers import ALICE, BOB, RegisterLayout
+from .registers import ALICE, BOB
 from .states import DensityOperator, Ket
 
 
@@ -63,24 +61,23 @@ class ShotState:
 
     @property
     def n(self) -> int:
-        return self.ket.layout.n_copies
+        return self.ket.n_qubits // 2
 
     @classmethod
     def prepared(cls, hidden: int, n: int) -> "ShotState":
         return cls(hidden=hidden, ket=bell_product_ket((hidden,) * n))
 
 
-def _qubit_label(layout: RegisterLayout, party: str, copy: int) -> str:
-    labels = [q.label for q in layout.qubits if q.owner == party and q.copy == copy]
-    if len(labels) != 1:
-        raise ValueError(f"party {party!r} must own exactly one qubit of copy {copy}")
-    return labels[0]
-
-
 def _measured_axis(state: ShotState, party: str, copy: int) -> int:
+    """Axis of `party`'s qubit of `copy`: 2 * (copy - 1), plus 1 for Bob."""
+
+    if party not in (ALICE, BOB):
+        raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
+    if copy not in range(1, state.n + 1):
+        raise ValueError(f"copy must be in 1..{state.n}, got {copy}")
     if copy in state.consumed:
         raise ValueError(f"copy {copy} has already been consumed")
-    return state.ket.layout.index_of(_qubit_label(state.ket.layout, party, copy))
+    return 2 * (copy - 1) + (party == BOB)
 
 
 def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket | None]:
@@ -102,7 +99,7 @@ def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket 
     if basis == "X":
         post = np.dot(H, post)
     post = np.moveaxis(post.reshape(t.shape), 0, axis)
-    return prob, Ket(ket.layout, post.reshape(ket.layout.dim))
+    return prob, Ket(post.reshape(-1))
 
 
 def measure_local(state: ShotState, party: str, copy: int, basis: str,
@@ -275,13 +272,16 @@ class DistillationReport:
                   "correct", "ebits", "fidelity"]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_HEADER)
-        for k, b in enumerate(self.branches):
-            writer.writerow([k, b.hidden, b.guess, b.parity_z, b.parity_x,
-                             int(b.guess == b.hidden), self.n - 2, f"{b.output_fidelity:.15f}"])
-        return buf.getvalue()
+        """Header and one row per shot.  Every shot is one of the 16 cached
+        frame branches, so each branch's row after the shot number is
+        rendered once; no field needs CSV quoting."""
+
+        row = {id(b): f"{b.hidden},{b.guess},{b.parity_z},{b.parity_x},"
+                      f"{int(b.guess == b.hidden)},{self.n - 2},{b.output_fidelity:.15f}"
+               for b in _frame_branches(self.n)}
+        lines = [",".join(self.CSV_HEADER)]
+        lines += [f"{k},{row[id(b)]}" for k, b in enumerate(self.branches)]
+        return "\n".join(lines) + "\n"
 
 
 def run_shot(n: int, shot_index: int, seed: int) -> Branch:
@@ -306,15 +306,15 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
         raise ValueError("distillation needs n >= 3; for n in {1, 2} the "
                          "yield is 0 ebits (see distill_trivial)")
     branches = _sample(n, seed, 0, shots)
-    fidelities = [b.output_fidelity for b in branches]
+    fidelities = [b.output_fidelity for b in branches]  # each exactly 0.0 or 1.0
     return DistillationReport(
         n=n,
         shots=shots,
         seed=seed,
         success_rate=sum(b.guess == b.hidden for b in branches) / shots,
         ebits_per_shot=n - 2,
-        mean_fidelity=float(np.mean(fidelities)),
-        min_fidelity=float(np.min(fidelities)),
+        mean_fidelity=sum(fidelities) / shots,
+        min_fidelity=min(fidelities),
         branches=branches,
         transcript_sample=_transcript_rows(branches[0].outcomes),
     )
@@ -349,7 +349,7 @@ def distill_trivial(n: int) -> TrivialReport:
 
     if n == 1:
         rho1 = to_dense(rho_n(1))
-        mixed = DensityOperator(rho1.layout, np.eye(4, dtype=complex) / 4.0)
+        mixed = DensityOperator(np.eye(4, dtype=complex) / 4.0)
         return TrivialReport(n=1, ebits=0,
                              distance_to_maximally_mixed=trace_distance(rho1, mixed))
     if n == 2:

@@ -32,7 +32,7 @@ from .entropies import (
     _spectrum,
     shannon_bits,
 )
-from .registers import BOB, RegisterLayout
+from .registers import check_dense_size
 from .states import DensityOperator, partial_transpose
 
 
@@ -183,9 +183,10 @@ class PptReport:
 
 
 def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
-    """Ascending spectrum of the partial transpose over Bob's qubits."""
+    """Ascending spectrum of the partial transpose over Bob's qubits, the
+    odd axes."""
 
-    return _spectrum(partial_transpose(rho, rho.layout.owner_labels(BOB)))
+    return _spectrum(partial_transpose(rho, range(1, rho.n_qubits, 2)))
 
 
 def ppt_check(rho: DensityOperator) -> PptReport:
@@ -216,6 +217,9 @@ def sample_separable(n: int, terms: int, seed: int | None = 0,
 
     if terms < 1:
         raise ValueError("need at least one product term")
+    if n < 1:
+        raise ValueError(f"need at least one copy, got n={n}")
+    check_dense_size(2 * n)
     if rng is None:
         rng = np.random.default_rng(seed)
     d = 2 ** n
@@ -226,7 +230,7 @@ def sample_separable(n: int, terms: int, seed: int | None = 0,
         v = np.kron(_random_pure(rng, d), _random_pure(rng, d))
         v = v.reshape((2,) * (2 * n)).transpose(copy_major).reshape(d * d)
         sigma += w * np.outer(v, v.conj())
-    return DensityOperator(RegisterLayout.bell_pairs(n), sigma)
+    return DensityOperator(sigma)
 
 
 def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalState:

@@ -58,7 +58,7 @@ class LocalUnitaryPair:
             if u.shape != (2, 2):
                 raise ValueError(f"{side} operator must be 2x2")
             err = float(np.max(np.abs(u.conj().T @ u - I2)))
-            if err > UNITARY_TOL * 10:
+            if not err <= UNITARY_TOL * 10:  # NaN fails too
                 raise ValueError(f"{side} operator is not unitary (error {err:.2e})")
             u.flags.writeable = False
             object.__setattr__(self, f"u_{side}", u)

@@ -1,8 +1,8 @@
-"""Pure and mixed states on labeled qubit registers.
+"""Pure and mixed states on the implicit copy-major register.
 
-Kets and density operators carry their RegisterLayout; all axis bookkeeping
-(partial trace, partial transpose, reordering, local gates) is derived from
-the layout rather than hand-coded index maps.
+A state's array fixes its register: q = log2(dim) qubits, big-endian, with
+axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
+partial transpose, reordering and local gates take qubit axes as ints.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .registers import RegisterLayout, check_dense_size
+from .registers import ALICE, BOB, check_dense_size
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
@@ -21,10 +21,14 @@ EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-def _frozen_array(a, shape, copy: bool = True) -> np.ndarray:
+def _frozen_array(a, ndim: int, copy: bool = True) -> np.ndarray:
+    """`a` as a frozen complex array of `ndim` axes of length 2^q, 1 <= q <= 12."""
+
     arr = np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+    d = arr.shape[0] if arr.ndim else 0
+    if arr.shape != (d,) * ndim or d < 2 or d & (d - 1):
+        raise ValueError(f"expected {ndim} axes of length 2^q with q >= 1, got shape {arr.shape}")
+    check_dense_size(d.bit_length() - 1)
     arr.flags.writeable = False
     return arr
 
@@ -35,40 +39,45 @@ def _check_trace(m: np.ndarray) -> None:
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
 
+def _check_axes(axes: Iterable[int], n_qubits: int) -> list[int]:
+    axes = list(axes)
+    if len(set(axes)) != len(axes) or not all(ax in range(n_qubits) for ax in axes):
+        raise ValueError(f"qubit axes must be distinct and in 0..{n_qubits - 1}, got {axes}")
+    return [int(ax) for ax in axes]
+
+
 @dataclass(frozen=True)
 class Ket:
-    """Normalized pure state over a labeled register."""
+    """Normalized pure state on q qubits."""
 
-    layout: RegisterLayout
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        check_dense_size(self.layout.n_qubits)
-        amps = _frozen_array(self.amplitudes, (self.layout.dim,))
+        amps = _frozen_array(self.amplitudes, 1)
         object.__setattr__(self, "amplitudes", amps)
         norm2 = float(np.vdot(amps, amps).real)
         if not abs(norm2 - 1.0) <= NORM_TOL * 10:
             raise ValueError(f"ket is not normalized: |psi|^2 = {norm2}")
 
+    @property
+    def n_qubits(self) -> int:
+        return len(self.amplitudes).bit_length() - 1
+
     def tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.layout.n_qubits)
+        return self.amplitudes.reshape((2,) * self.n_qubits)
 
     def to_dm(self) -> "DensityOperator":
-        return DensityOperator._trusted(self.layout,
-                                        np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator on a register."""
+    """Hermitian, positive semidefinite, unit-trace operator on q qubits."""
 
-    layout: RegisterLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_dense_size(self.layout.n_qubits)
-        d = self.layout.dim
-        m = _frozen_array(self.matrix, (d, d))
+        m = _frozen_array(self.matrix, 2)
         object.__setattr__(self, "matrix", m)
         herm_err = float(np.max(np.abs(m - m.conj().T)))
         if not herm_err <= HERM_TOL * 10:
@@ -78,35 +87,37 @@ class DensityOperator:
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")
 
+    @property
+    def n_qubits(self) -> int:
+        return len(self.matrix).bit_length() - 1
+
     @classmethod
-    def _trusted(cls, layout: RegisterLayout, matrix: np.ndarray) -> "DensityOperator":
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Wrap a matrix built from valid states by an operation that keeps it
         Hermitian and positive semidefinite: only the size, shape and trace
         are checked, and the fresh array is frozen in place, not copied."""
 
-        check_dense_size(layout.n_qubits)
-        m = _frozen_array(matrix, (layout.dim, layout.dim), copy=False)
+        m = _frozen_array(matrix, 2, copy=False)
         _check_trace(m)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "layout", layout)
         object.__setattr__(rho, "matrix", m)
         return rho
 
 
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
-    """Mixture sum(w_k |psi_k><psi_k|) of kets sharing one layout."""
+    """Mixture sum(w_k |psi_k><psi_k|) of kets on one register."""
 
     members = list(members)
     if not members:
         raise ValueError("ensemble must not be empty")
-    layout = members[0][1].layout
+    d = len(members[0][1].amplitudes)
     total = 0.0
-    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
+    rho = np.zeros((d, d), dtype=complex)
     for w, psi in members:
         if w < 0:
             raise ValueError(f"negative ensemble weight {w}")
-        if psi.layout != layout:
-            raise ValueError("all ensemble members must share a layout")
+        if len(psi.amplitudes) != d:
+            raise ValueError("all ensemble members must have the same number of qubits")
         total += w
         # only the ket's support is touched; outside it the full outer product
         # would add exact zeros, so every entry gets the same arithmetic
@@ -115,7 +126,7 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    return DensityOperator._trusted(layout, rho)
+    return DensityOperator._trusted(rho)
 
 
 def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
@@ -167,20 +178,16 @@ def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
     return groups
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Trace out every qubit not in `keep`; kept qubits keep their order."""
+def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
+    """Trace out every qubit axis not in `keep`; the kept axes stay in
+    ascending order."""
 
-    layout = rho.layout
-    keep_set = set(keep)
-    missing = keep_set - set(layout.labels)
-    if missing:
-        raise ValueError(f"unknown qubit labels {sorted(missing)}")
-    if keep_set == set(layout.labels):
+    n = rho.n_qubits
+    keep_axes = sorted(_check_axes(keep, n))
+    if len(keep_axes) == n:
         return rho
-    if not keep_set:
+    if not keep_axes:
         raise ValueError("must keep at least one qubit")
-    n = layout.n_qubits
-    keep_axes = [k for k, q in enumerate(layout.qubits) if q.label in keep_set]
     drop_axes = [k for k in range(n) if k not in keep_axes]
 
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -192,8 +199,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     t = rho.matrix.reshape((2,) * (2 * n))
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
     d = 2 ** len(keep_axes)
-    sub = layout.subset(keep_set)
-    return DensityOperator._trusted(sub, reduced.reshape(d, d))
+    return DensityOperator._trusted(reduced.reshape(d, d))
 
 
 def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int,
@@ -204,33 +210,32 @@ def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int,
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n_qubits} qubits")
     perm = list(range(2 * n_qubits))
-    for ax in axes:
+    for ax in _check_axes(axes, n_qubits):
         perm[ax], perm[n_qubits + ax] = perm[n_qubits + ax], perm[ax]
     t = matrix.reshape((2,) * (2 * n_qubits))
     return t.transpose(perm).reshape(d, d)
 
 
-def partial_transpose(rho: DensityOperator, subset: Iterable[str]) -> np.ndarray:
-    """Partial transpose over `subset`.  Result is Hermitian and unit-trace
-    but generally not positive, so a raw matrix is returned."""
+def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
+    """Partial transpose over the given qubit axes.  Result is Hermitian and
+    unit-trace but generally not positive, so a raw matrix is returned."""
 
-    axes = rho.layout.axes_of(subset)
-    return partial_transpose_matrix(rho.matrix, rho.layout.n_qubits, axes)
+    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes)
 
 
-def reorder(state: Ket | DensityOperator, new_order: Sequence[str]):
-    """Rewrite a state on the same register with qubits listed in a new order."""
+def reorder(state: Ket | DensityOperator, new_order: Sequence[int]):
+    """The same state with its qubit axes listed in a new order: axis k of
+    the result is axis new_order[k] of `state`."""
 
-    layout = state.layout
-    new_layout = layout.reordered(new_order)
-    perm = [layout.index_of(l) for l in new_order]
-    n = layout.n_qubits
+    n = state.n_qubits
+    perm = _check_axes(new_order, n)
+    if len(perm) != n:
+        raise ValueError(f"new order must list all {n} qubit axes, got {perm}")
     if isinstance(state, Ket):
-        t = state.tensor_view().transpose(perm)
-        return Ket(new_layout, t.reshape(layout.dim))
+        return Ket(state.tensor_view().transpose(perm).reshape(-1))
     t = state.matrix.reshape((2,) * (2 * n))
     t = t.transpose(perm + [n + p for p in perm])
-    return DensityOperator._trusted(new_layout, t.reshape(layout.dim, layout.dim))
+    return DensityOperator._trusted(t.reshape(state.matrix.shape))
 
 
 def _apply_gate_axis(tensor: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
@@ -240,42 +245,38 @@ def _apply_gate_axis(tensor: np.ndarray, gate: np.ndarray, axis: int) -> np.ndar
 
 
 def apply_local(state: Ket | DensityOperator,
-                gates: Mapping[str, np.ndarray]):
-    """Apply one-qubit gates (label -> 2x2 unitary) to a state."""
+                gates: Mapping[int, np.ndarray]):
+    """Apply one-qubit gates (qubit axis -> 2x2 unitary) to a state, in the
+    mapping's order."""
 
-    layout = state.layout
-    n = layout.n_qubits
+    n = state.n_qubits
     ops = []
-    for label, g in gates.items():
+    for ax, g in zip(_check_axes(gates, n), gates.values()):
         g = np.asarray(g, dtype=complex)
         if g.shape != (2, 2):
-            raise ValueError(f"gate for {label!r} must be 2x2")
-        ops.append((layout.index_of(label), g))
+            raise ValueError(f"gate for axis {ax} must be 2x2")
+        ops.append((ax, g))
     if isinstance(state, Ket):
         t = state.tensor_view()
         for ax, g in ops:
             t = _apply_gate_axis(t, g, ax)
-        return Ket(layout, t.reshape(layout.dim))
+        return Ket(t.reshape(-1))
     t = state.matrix.reshape((2,) * (2 * n))
     for ax, g in ops:
         t = _apply_gate_axis(t, g, ax)
         t = _apply_gate_axis(t, g.conj(), n + ax)
-    return DensityOperator._trusted(layout, t.reshape(layout.dim, layout.dim))
+    return DensityOperator._trusted(t.reshape(state.matrix.shape))
 
 
 # --- JSON exchange format -------------------------------------------------
 #
-# Complex entries are [re, im] pairs, matrices row-major, and the layout is
-# embedded so a dump is self-describing.
+# Complex entries are [re, im] pairs, matrices row-major, and the register
+# (label, owner and copy of each axis) is written out so a dump is
+# self-describing.
 
-def _layout_to_json(layout: RegisterLayout) -> list[dict]:
-    return [{"label": q.label, "owner": q.owner, "copy": q.copy} for q in layout.qubits]
-
-
-def _layout_from_json(data: list[dict]) -> RegisterLayout:
-    from .registers import QubitSpec
-
-    return RegisterLayout(tuple(QubitSpec(d["label"], d["owner"], d["copy"]) for d in data))
+def _qubits_json(n_qubits: int) -> list[dict]:
+    return [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
+             "copy": ax // 2 + 1} for ax in range(n_qubits)]
 
 
 def _complex_out(z: complex) -> list[float]:
@@ -285,7 +286,7 @@ def _complex_out(z: complex) -> list[float]:
 def dm_to_json(rho: DensityOperator) -> str:
     payload = {
         "kind": "density_operator",
-        "qubits": _layout_to_json(rho.layout),
+        "qubits": _qubits_json(rho.n_qubits),
         "matrix": [[_complex_out(z) for z in row] for row in rho.matrix],
     }
     return json.dumps(payload, sort_keys=True)
@@ -295,6 +296,9 @@ def dm_from_json(text: str) -> DensityOperator:
     data = json.loads(text)
     if data.get("kind") != "density_operator":
         raise ValueError("not a density operator payload")
-    layout = _layout_from_json(data["qubits"])
     m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    return DensityOperator(layout, m)
+    rho = DensityOperator(m)
+    if data["qubits"] != _qubits_json(rho.n_qubits):
+        raise ValueError("qubits must list the copy-major register A1, B1, A2, B2, ... "
+                         "of the matrix")
+    return rho

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from belldistill import DensityOperator, Ket, RegisterLayout
+from belldistill import DensityOperator, Ket
 
 
 @pytest.fixture
@@ -9,13 +9,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_density(layout: RegisterLayout, rng: np.random.Generator) -> DensityOperator:
-    """Ginibre-random full-rank density operator on the given register."""
+def random_density(n_qubits: int, rng: np.random.Generator) -> DensityOperator:
+    """Ginibre-random full-rank density operator on n_qubits qubits."""
 
-    d = layout.dim
+    d = 2 ** n_qubits
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityOperator(layout, m / m.trace())
+    return DensityOperator(m / m.trace())
 
 
 def kron_state(a, b):
@@ -23,10 +23,9 @@ def kron_state(a, b):
     the reference that states built on the copy-major register are checked
     against."""
 
-    layout = RegisterLayout(a.layout.qubits + b.layout.qubits)
     if isinstance(a, Ket):
-        return Ket(layout, np.kron(a.amplitudes, b.amplitudes))
-    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
+        return Ket(np.kron(a.amplitudes, b.amplitudes))
+    return DensityOperator(np.kron(a.matrix, b.matrix))
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator, support: int | None = None):

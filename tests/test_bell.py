@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from hypothesis import strategies as st
 from belldistill import (
     BellDiagonalState,
     Ket,
-    RegisterLayout,
     bell_diagonal_kl,
-    bell_ket,
     bell_product_ket,
     dm_from_ensemble,
     invert_permutation,
@@ -42,27 +41,27 @@ SQ2 = 1 / math.sqrt(2)
 
 
 def test_bell_ket_amplitude_vectors():
-    assert np.allclose(bell_ket(1).amplitudes, [SQ2, 0, 0, SQ2])
-    assert np.allclose(bell_ket(2).amplitudes, [SQ2, 0, 0, -SQ2])
-    assert np.allclose(bell_ket(3).amplitudes, [0, SQ2, SQ2, 0])
-    assert np.allclose(bell_ket(4).amplitudes, [0, SQ2, -SQ2, 0])
+    assert np.allclose(bell_product_ket((1,)).amplitudes, [SQ2, 0, 0, SQ2])
+    assert np.allclose(bell_product_ket((2,)).amplitudes, [SQ2, 0, 0, -SQ2])
+    assert np.allclose(bell_product_ket((3,)).amplitudes, [0, SQ2, SQ2, 0])
+    assert np.allclose(bell_product_ket((4,)).amplitudes, [0, SQ2, -SQ2, 0])
 
 
 def test_bell_kets_orthonormal():
     for i in range(1, 5):
         for j in range(1, 5):
-            ov = np.vdot(bell_ket(i).amplitudes, bell_ket(j).amplitudes)
+            ov = np.vdot(bell_product_ket((i,)).amplitudes, bell_product_ket((j,)).amplitudes)
             assert abs(ov - (1.0 if i == j else 0.0)) < 1e-15
 
 
 def test_bell_index_range_checked():
     with pytest.raises(ValueError, match="1..4"):
-        bell_ket(5)
+        bell_product_ket((5,))
 
 
 def test_rho_n_dense_n1_is_maximally_mixed():
     assert np.allclose(to_dense(rho_n(1)).matrix, np.eye(4) / 4, atol=1e-14)
-    marginal = partial_trace(to_dense(rho_n(1)), ["A1"])
+    marginal = partial_trace(to_dense(rho_n(1)), [0])
     assert np.allclose(marginal.matrix, np.eye(2) / 2, atol=1e-14)
 
 
@@ -262,13 +261,10 @@ def test_smolin_flip_residual_zero():
 def test_smolin_flipped_terms_match_relabeled_reference():
     # the terms as first built: Bell pairs on (A1,A2) and (B1,B2), joined and
     # relabeled into the copy-major order
-    canonical = RegisterLayout.bell_pairs(2)
-    a1, b1, a2, b2 = canonical.qubits
     for term, phi in zip(smolin_flipped_terms(), BELL_AMPLITUDES):
-        flipped = kron_state(Ket(RegisterLayout((a1, a2)), phi),
-                             Ket(RegisterLayout((b1, b2)), phi))
-        reference = reorder(flipped, canonical.labels)
-        assert term.layout == canonical
+        flipped = kron_state(Ket(phi), Ket(phi))  # axes A1,A2,B1,B2
+        reference = reorder(flipped, [0, 2, 1, 3])
+        assert term.n_qubits == 4
         assert np.array_equal(term.amplitudes, reference.amplitudes)
 
 
@@ -279,15 +275,28 @@ def test_bell_product_ket_matches_joined_pair_kets(rng):
         strings += [tuple(rng.integers(1, 5, size=n).tolist()) for _ in range(4)]
         for s in strings:
             reference = functools.reduce(
-                kron_state, [bell_ket(i, copy=j) for j, i in enumerate(s, start=1)])
+                kron_state, [bell_product_ket((i,)) for i in s])
             psi = bell_product_ket(s)
-            assert psi.layout == reference.layout == RegisterLayout.bell_pairs(n)
+            assert psi.n_qubits == reference.n_qubits == 2 * n
             assert np.array_equal(psi.amplitudes, reference.amplitudes), s
+
+
+def test_bell_product_ket_checks_the_cap_before_building():
+    # 18 qubits: the cap must apply before the Kronecker chain (4 MiB at its
+    # end) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            bell_product_ket((1,) * 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_smolin_flipped_terms_are_products_across_cut():
     for term in smolin_flipped_terms():
-        alice_part = partial_trace(term.to_dm(), ["A1", "A2"]).matrix
+        alice_part = partial_trace(term.to_dm(), [0, 2]).matrix
         # a pure reduced state (Tr rho_A^2 = 1) means a product across the cut
         purity = float(np.real(np.trace(alice_part @ alice_part)))
         assert purity == pytest.approx(1.0, abs=1e-12)

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from belldistill import rho_n, to_dense
 from belldistill.cli import main
-from belldistill.states import dm_from_json
+from belldistill.states import dm_from_json, dm_to_json
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -294,8 +296,28 @@ def test_separability_n2_with_dump(runner, tmp_path):
     data = payload_of(result)
     assert data["is_ppt"] is True
     assert data["smolin_residual"] <= 1e-10
-    rho = dm_from_json(dump.read_text())
-    assert rho.layout.labels == ("A1", "B1", "A2", "B2")
+    text = dump.read_text()
+    rho = dm_from_json(text)
+    assert dm_to_json(rho) + "\n" == text
+    assert np.array_equal(rho.matrix, to_dense(rho_n(2)).matrix)
+
+
+# sha256 of the files written by --dump, recorded while each qubit was a
+# labeled object; the register is now implied by the matrix and the bytes held.
+RECORDED_DUMPS = {
+    "separability --n 2":
+        "6f14d040c54c8555463a6941e37e6fe581c631b9586047a387fcf1533ad6fb56",
+    "sigma-equiv --perms 2134,3412 --method dense":
+        "112d21cb873a72e76605ea148a8f5e35dfea3d6af7f81bfcb93ee199510826d1",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RECORDED_DUMPS))
+def test_dump_matches_recorded_digest(runner, tmp_path, args):
+    dump = tmp_path / "state.json"
+    result = invoke(runner, [*args.split(), "--dump", str(dump)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == RECORDED_DUMPS[args]
 
 
 def test_separability_n1(runner):
@@ -370,6 +392,15 @@ def test_sigma_equiv_usage_errors(runner):
     assert "capped at 12 qubits" in result.stderr
     for tol in ("-1", "nan", "inf"):
         assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", tol]))
+
+
+def test_sigma_equiv_dense_checks_the_cap_before_building(runner):
+    # 30 qubits: each Bell-product ket would be 16 GiB if it were built
+    # before the cap applied
+    perms = ",".join(["2134", "3412", "4321"] * 5)
+    result = invoke(runner, ["sigma-equiv", "--perms", perms, "--method", "dense"])
+    assert_usage_error(result)
+    assert "capped at 12 qubits (got 30)" in result.stderr
 
 
 # --- explore -----------------------------------------------------------------------

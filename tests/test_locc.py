@@ -32,7 +32,6 @@ from belldistill.locc import (
     _frame_branches,
     _measured_axis,
     _project,
-    _qubit_label,
     _transcript_rows,
     discrimination_rate,
     run_shot,
@@ -71,16 +70,14 @@ def _corrected(ket, guess, copies):
     if guess == 1 or not copies:
         return ket  # identity correction
     u = correction_unitary(guess).u_alice
-    return apply_local(ket, {_qubit_label(ket.layout, "alice", c): u for c in copies})
+    return apply_local(ket, {2 * (c - 1): u for c in copies})  # Alice's axes
 
 
 def _remaining_copy_fidelity(ket, copy):
     """<Phi1| rho_copy |Phi1> for one copy's reduced state, from the ket tensor."""
 
-    layout = ket.layout
-    ax_a = layout.index_of(_qubit_label(layout, "alice", copy))
-    ax_b = layout.index_of(_qubit_label(layout, "bob", copy))
-    moved = np.moveaxis(ket.tensor_view(), (ax_a, ax_b), (0, 1)).reshape(4, -1)
+    ax_a = 2 * (copy - 1)  # Alice's qubit; Bob's is the next axis
+    moved = np.moveaxis(ket.tensor_view(), (ax_a, ax_a + 1), (0, 1)).reshape(4, -1)
     reduced = moved @ moved.conj().T
     phi1 = bell_amplitudes(1)
     return float(np.real(phi1.conj() @ reduced @ phi1))
@@ -158,6 +155,17 @@ def test_measure_consumed_copy_rejected(rng):
     result = discriminate_two_copies(state, rng)
     with pytest.raises(ValueError, match="consumed"):
         measure_local(result.state, "alice", 1, "Z", rng)
+
+
+def test_measured_axis_is_copy_major(rng):
+    state = ShotState.prepared(1, 3)
+    axes = [_measured_axis(state, party, c) for c in (1, 2, 3) for party in ("alice", "bob")]
+    assert axes == list(range(6))
+    for party, copy, message in (("carol", 1, "party must be 'alice' or 'bob'"),
+                                 ("alice", 0, r"copy must be in 1\.\.3, got 0"),
+                                 ("bob", 4, r"copy must be in 1\.\.3, got 4")):
+        with pytest.raises(ValueError, match=message):
+            measure_local(state, party, copy, "Z", rng)
 
 
 def test_measure_exact_probabilities():
@@ -441,8 +449,8 @@ def test_output_copy_entropy_is_one_ebit():
     # entanglement entropy of one distilled copy's Alice marginal, on the
     # reference tree's corrected ket
     ket = _protocol_tree(3)[0].ket
-    copy_dm = partial_trace(ket.to_dm(), ["A3", "B3"])
-    assert von_neumann_entropy(partial_trace(copy_dm, ["A3"])) == pytest.approx(1.0, abs=1e-12)
+    copy_dm = partial_trace(ket.to_dm(), [4, 5])  # A3, B3
+    assert von_neumann_entropy(partial_trace(copy_dm, [0])) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

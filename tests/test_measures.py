@@ -8,10 +8,8 @@ from belldistill import (
     BellDiagonalState,
     DensityOperator,
     Ket,
-    RegisterLayout,
     apply_local,
     bell_diagonal_kl,
-    bell_ket,
     bell_product_ket,
     er_bound_even,
     er_bound_odd_doubled,
@@ -105,13 +103,13 @@ def test_ppt_examples():
     r2 = ppt_check(to_dense(rho_n(2)))
     assert r2.is_ppt and r2.min_eigenvalue >= -1e-10
 
-    bell = ppt_check(bell_ket(1).to_dm())
+    bell = ppt_check(bell_product_ket((1,)).to_dm())
     assert not bell.is_ppt
     assert bell.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_log_negativity_examples():
-    assert log_negativity(bell_ket(1).to_dm()) == pytest.approx(1.0, abs=1e-12)
+    assert log_negativity(bell_product_ket((1,)).to_dm()) == pytest.approx(1.0, abs=1e-12)
     assert log_negativity(to_dense(rho_n(2))) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -143,16 +141,25 @@ def test_sample_separable_single_term_is_pure_product():
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_sample_separable_checks_the_cap_before_allocating():
+    # 14 qubits would be a 16384 x 16384 complex matrix (4 GiB)
+    with pytest.raises(ValueError, match="capped at 12 qubits"):
+        sample_separable(7, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one copy"):
+            sample_separable(n, 1)
+
+
 def test_sample_separable_reproducible():
     a = sample_separable(2, terms=8, seed=11)
     b = sample_separable(2, terms=8, seed=11)
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def _block_layout(n):
-    canonical = RegisterLayout.bell_pairs(n)
-    return canonical.reordered([f"A{j}" for j in range(1, n + 1)]
-                               + [f"B{j}" for j in range(1, n + 1)])
+def _block_order(n):
+    """Axis order that takes a state on A1..An,B1..Bn to A1,B1,...,An,Bn."""
+
+    return [ax for j in range(n) for ax in (j, n + j)]
 
 
 def test_sample_separable_matches_relabeled_block_mixture():
@@ -167,10 +174,8 @@ def test_sample_separable_matches_relabeled_block_mixture():
                 for w in rng.dirichlet(np.ones(terms)):
                     v = np.kron(measures._random_pure(rng, d), measures._random_pure(rng, d))
                     sigma += w * np.outer(v, v.conj())
-                reference = reorder(DensityOperator(_block_layout(n), sigma),
-                                    RegisterLayout.bell_pairs(n).labels)
+                reference = reorder(DensityOperator(sigma), _block_order(n))
                 sampled = sample_separable(n, terms=terms, seed=seed)
-                assert sampled.layout == reference.layout
                 assert np.array_equal(sampled.matrix, reference.matrix), (n, seed, terms)
 
 
@@ -179,7 +184,7 @@ def test_dense_builders_make_no_intermediate_kets(monkeypatch):
     real = Ket.__post_init__
 
     def counting(self):
-        made.append(self.layout.n_qubits)
+        made.append(len(self.amplitudes).bit_length() - 1)
         real(self)
 
     monkeypatch.setattr(Ket, "__post_init__", counting)
@@ -232,25 +237,24 @@ def _certificate(report) -> DensityOperator:
     average over the Klein permutations applied to every copy."""
 
     n = report.n
-    canonical = RegisterLayout.bell_pairs(n)
-    product = reorder(Ket(_block_layout(n), np.kron(report.alice_state, report.bob_state)),
-                      canonical.labels).to_dm()
+    product = reorder(Ket(np.kron(report.alice_state, report.bob_state)),
+                      _block_order(n)).to_dm()
     paulis = (I2, X, Z, X @ Z)
     twirled = np.zeros_like(product.matrix)
     for string in itertools.product(paulis, repeat=n):
         gates = {}
-        for j, p in enumerate(string, start=1):
-            gates[f"A{j}"], gates[f"B{j}"] = p, p.conj()
+        for j, p in enumerate(string):
+            gates[2 * j], gates[2 * j + 1] = p, p.conj()
         twirled += apply_local(product, gates).matrix / 4 ** n
-    twirled = DensityOperator(canonical, twirled)
+    twirled = DensityOperator(twirled)
     sigma = np.zeros_like(twirled.matrix)
     for perm in ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)):
         pair = local_permutation_search(perm)
         gates = {}
-        for j in range(1, n + 1):
-            gates[f"A{j}"], gates[f"B{j}"] = pair.u_alice, pair.u_bob
+        for j in range(n):
+            gates[2 * j], gates[2 * j + 1] = pair.u_alice, pair.u_bob
         sigma += apply_local(twirled, gates).matrix / 4
-    return DensityOperator(canonical, sigma)
+    return DensityOperator(sigma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -38,6 +38,17 @@ def test_non_unitary_rejected():
         LocalUnitaryPair(np.array([[1, 0], [0, 2.0]]), I2)
 
 
+@pytest.mark.parametrize("side", ["alice", "bob"])
+@pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([1.0, np.nan]),
+                                 np.array([[np.inf, 0], [0, 1]])])
+def test_nan_operator_rejected(side, bad):
+    # a comparison with NaN is False, so the check must fail unless it holds
+    args = (bad, I2) if side == "alice" else (I2, bad)
+    with pytest.raises(ValueError, match=f"{side} operator is not unitary \\(error nan\\)"), \
+            np.errstate(invalid="ignore"):
+        LocalUnitaryPair(*args)
+
+
 def test_pauli_pairs_give_expected_permutations():
     assert permutation_action(LocalUnitaryPair(Z, I2)).perm == (2, 1, 4, 3)
     assert permutation_action(LocalUnitaryPair(X, I2)).perm == (3, 4, 1, 2)

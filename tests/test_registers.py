@@ -1,34 +1,25 @@
+import json
+
+import numpy as np
 import pytest
 
-from belldistill import QubitSpec, RegisterLayout
+from belldistill import bell_product_ket, dm_to_json, partial_trace
+from belldistill.bell import bell_amplitudes
 from belldistill.registers import check_dense_size
 
 
 def test_bell_pairs_layout_is_copy_major():
-    layout = RegisterLayout.bell_pairs(3)
-    assert layout.labels == ("A1", "B1", "A2", "B2", "A3", "B3")
-    assert layout.n_qubits == 6
-    assert layout.n_copies == 3
-    assert layout.owner_labels("alice") == ("A1", "A2", "A3")
-
-
-def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        RegisterLayout((QubitSpec("A1", "alice", 1), QubitSpec("A1", "bob", 1)))
-
-
-def test_bad_owner_rejected():
-    with pytest.raises(ValueError, match="owner"):
-        QubitSpec("A1", "carol", 1)
-
-
-def test_index_and_subset():
-    layout = RegisterLayout.bell_pairs(2)
-    assert layout.index_of("A2") == 2
-    with pytest.raises(ValueError, match="unknown"):
-        layout.index_of("C1")
-    sub = layout.subset(["B2", "A1"])
-    assert sub.labels == ("A1", "B2")
+    # axes 2j - 2 and 2j - 1 hold copy j's pair, Alice's qubit first
+    s = (1, 3, 4)
+    rho = bell_product_ket(s).to_dm()
+    for j, i in enumerate(s):
+        pair = partial_trace(rho, [2 * j, 2 * j + 1])
+        phi = bell_amplitudes(i)
+        assert np.allclose(pair.matrix, np.outer(phi, phi.conj()), atol=1e-15)
+    qubits = json.loads(dm_to_json(rho))["qubits"]
+    assert [q["label"] for q in qubits] == ["A1", "B1", "A2", "B2", "A3", "B3"]
+    assert [q["owner"] for q in qubits] == ["alice", "bob"] * 3
+    assert [q["copy"] for q in qubits] == [1, 1, 2, 2, 3, 3]
 
 
 def test_dense_cap():
