@@ -1,13 +1,13 @@
 """Bell-state ensembles, LOCC discrimination/distillation, and
 relative-entropy bounds for the uniform four-Bell mixture."""
 
-from .registers import ALICE, BOB
 from .states import (
+    ALICE,
+    BOB,
     DensityOperator,
     Ket,
     apply_local,
     dm_from_ensemble,
-    dm_from_json,
     dm_to_json,
     partial_trace,
     partial_transpose,
@@ -58,7 +58,6 @@ from .locc import (
     DiscriminationResult,
     DistillationReport,
     ShotState,
-    correction_unitary,
     discriminate_two_copies,
     distill,
     distill_exact_branches,
@@ -68,8 +67,8 @@ from .locc import (
 
 __all__ = [
     "ALICE", "BOB",
-    "DensityOperator", "Ket", "apply_local", "dm_from_ensemble", "dm_from_json",
-    "dm_to_json", "partial_trace", "partial_transpose", "reorder",
+    "DensityOperator", "Ket", "apply_local", "dm_from_ensemble", "dm_to_json",
+    "partial_trace", "partial_transpose", "reorder",
     "fidelity_pure", "herm_eig", "relative_entropy", "trace_distance",
     "von_neumann_entropy",
     "BellDiagonalState", "bell_diagonal_kl", "bell_product_ket",
@@ -81,7 +80,7 @@ __all__ = [
     "er_bound_odd_doubled", "er_bound_pair", "er_search", "log_negativity",
     "ppt_check", "sample_pairwise_separable", "sample_separable",
     "BranchAnalysis", "DiscriminationResult", "DistillationReport", "ShotState",
-    "correction_unitary", "discriminate_two_copies", "distill",
-    "distill_exact_branches", "distill_trivial", "measure_local",
+    "discriminate_two_copies", "distill", "distill_exact_branches",
+    "distill_trivial", "measure_local",
 ]
 __version__ = "0.1.0"

@@ -15,8 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .registers import check_dense_size
-from .states import DensityOperator, Ket, dm_from_ensemble
+from .states import DensityOperator, Ket, check_dense_size, dm_from_ensemble
 
 WEIGHT_SUM_TOL = 1e-12
 

@@ -101,13 +101,14 @@ def _reporting(*formats: str):
 
 
 class _Toolkit(click.Group):
-    """Reports the library's size-cap and range errors, and files that cannot
-    be written, as usage errors (exit 2, one line) instead of tracebacks."""
+    """Reports the library's size-cap and range errors, sizes that cannot be
+    allocated, and files that cannot be written, as usage errors (exit 2, one
+    line) instead of tracebacks."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 
@@ -235,7 +236,7 @@ def _zero_yield_payload(n: int) -> dict:
     """The n = 1 or 2 evidence with its pass flag: maximally mixed, or PPT
     with the flip identity."""
 
-    payload = distill_trivial(n).to_dict()
+    payload = distill_trivial(n)
     if n == 1:
         payload["pass"] = payload["distance_to_maximally_mixed"] <= 1e-12
     else:

@@ -49,15 +49,13 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     return vals[order], vecs[:, order]
 
 
-def _spectrum(m: np.ndarray, vectors: bool = False, weigh: np.ndarray | None = None):
+def _spectrum(m: np.ndarray, weigh: np.ndarray | None = None):
     """Eigenvalues of a Hermitian matrix in ascending order, solved block by
-    block (the stable sort keeps the order of a one-block solve).  `vectors`
-    solves with `eigh` instead of `eigvalsh`, whose last digits can differ,
-    where a one-block matrix must keep the digits of an earlier `eigh`.  With
+    block (the stable sort keeps the order of a one-block solve).  With
     `weigh`, also the weight <v|weigh|v> on each eigenvector v, in the same
     order, from the diagonal blocks of `weigh` only."""
 
-    groups = _eigh_blocks(m, vectors=vectors or weigh is not None)
+    groups = _eigh_blocks(m, vectors=weigh is not None)
     vals = np.concatenate([values.ravel() for _, values, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
@@ -77,7 +75,7 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    return shannon_bits(np.clip(_spectrum(rho.matrix, vectors=True)[::-1], 0.0, None))
+    return shannon_bits(np.clip(_spectrum(rho.matrix)[::-1], 0.0, None))
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
@@ -107,7 +105,7 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("states must have the same number of qubits")
     q, w = _spectrum(sigma.matrix, weigh=rho.matrix)
-    return _divergence(_spectrum(rho.matrix, vectors=True)[::-1], q[::-1], w[::-1])
+    return _divergence(_spectrum(rho.matrix)[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:

@@ -35,13 +35,11 @@ from functools import cache
 
 import numpy as np
 
-from .bell import (bell_amplitudes, bell_product_ket, check_bell_index, rho_n,
-                   smolin_flip_check, to_dense)
+from .bell import bell_amplitudes, bell_product_ket, rho_n, smolin_flip_check, to_dense
 from .entropies import trace_distance
-from .measures import PptReport, ppt_check
-from .permutations import H, I2, PAULIS, X, Z, LocalUnitaryPair
-from .registers import ALICE, BOB
-from .states import DensityOperator, Ket
+from .measures import ppt_check
+from .permutations import H, X, Z
+from .states import ALICE, BOB, DensityOperator, Ket
 
 
 PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
@@ -157,13 +155,6 @@ def discriminate_two_copies(state: ShotState,
                                 outcomes=tuple(outcomes), state=state)
 
 
-def correction_unitary(i: int) -> LocalUnitaryPair:
-    """One-sided Pauli on Alice mapping Phi_i to Phi_1 up to a global phase."""
-
-    name, p = PAULIS[check_bell_index(i) - 1]
-    return LocalUnitaryPair(p, I2, name=f"{name}⊗I")
-
-
 def _parities(i: int) -> tuple[int, int]:
     """(Z, X) parity of Bell state i: 1 where its <Z⊗Z> or <X⊗X> is -1."""
 
@@ -222,17 +213,25 @@ def _frame_branches(n: int) -> tuple[Branch, ...]:
                  for hidden in (1, 2, 3, 4) for a_z in (0, 1) for a_x in (0, 1))
 
 
-def _sample(n: int, seed: int, start: int, stop: int) -> list[Branch]:
-    """Shots start..stop-1 of the seeded run: shot k is the frame branch at
-    the k-th uniform draw of one stream, so it is the same in every longer run."""
+def _sample(n: int, seed: int, start: int,
+            stop: int) -> tuple[tuple[Branch, ...], np.ndarray]:
+    """The frame branches on n copies and the index into them of shots
+    start..stop-1 of the seeded run: shot k is the frame branch at the k-th
+    uniform draw of one stream, so it is the same in every longer run."""
 
     frame = _frame_branches(n)
     if start < 0:
         raise ValueError(f"shot index must be >= 0, got {start}")
     if stop <= start:
         raise ValueError(f"shots must be >= 1, got {stop - start}")
-    draws = np.random.default_rng(seed).integers(16, size=stop)
-    return [frame[i] for i in draws[start:].tolist()]
+    return frame, np.random.default_rng(seed).integers(16, size=stop)[start:]
+
+
+def _success_rate(frame: tuple[Branch, ...], counts: list[int]) -> float:
+    """Share of the counted shots announcing the hidden index, from how often
+    each frame branch was drawn."""
+
+    return sum(c for b, c in zip(frame, counts) if b.guess == b.hidden) / sum(counts)
 
 
 def _transcript_rows(outcomes) -> list[dict]:
@@ -288,13 +287,15 @@ def run_shot(n: int, shot_index: int, seed: int) -> Branch:
     """Shot k of the seeded run on n copies, as every longer `distill` run
     reports it: one of the 32 cached branches, not a copy."""
 
-    return _sample(n, seed, shot_index, shot_index + 1)[0]
+    frame, draws = _sample(n, seed, shot_index, shot_index + 1)
+    return frame[draws[0]]
 
 
 def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
     """Share of the seeded run's shots on n copies announcing the hidden index."""
 
-    return sum(b.guess == b.hidden for b in _sample(n, seed, 0, shots)) / shots
+    frame, draws = _sample(n, seed, 0, shots)
+    return _success_rate(frame, np.bincount(draws, minlength=16).tolist())
 
 
 def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
@@ -305,58 +306,39 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
     if n < 3:
         raise ValueError("distillation needs n >= 3; for n in {1, 2} the "
                          "yield is 0 ebits (see distill_trivial)")
-    branches = _sample(n, seed, 0, shots)
-    fidelities = [b.output_fidelity for b in branches]  # each exactly 0.0 or 1.0
+    frame, draws = _sample(n, seed, 0, shots)
+    counts = np.bincount(draws, minlength=16).tolist()
+    branches = [frame[i] for i in draws.tolist()]
     return DistillationReport(
         n=n,
         shots=shots,
         seed=seed,
-        success_rate=sum(b.guess == b.hidden for b in branches) / shots,
+        success_rate=_success_rate(frame, counts),
         ebits_per_shot=n - 2,
-        mean_fidelity=sum(fidelities) / shots,
-        min_fidelity=min(fidelities),
+        # every fidelity is exactly 0.0 or 1.0, so the weighted sum is exact
+        mean_fidelity=sum(c * b.output_fidelity for b, c in zip(frame, counts)) / shots,
+        min_fidelity=min(b.output_fidelity for b, c in zip(frame, counts) if c),
         branches=branches,
         transcript_sample=_transcript_rows(branches[0].outcomes),
     )
 
 
-@dataclass
-class TrivialReport:
-    """The zero-yield cases with their supporting evidence attached."""
+def distill_trivial(n: int) -> dict:
+    """The zero-yield payload with its evidence.  n = 1: the mixture is
+    maximally mixed.  n = 2: it is PPT and equals its flipped, manifestly
+    separable form.  Either way 0 ebits."""
 
-    n: int
-    ebits: int
-    distance_to_maximally_mixed: float | None = None
-    ppt: PptReport | None = None
-    smolin_residual: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {"command": "distill", "n": self.n, "ebits_per_shot": self.ebits,
-               "success_rate": 1.0}
-        if self.distance_to_maximally_mixed is not None:
-            out["distance_to_maximally_mixed"] = self.distance_to_maximally_mixed
-        if self.ppt is not None:
-            out["ppt_min_eigenvalue"] = self.ppt.min_eigenvalue
-            out["is_ppt"] = self.ppt.is_ppt
-        if self.smolin_residual is not None:
-            out["smolin_residual"] = self.smolin_residual
-        return out
-
-
-def distill_trivial(n: int) -> TrivialReport:
-    """n = 1: the mixture is maximally mixed.  n = 2: it is PPT and equals
-    its flipped, manifestly separable form.  Either way 0 ebits."""
-
+    out = {"command": "distill", "n": n, "ebits_per_shot": 0, "success_rate": 1.0}
     if n == 1:
-        rho1 = to_dense(rho_n(1))
         mixed = DensityOperator(np.eye(4, dtype=complex) / 4.0)
-        return TrivialReport(n=1, ebits=0,
-                             distance_to_maximally_mixed=trace_distance(rho1, mixed))
-    if n == 2:
-        rho2 = to_dense(rho_n(2))
-        return TrivialReport(n=2, ebits=0, ppt=ppt_check(rho2),
-                             smolin_residual=smolin_flip_check())
-    raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")
+        out["distance_to_maximally_mixed"] = trace_distance(to_dense(rho_n(1)), mixed)
+    elif n == 2:
+        ppt = ppt_check(to_dense(rho_n(2)))
+        out.update(ppt_min_eigenvalue=ppt.min_eigenvalue, is_ppt=ppt.is_ppt,
+                   smolin_residual=smolin_flip_check())
+    else:
+        raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")
+    return out
 
 
 @dataclass

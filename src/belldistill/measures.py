@@ -32,8 +32,7 @@ from .entropies import (
     _spectrum,
     shannon_bits,
 )
-from .registers import check_dense_size
-from .states import DensityOperator, partial_transpose
+from .states import DensityOperator, check_dense_size, partial_transpose
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class DivergenceReport:
     never mistake one for the other.
     """
 
-    name: str
     method: str
     value_bits: float
     raw_divergence_bits: float
@@ -57,7 +55,7 @@ class DivergenceReport:
     halved_bits: float | None = None
 
 
-def _structured_vs_pair_reference(p: BellDiagonalState, name: str) -> DivergenceReport:
+def _structured_vs_pair_reference(p: BellDiagonalState) -> DivergenceReport:
     """Compare a Bell-diagonal state against the pairwise two-copy product
     reference (flat weight 4^-m over pair-constant strings) without
     materializing the reference."""
@@ -79,7 +77,6 @@ def _structured_vs_pair_reference(p: BellDiagonalState, name: str) -> Divergence
             raw = math.inf
     value = ref_bits - p.entropy_bits()
     return DivergenceReport(
-        name=name,
         method="structured",
         value_bits=value,
         raw_divergence_bits=raw if contained else math.inf,
@@ -88,8 +85,7 @@ def _structured_vs_pair_reference(p: BellDiagonalState, name: str) -> Divergence
     )
 
 
-def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
-                        name: str) -> DivergenceReport:
+def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> DivergenceReport:
     """Dense counterpart: the reference must be flat on its support."""
 
     # sigma's blocks give support, flatness, overlap and the raw divergence;
@@ -105,11 +101,10 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
     ref_bits = -math.log2(float(support_vals.mean()))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    p = _spectrum(p_dense.matrix, vectors=True)[::-1]
+    p = _spectrum(p_dense.matrix)[::-1]
     raw = _divergence(p, vals[::-1], w[::-1])
     value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
-        name=name,
         method="dense",
         value_bits=value,
         raw_divergence_bits=raw,
@@ -118,13 +113,13 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator,
     )
 
 
-def _versus_pair_reference(p: BellDiagonalState, name: str, method: str) -> DivergenceReport:
+def _versus_pair_reference(p: BellDiagonalState, method: str) -> DivergenceReport:
     """Compare p against the (p.n / 2)-fold two-copy product by `method`."""
 
     if method == "structured":
-        return _structured_vs_pair_reference(p, name)
+        return _structured_vs_pair_reference(p)
     if method == "dense":
-        return _dense_vs_reference(to_dense(p), to_dense(rho2_power(p.n // 2)), name)
+        return _dense_vs_reference(to_dense(p), to_dense(rho2_power(p.n // 2)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -137,7 +132,7 @@ def er_bound_even(m: int, method: str = "structured") -> DivergenceReport:
 
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _versus_pair_reference(rho_n(2 * m), f"S(rho({2*m}) || rho(2)^{m})", method)
+    return _versus_pair_reference(rho_n(2 * m), method)
 
 
 def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
@@ -155,8 +150,7 @@ def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _versus_pair_reference(rho_n(n).tensor(rho_n(n)),
-                                  f"S(rho({n}) x rho({n}) || rho(2)^{n})", method)
+    return _versus_pair_reference(rho_n(n).tensor(rho_n(n)), method)
 
 
 def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport:
@@ -300,7 +294,7 @@ def _top_vector(u: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[-1]), v / np.linalg.norm(v)
 
 
-def er_search(n: int, restarts: int = 20, budget: int = 4000, seed: int = 0) -> ErReport:
+def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> ErReport:
     """Upper bound on the relative entropy of entanglement of the n-copy
     mixture from its largest overlap with a product state.
 

@@ -76,12 +76,11 @@ class PermutationAction:
     phases: tuple[complex, complex, complex, complex]
 
 
-def permutation_action(pair: LocalUnitaryPair,
-                       tol: float = PHASE_ALIGN_TOL) -> PermutationAction | None:
+def permutation_action(pair: LocalUnitaryPair) -> PermutationAction | None:
     """Apply U_A x U_B to each Bell state and read off the permutation.
 
     Returns None (a failure value, not an error) when some image is not a
-    Bell state up to a unit phase within `tol`.
+    Bell state up to a unit phase within `PHASE_ALIGN_TOL`.
     """
 
     u = pair.tensor()
@@ -92,7 +91,7 @@ def permutation_action(pair: LocalUnitaryPair,
     for i in range(4):
         k = int(np.argmax(np.abs(overlaps[:, i])))
         c = overlaps[k, i]
-        if abs(abs(c) - 1.0) > tol:
+        if abs(abs(c) - 1.0) > PHASE_ALIGN_TOL:
             return None
         perm.append(k + 1)
         phases.append(complex(c / abs(c)))

@@ -3,6 +3,8 @@
 A state's array fixes its register: q = log2(dim) qubits, big-endian, with
 axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
+Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
+sparse Bell-diagonal representation.
 """
 
 from __future__ import annotations
@@ -13,12 +15,23 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .registers import ALICE, BOB, check_dense_size
+ALICE = "alice"
+BOB = "bob"
+
+MAX_DENSE_QUBITS = 12
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
+
+
+def check_dense_size(n_qubits: int) -> None:
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"dense operations are capped at {MAX_DENSE_QUBITS} qubits "
+            f"(got {n_qubits}); use the Bell-diagonal representation instead"
+        )
 
 
 def _frozen_array(a, ndim: int, copy: bool = True) -> np.ndarray:
@@ -274,31 +287,16 @@ def apply_local(state: Ket | DensityOperator,
 # (label, owner and copy of each axis) is written out so a dump is
 # self-describing.
 
-def _qubits_json(n_qubits: int) -> list[dict]:
-    return [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
-             "copy": ax // 2 + 1} for ax in range(n_qubits)]
-
-
 def _complex_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
 def dm_to_json(rho: DensityOperator) -> str:
+    qubits = [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
+               "copy": ax // 2 + 1} for ax in range(rho.n_qubits)]
     payload = {
         "kind": "density_operator",
-        "qubits": _qubits_json(rho.n_qubits),
+        "qubits": qubits,
         "matrix": [[_complex_out(z) for z in row] for row in rho.matrix],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def dm_from_json(text: str) -> DensityOperator:
-    data = json.loads(text)
-    if data.get("kind") != "density_operator":
-        raise ValueError("not a density operator payload")
-    m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    rho = DensityOperator(m)
-    if data["qubits"] != _qubits_json(rho.n_qubits):
-        raise ValueError("qubits must list the copy-major register A1, B1, A2, B2, ... "
-                         "of the matrix")
-    return rho

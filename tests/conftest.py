@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,13 @@ def kron_state(a, b):
     if isinstance(a, Ket):
         return Ket(np.kron(a.amplitudes, b.amplitudes))
     return DensityOperator(np.kron(a.matrix, b.matrix))
+
+
+def dump_matrix(text: str) -> np.ndarray:
+    """The matrix of a `dm_to_json` dump, read from its row-major [re, im]
+    pairs."""
+
+    return np.array([[complex(re, im) for re, im in row] for row in json.loads(text)["matrix"]])
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator, support: int | None = None):

@@ -110,13 +110,13 @@ def test_acceptance_distillation(n):
 def test_acceptance_trivial_cases():
     r1 = distill_trivial(1)
     r2 = distill_trivial(2)
-    ok = (r1.distance_to_maximally_mixed <= 1e-12
-          and r2.ppt.min_eigenvalue >= -1e-10
-          and r2.smolin_residual <= 1e-10)
+    ok = (r1["distance_to_maximally_mixed"] <= 1e-12
+          and r2["ppt_min_eigenvalue"] >= -1e-10
+          and r2["smolin_residual"] <= 1e-10)
     report("trivial cases", ok,
-           f"n=1 distance {r1.distance_to_maximally_mixed:.1e} (<=1e-12), "
-           f"n=2 PT min eig {r2.ppt.min_eigenvalue:.1e} (>=-1e-10), "
-           f"flip residual {r2.smolin_residual:.1e} (<=1e-10)")
+           f"n=1 distance {r1['distance_to_maximally_mixed']:.1e} (<=1e-12), "
+           f"n=2 PT min eig {r2['ppt_min_eigenvalue']:.1e} (>=-1e-10), "
+           f"flip residual {r2['smolin_residual']:.1e} (<=1e-10)")
 
 
 def test_acceptance_permutations():

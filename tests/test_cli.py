@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from belldistill import rho_n, to_dense
-from belldistill.cli import main
-from belldistill.states import dm_from_json, dm_to_json
+from belldistill import DensityOperator, er_search, rho_n, to_dense
+from belldistill.cli import explore_er, main
+from belldistill.states import dm_to_json
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import dump_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 @pytest.fixture
@@ -197,6 +201,16 @@ def test_discriminate_usage_error(runner):
     assert payload_of(result)["success_rate"] == 1.0
 
 
+@pytest.mark.parametrize("args", [["distill", "--n", "3"], ["discriminate"]],
+                         ids=["distill", "discriminate"])
+def test_unallocatable_shot_count_is_usage_error(runner, args):
+    # 10^16 draws need 71 PiB, past any 48-bit address space, so numpy
+    # refuses before it allocates anything
+    result = invoke(runner, [*args, "--shots", str(10 ** 16)])
+    assert_usage_error(result)
+    assert "Unable to allocate" in result.stderr
+
+
 @pytest.mark.parametrize("command", ["distill", "discriminate"])
 def test_protocol_has_no_size_cap(runner, command):
     # the protocol runs in the Bell frame, with no 2n-qubit ket to cap n
@@ -297,9 +311,9 @@ def test_separability_n2_with_dump(runner, tmp_path):
     assert data["is_ppt"] is True
     assert data["smolin_residual"] <= 1e-10
     text = dump.read_text()
-    rho = dm_from_json(text)
-    assert dm_to_json(rho) + "\n" == text
-    assert np.array_equal(rho.matrix, to_dense(rho_n(2)).matrix)
+    matrix = dump_matrix(text)
+    assert np.array_equal(matrix, to_dense(rho_n(2)).matrix)
+    assert dm_to_json(DensityOperator(matrix)) + "\n" == text
 
 
 # sha256 of the files written by --dump, recorded while each qubit was a
@@ -418,6 +432,12 @@ def test_explore_er_exploratory_exit_zero(runner):
     assert data["pass"] is True
 
 
+def test_explore_er_budget_default_matches_library():
+    # `explore er --n N` runs what `er_search(N)` runs
+    option = next(p for p in explore_er.params if p.name == "budget")
+    assert option.default == inspect.signature(er_search).parameters["budget"].default
+
+
 def test_explore_er_usage_error(runner):
     assert invoke(runner, ["explore", "er", "--n", "2", "--budget", "0"]).exit_code == 2
     assert_usage_error(invoke(runner, ["explore", "er", "--n", "7"]))
@@ -427,7 +447,24 @@ def test_explore_er_usage_error(runner):
     assert "'--seed'" in result.stderr
 
 
-# --- module entry point --------------------------------------------------------------
+# --- README examples and module entry point ------------------------------------------
+
+
+def _readme_examples() -> list[list[str]]:
+    """The command lines of the fenced block after "Examples:" in README.md."""
+
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("belldistill ")]
+
+
+def test_readme_examples_run(runner):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    with runner.isolated_filesystem():
+        for args in examples:
+            assert invoke(runner, args).exit_code == 0, args
+        assert len(Path("shots.csv").read_text().splitlines()) == 101
 
 
 def test_python_m_entry_point():

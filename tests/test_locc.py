@@ -13,7 +13,6 @@ from belldistill import (
     Ket,
     ShotState,
     apply_local,
-    correction_unitary,
     discriminate_two_copies,
     distill,
     distill_exact_branches,
@@ -36,6 +35,7 @@ from belldistill.locc import (
     discrimination_rate,
     run_shot,
 )
+from belldistill.permutations import PAULIS
 
 SQ2 = 1 / math.sqrt(2)
 BELL = np.array([[SQ2, 0, 0, SQ2], [SQ2, 0, 0, -SQ2],
@@ -69,7 +69,7 @@ def _corrected(ket, guess, copies):
 
     if guess == 1 or not copies:
         return ket  # identity correction
-    u = correction_unitary(guess).u_alice
+    u = PAULIS[guess - 1][1]
     return apply_local(ket, {2 * (c - 1): u for c in copies})  # Alice's axes
 
 
@@ -224,16 +224,16 @@ def test_transcript_structure(rng):
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
-def test_correction_unitary_maps_to_first_bell(i):
-    # oracle: direct 4x4 application, fidelity up to global phase
-    pair = correction_unitary(i)
-    mapped = np.kron(pair.u_alice, pair.u_bob) @ BELL[i - 1]
+def test_correction_pauli_maps_to_first_bell(i):
+    # oracle: Alice's Pauli for index i, one-sided, by direct 4x4 application;
+    # fidelity up to global phase
+    mapped = np.kron(PAULIS[i - 1][1], np.eye(2)) @ BELL[i - 1]
     assert abs(abs(np.vdot(BELL[0], mapped)) - 1.0) < 1e-12
-    assert np.allclose(pair.u_bob, np.eye(2))  # one-sided
 
 
 def test_correction_identity_for_first_index():
-    assert np.allclose(correction_unitary(1).tensor(), np.eye(4))
+    # the ket tree skips the correction for index 1
+    assert np.array_equal(PAULIS[0][1], np.eye(2))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -307,17 +307,17 @@ def test_run_shot_is_a_prefix_of_every_longer_run(n):
 
 
 def test_distill_trivial_n1():
-    report = distill_trivial(1)
-    assert report.ebits == 0
-    assert report.distance_to_maximally_mixed <= 1e-12
+    payload = distill_trivial(1)
+    assert payload["ebits_per_shot"] == 0
+    assert payload["distance_to_maximally_mixed"] <= 1e-12
 
 
 def test_distill_trivial_n2():
-    report = distill_trivial(2)
-    assert report.ebits == 0
-    assert report.ppt.is_ppt
-    assert report.ppt.min_eigenvalue >= -1e-10
-    assert report.smolin_residual <= 1e-10
+    payload = distill_trivial(2)
+    assert payload["ebits_per_shot"] == 0
+    assert payload["is_ppt"]
+    assert payload["ppt_min_eigenvalue"] >= -1e-10
+    assert payload["smolin_residual"] <= 1e-10
 
 
 def test_distill_trivial_rejects_other_n():

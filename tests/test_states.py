@@ -11,7 +11,6 @@ from belldistill import (
     apply_local,
     bell_product_ket,
     dm_from_ensemble,
-    dm_from_json,
     dm_to_json,
     partial_trace,
     partial_transpose,
@@ -20,9 +19,10 @@ from belldistill import (
     to_dense,
 )
 from belldistill.permutations import H, S
-from belldistill.states import partial_transpose_matrix
+from belldistill.bell import bell_amplitudes
+from belldistill.states import check_dense_size, partial_transpose_matrix
 
-from conftest import kron_state, random_density
+from conftest import dump_matrix, kron_state, random_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -182,13 +182,31 @@ def test_reorder_ket_matches_dense_conjugation(rng):
 def test_json_roundtrip_ket_and_dm(rng):
     pure = bell_product_ket((2,)).to_dm()
     text = dm_to_json(pure)
-    again = dm_from_json(text)
     assert [q["label"] for q in json.loads(text)["qubits"]] == ["A1", "B1"]
-    assert np.allclose(again.matrix, pure.matrix)
+    assert np.allclose(dump_matrix(text), pure.matrix)
 
     rho = random_density(2, rng)
-    again = dm_from_json(dm_to_json(rho))
-    assert np.allclose(again.matrix, rho.matrix)
+    assert np.allclose(dump_matrix(dm_to_json(rho)), rho.matrix)
+
+
+def test_bell_pairs_layout_is_copy_major():
+    # axes 2j - 2 and 2j - 1 hold copy j's pair, Alice's qubit first
+    s = (1, 3, 4)
+    rho = bell_product_ket(s).to_dm()
+    for j, i in enumerate(s):
+        pair = partial_trace(rho, [2 * j, 2 * j + 1])
+        phi = bell_amplitudes(i)
+        assert np.allclose(pair.matrix, np.outer(phi, phi.conj()), atol=1e-15)
+    qubits = json.loads(dm_to_json(rho))["qubits"]
+    assert [q["label"] for q in qubits] == ["A1", "B1", "A2", "B2", "A3", "B3"]
+    assert [q["owner"] for q in qubits] == ["alice", "bob"] * 3
+    assert [q["copy"] for q in qubits] == [1, 1, 2, 2, 3, 3]
+
+
+def test_dense_cap():
+    check_dense_size(12)
+    with pytest.raises(ValueError, match="Bell-diagonal"):
+        check_dense_size(13)
 
 
 # --- validation once at the boundary ----------------------------------------
@@ -259,23 +277,6 @@ def test_trusted_wrapper_still_checks_trace_and_shape():
         DensityOperator._trusted(np.eye(4) / 2)
     with pytest.raises(ValueError, match="shape"):
         DensityOperator._trusted(np.eye(3) / 3)
-
-
-def test_dm_from_json_rejects_non_psd():
-    text = dm_to_json(DensityOperator(np.eye(4) / 4))
-    payload = json.loads(text)
-    neg = np.diag([1.5, -0.5, 0.0, 0.0])  # Hermitian, unit trace, not PSD
-    payload["matrix"] = [[[float(x), 0.0] for x in row] for row in neg]
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        dm_from_json(json.dumps(payload))
-
-
-def test_dm_from_json_rejects_another_register():
-    payload = json.loads(dm_to_json(DensityOperator(np.eye(4) / 4)))
-    b1, a1 = payload["qubits"][1], payload["qubits"][0]
-    for qubits in ([b1, a1], [a1], [a1, b1, a1], [a1, {**b1, "label": "C1"}]):
-        with pytest.raises(ValueError, match="copy-major register"):
-            dm_from_json(json.dumps({**payload, "qubits": qubits}))
 
 
 def test_apply_local_takes_qubit_axes():
