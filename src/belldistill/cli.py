@@ -109,7 +109,8 @@ class _Toolkit(click.Group):
         try:
             return super().invoke(ctx)
         except (ValueError, OSError, MemoryError) as exc:
-            raise click.UsageError(str(exc)) from exc
+            # Python's own MemoryError (a tuple of 10^16 items) has no text
+            raise click.UsageError(str(exc) or "the requested size cannot be allocated") from exc
 
 
 @click.group(cls=_Toolkit)

@@ -109,12 +109,15 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
-    """<psi| rho |psi> for a pure reference state."""
+    """<psi| rho |psi> for a pure reference state, from the block of rho on
+    the ket's support only: the other terms are exact zeros, although the
+    shorter sums may round differently in the last place."""
 
     if len(rho.matrix) != len(psi.amplitudes):
         raise ValueError("states must have the same number of qubits")
-    a = psi.amplitudes
-    return float(np.real(np.vdot(a, rho.matrix @ a)))
+    on = np.flatnonzero(psi.amplitudes)
+    a = psi.amplitudes[on]
+    return float(np.real(np.vdot(a, rho.matrix[np.ix_(on, on)] @ a)))
 
 
 def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:

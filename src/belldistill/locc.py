@@ -30,7 +30,7 @@ Born probability was pruned (below 1e-14).  Both record a measurement as a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -251,8 +251,17 @@ class DistillationReport:
     ebits_per_shot: int
     mean_fidelity: float
     min_fidelity: float
-    branches: list[Branch]  # shot k's branch at index k
+    # shot k's index into the 16 frame branches at position k; n, shots and
+    # seed fix the draws, so equal fields above mean equal draws
+    draws: np.ndarray = field(compare=False, repr=False)
     transcript_sample: list[dict]
+
+    @property
+    def branches(self) -> list[Branch]:
+        """Shot k's cached frame branch at index k, built on demand."""
+
+        frame = _frame_branches(self.n)
+        return [frame[i] for i in self.draws.tolist()]
 
     def to_dict(self) -> dict:
         return {
@@ -275,11 +284,11 @@ class DistillationReport:
         frame branches, so each branch's row after the shot number is
         rendered once; no field needs CSV quoting."""
 
-        row = {id(b): f"{b.hidden},{b.guess},{b.parity_z},{b.parity_x},"
-                      f"{int(b.guess == b.hidden)},{self.n - 2},{b.output_fidelity:.15f}"
-               for b in _frame_branches(self.n)}
+        row = [f"{b.hidden},{b.guess},{b.parity_z},{b.parity_x},"
+               f"{int(b.guess == b.hidden)},{self.n - 2},{b.output_fidelity:.15f}"
+               for b in _frame_branches(self.n)]
         lines = [",".join(self.CSV_HEADER)]
-        lines += [f"{k},{row[id(b)]}" for k, b in enumerate(self.branches)]
+        lines += [f"{k},{row[i]}" for k, i in enumerate(self.draws.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -308,7 +317,6 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
                          "yield is 0 ebits (see distill_trivial)")
     frame, draws = _sample(n, seed, 0, shots)
     counts = np.bincount(draws, minlength=16).tolist()
-    branches = [frame[i] for i in draws.tolist()]
     return DistillationReport(
         n=n,
         shots=shots,
@@ -318,8 +326,8 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
         # every fidelity is exactly 0.0 or 1.0, so the weighted sum is exact
         mean_fidelity=sum(c * b.output_fidelity for b, c in zip(frame, counts)) / shots,
         min_fidelity=min(b.output_fidelity for b, c in zip(frame, counts) if c),
-        branches=branches,
-        transcript_sample=_transcript_rows(branches[0].outcomes),
+        draws=draws,
+        transcript_sample=_transcript_rows(frame[draws[0]].outcomes),
     )
 
 

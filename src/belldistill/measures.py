@@ -113,13 +113,16 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
     )
 
 
-def _versus_pair_reference(p: BellDiagonalState, method: str) -> DivergenceReport:
-    """Compare p against the (p.n / 2)-fold two-copy product by `method`."""
+def _versus_pair_reference(copies: int, build, method: str) -> DivergenceReport:
+    """Compare `build()`, a state on `copies` copies, against the
+    (copies / 2)-fold two-copy product by `method`; the dense cap is checked
+    before anything is built."""
 
     if method == "structured":
-        return _structured_vs_pair_reference(p)
+        return _structured_vs_pair_reference(build())
     if method == "dense":
-        return _dense_vs_reference(to_dense(p), to_dense(rho2_power(p.n // 2)))
+        check_dense_size(2 * copies)
+        return _dense_vs_reference(to_dense(build()), to_dense(rho2_power(copies // 2)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -132,7 +135,7 @@ def er_bound_even(m: int, method: str = "structured") -> DivergenceReport:
 
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _versus_pair_reference(rho_n(2 * m), method)
+    return _versus_pair_reference(2 * m, lambda: rho_n(2 * m), method)
 
 
 def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
@@ -150,7 +153,7 @@ def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _versus_pair_reference(rho_n(n).tensor(rho_n(n)), method)
+    return _versus_pair_reference(2 * n, lambda: rho_n(n).tensor(rho_n(n)), method)
 
 
 def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport:

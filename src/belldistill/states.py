@@ -142,6 +142,37 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
     return DensityOperator._trusted(rho)
 
 
+def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, in row-major order, of the exact-nonzero
+    entries of a square matrix of any size, from one flat scan.  They are
+    int32 wherever the flat index fits, to halve the index memory."""
+
+    k = np.flatnonzero(m != 0).astype(np.int32 if m.size <= 2 ** 31 else np.intp)
+    r = k // len(m)
+    k -= r * len(m)
+    return r, k
+
+
+def _block_labels(m: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component in the
+    symmetrised exact-nonzero pattern of a square matrix.
+
+    Each index takes the smallest label among its neighbours in either
+    direction, over the nonzero entries, until nothing changes; pointer
+    jumping shortens the chains.  One gather of labels is alive at a time,
+    so the peak stays near the int32 indices."""
+
+    r, c = _nonzero_entries(m)
+    label = np.arange(len(m))
+    while True:
+        new = label.copy()
+        np.minimum.at(new, r, label[c])
+        np.minimum.at(new, c, label[r])
+        if np.array_equal(new, label):
+            return label
+        label = new[new]
+
+
 def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
     """Eigensolve a Hermitian matrix block by block.
 
@@ -161,26 +192,15 @@ def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
         return np.linalg.eigvalsh(a), None
 
     d = len(m)
-    nz = m != 0
-    # each index takes the smallest label among its neighbours in either
-    # direction until nothing changes, and pointer jumping shortens the
-    # chains; int16 labels keep the d x d temporaries at 2 bytes an entry
-    label = np.arange(d, dtype=np.int16 if d < 2 ** 15 else np.intp)
-    far = label.dtype.type(d)
-    while True:
-        new = np.minimum(np.where(nz, label, far).min(axis=1),
-                         np.where(nz, label[:, None], far).min(axis=0))
-        new = np.minimum(new, label)
-        if np.array_equal(new, label):
-            break
-        label = new[new]
+    label = _block_labels(m)
     if not label.any():
         values, vecs = solve(m)
         return [(np.arange(d)[None], values[None], None if vecs is None else vecs[None])]
     order = np.argsort(label, kind="stable")
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     groups = []
-    for s in np.unique(sizes):
+    # a bare np.unique imports numpy.ma, which a set of a few ints does not need
+    for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
         if s == 1:
             values = m[rows, rows].real
@@ -217,16 +237,22 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
 def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int,
                              axes: Sequence[int]) -> np.ndarray:
-    """Transpose the given qubit axes only (pure index permutation)."""
+    """Transpose the given qubit axes only: a pure index permutation of the
+    nonzero entries.  Axis k is bit q - 1 - k of a row or column index, and
+    an entry moves by swapping its row's and column's bits on those axes."""
 
     d = 2 ** n_qubits
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n_qubits} qubits")
-    perm = list(range(2 * n_qubits))
-    for ax in _check_axes(axes, n_qubits):
-        perm[ax], perm[n_qubits + ax] = perm[n_qubits + ax], perm[ax]
-    t = matrix.reshape((2,) * (2 * n_qubits))
-    return t.transpose(perm).reshape(d, d)
+    mask = sum(1 << (n_qubits - 1 - ax) for ax in _check_axes(axes, n_qubits))
+    r, c = _nonzero_entries(matrix)
+    swap = (r ^ c) & mask  # the masked bits where row and column differ
+    k = r * d + c
+    out = np.zeros((d, d), dtype=matrix.dtype)
+    # flipping `swap` in both the row and the column part of a flat index
+    # trades the row's and the column's bits on the transposed axes
+    np.put(out, k ^ swap * (d + 1), np.take(matrix, k))
+    return out
 
 
 def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:

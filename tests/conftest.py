@@ -20,6 +20,22 @@ def random_density(n_qubits: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(m / m.trace())
 
 
+def planted_blocks(gen: np.random.Generator, sizes) -> np.ndarray:
+    """Random Hermitian matrix that is block-diagonal after a hidden
+    permutation, with the given block sizes (0 gives an all-zero row)."""
+
+    d = sum(max(s, 1) for s in sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for s in sizes:
+        if s:
+            g = gen.standard_normal((s, s)) + 1j * gen.standard_normal((s, s))
+            m[start:start + s, start:start + s] = g + g.conj().T
+        start += max(s, 1)
+    perm = gen.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
 def kron_state(a, b):
     """Tensor product of two kets or two density operators, a's qubits first;
     the reference that states built on the copy-major register are checked

@@ -211,6 +211,38 @@ def test_unallocatable_shot_count_is_usage_error(runner, args):
     assert "Unable to allocate" in result.stderr
 
 
+@pytest.mark.parametrize("method", ["structured", "dense"])
+@pytest.mark.parametrize("args", [["eq5", "--m"], ["eq10", "--m"], ["er-pair", "--n"]])
+def test_unallocatable_copy_count_is_usage_error(runner, args, method):
+    # 10^16 copies: the structured path's copy strings would need about
+    # 160 PB, so Python refuses at once with a MemoryError that has no text;
+    # the dense path must stop at the 12-qubit cap before it builds anything
+    result = invoke(runner, ["verify", *args, str(10 ** 16), "--method", method])
+    assert_usage_error(result)
+    message = result.stderr.split("Error:", 1)[1].strip()
+    if method == "dense":
+        assert message.startswith("dense operations are capped at 12 qubits")
+    else:
+        assert message == "the requested size cannot be allocated"
+
+
+def test_dense_verify_never_imports_numpy_ma():
+    # a bare np.unique reaches np.ma.is_masked, and importing numpy.ma cost
+    # about 4.5 ms on the first dense solve of every process
+    code = ("import runpy, sys\n"
+            "sys.argv = ['belldistill', 'verify', 'eq5', '--m', '2', '--method', 'dense']\n"
+            "try:\n"
+            "    runpy.run_module('belldistill', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("command", ["distill", "discriminate"])
 def test_protocol_has_no_size_cap(runner, command):
     # the protocol runs in the Bell frame, with no 2n-qubit ket to cap n

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from belldistill import (
     DensityOperator,
+    Ket,
     bell_product_ket,
     fidelity_pure,
     herm_eig,
@@ -17,7 +19,9 @@ from belldistill import (
     von_neumann_entropy,
 )
 
-from conftest import kron_state, random_density
+from belldistill.entropies import _spectrum
+
+from conftest import kron_state, planted_blocks, random_density
 
 
 def test_herm_eig_examples():
@@ -56,26 +60,10 @@ def test_herm_eig_rejects_nan(bad):
         herm_eig(bad)
 
 
-def _planted_blocks(gen, sizes):
-    """Random Hermitian matrix that is block-diagonal after a hidden
-    permutation, with the given block sizes (0 gives an all-zero row)."""
-
-    d = sum(max(s, 1) for s in sizes)
-    m = np.zeros((d, d), dtype=complex)
-    start = 0
-    for s in sizes:
-        if s:
-            g = gen.standard_normal((s, s)) + 1j * gen.standard_normal((s, s))
-            m[start:start + s, start:start + s] = g + g.conj().T
-        start += max(s, 1)
-    perm = gen.permutation(d)
-    return m[np.ix_(perm, perm)]
-
-
 @pytest.mark.parametrize("sizes", [(1,), (3, 1, 1, 5, 0, 3), (2, 2, 2, 2), (8, 1, 0, 4, 4, 4)])
 def test_herm_eig_blocks_match_full_solve(sizes):
     gen = np.random.default_rng(sum(sizes))
-    m = _planted_blocks(gen, sizes)
+    m = planted_blocks(gen, sizes)
     vals, vecs = herm_eig(m)
     full = np.linalg.eigvalsh(m)[::-1]
     scale = max(1.0, float(np.linalg.norm(m, 2)))
@@ -199,3 +187,37 @@ def test_trace_distance_examples():
     mixed = DensityOperator(np.eye(2) / 2)
     zero = DensityOperator(np.diag([1.0, 0.0]))
     assert trace_distance(mixed, zero) == pytest.approx(0.5, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fidelity_on_the_support_matches_the_full_product(n, rng):
+    rho = to_dense(rho_n(n))
+    kets = [bell_product_ket(s) for s in [(i,) * n for i in (1, 2, 3, 4)]
+            + [tuple(rng.integers(1, 5, size=n)) for _ in range(2)]]
+    for psi in kets:
+        a = psi.amplitudes
+        full = float(np.real(np.vdot(a, rho.matrix @ a)))
+        assert abs(fidelity_pure(rho, psi) - full) <= 1e-15
+
+
+def test_fidelity_on_the_support_of_a_random_ket(rng):
+    rho = random_density(4, rng)
+    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    a[rng.permutation(16)[:7]] = 0
+    psi = Ket(a / np.linalg.norm(a))
+    full = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
+    assert abs(fidelity_pure(rho, psi) - full) <= 1e-15
+
+
+def test_twelve_qubit_block_solve_scans_only_the_nonzero_entries():
+    # to_dense(rho_n(6)) is 4096 x 4096 with 16,384 nonzero entries; labelling
+    # the blocks over d x d int16 temporaries peaked at 48 MiB
+    m = to_dense(rho_n(6)).matrix
+    tracemalloc.start()
+    try:
+        vals = _spectrum(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
+    assert np.allclose(vals[-4:], 0.25) and np.allclose(vals[:-4], 0.0)

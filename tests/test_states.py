@@ -15,14 +15,16 @@ from belldistill import (
     partial_trace,
     partial_transpose,
     reorder,
+    rho2_power,
     rho_n,
+    sigma_n,
     to_dense,
 )
 from belldistill.permutations import H, S
 from belldistill.bell import bell_amplitudes
-from belldistill.states import check_dense_size, partial_transpose_matrix
+from belldistill.states import _block_labels, check_dense_size, partial_transpose_matrix
 
-from conftest import dump_matrix, kron_state, random_density
+from conftest import dump_matrix, kron_state, planted_blocks, random_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -289,3 +291,118 @@ def test_apply_local_takes_qubit_axes():
             apply_local(psi, gates)
     with pytest.raises(ValueError, match="gate for axis 1 must be 2x2"):
         apply_local(psi.to_dm(), {1: np.eye(3)})
+
+
+# --- nonzero-entry kernels against the d x d references they replaced -------
+
+
+def _reference_labels(m: np.ndarray) -> np.ndarray:
+    """Label propagation over the whole d x d pattern: each index takes the
+    smallest label among its neighbours in either direction, with pointer
+    jumping, until nothing changes."""
+
+    d = len(m)
+    nz = m != 0
+    label = np.arange(d, dtype=np.int16 if d < 2 ** 15 else np.intp)
+    far = label.dtype.type(d)
+    while True:
+        new = np.minimum(np.where(nz, label, far).min(axis=1),
+                         np.where(nz, label[:, None], far).min(axis=0))
+        new = np.minimum(new, label)
+        if np.array_equal(new, label):
+            return label
+        label = new[new]
+
+
+def _reference_partial_transpose(matrix: np.ndarray, n_qubits: int, axes) -> np.ndarray:
+    """The partial transpose as a transpose of the 2q axes of length 2,
+    returned as that view (no copy of a 12-qubit matrix)."""
+
+    perm = list(range(2 * n_qubits))
+    for ax in axes:
+        perm[ax], perm[n_qubits + ax] = perm[n_qubits + ax], perm[ax]
+    return matrix.reshape((2,) * (2 * n_qubits)).transpose(perm)
+
+
+def _chain(gen, d):
+    """Entries only at (p[i], p[i+1]) for a random order p: one component
+    whose every link is nonzero on one side of the diagonal only."""
+
+    p = gen.permutation(d)
+    m = np.zeros((d, d), dtype=complex)
+    m[p[:-1], p[1:]] = 1.0
+    return m
+
+
+def _dense(gen, d):
+    g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    return g + g.conj().T
+
+
+BELL_DIAGONAL = {
+    **{f"rho_n({n})": lambda n=n: rho_n(n) for n in range(1, 7)},
+    **{f"rho2_power({m})": lambda m=m: rho2_power(m) for m in (1, 2, 3)},
+    "sigma_n(2134,3412,1234)": lambda: sigma_n(["2134", "3412", "1234"]),
+    "sigma_n(4321,2413)": lambda: sigma_n(["4321", "2413"]),
+}
+
+# sizes 12, 14 and 22 are not powers of two; the block-solve labels must not
+# assume one
+RANDOM_MATRICES = {
+    "planted-12": lambda gen: planted_blocks(gen, (5, 4, 0, 2)),
+    "planted-14": lambda gen: planted_blocks(gen, (7, 0, 3, 3)),
+    "planted-16": lambda gen: planted_blocks(gen, (8, 1, 0, 4, 2)),
+    "planted-22": lambda gen: planted_blocks(gen, (8, 1, 0, 4, 4, 4)),
+    "one-sided-16": lambda gen: np.triu(planted_blocks(gen, (6, 1, 5, 4))),
+    "one-sided-22": lambda gen: np.tril(planted_blocks(gen, (8, 1, 0, 4, 4, 4)), -1),
+    "chain-14": lambda gen: _chain(gen, 14),
+    "chain-32": lambda gen: _chain(gen, 32),
+    "dense-12": lambda gen: _dense(gen, 12),
+    "dense-32": lambda gen: _dense(gen, 32),
+    "diagonal-12": lambda gen: np.diag(gen.standard_normal(12)).astype(complex),
+    "diagonal-16": lambda gen: np.diag(gen.standard_normal(16)).astype(complex),
+    "zero-8": lambda gen: np.zeros((8, 8), dtype=complex),
+}
+
+
+def _random_matrix(name):
+    return RANDOM_MATRICES[name](np.random.default_rng(len(name)))
+
+
+@pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
+def test_block_labels_match_reference_on_bell_diagonal_states(name):
+    m = to_dense(BELL_DIAGONAL[name]()).matrix
+    assert np.array_equal(_block_labels(m), _reference_labels(m))
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_MATRICES))
+def test_block_labels_match_reference_on_random_matrices(name):
+    m = _random_matrix(name)
+    for a in (m, m.T, m.conj().T):
+        assert np.array_equal(_block_labels(a), _reference_labels(a))
+
+
+def _axis_sets(q):
+    return [range(1, q, 2), [0], [q - 1], range(q)]
+
+
+@pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
+def test_partial_transpose_matches_reference_on_bell_diagonal_states(name):
+    rho = to_dense(BELL_DIAGONAL[name]())
+    q = rho.n_qubits
+    for axes in _axis_sets(q) if q < 12 else [range(1, q, 2)]:
+        out = partial_transpose_matrix(rho.matrix, q, axes)
+        assert out.dtype == rho.matrix.dtype and out.shape == rho.matrix.shape
+        assert np.array_equal(out.reshape((2,) * (2 * q)),
+                              _reference_partial_transpose(rho.matrix, q, axes))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in RANDOM_MATRICES
+                                        if int(n.split("-")[-1]) in (8, 16, 32)))
+def test_partial_transpose_matches_reference_on_random_matrices(name):
+    m = _random_matrix(name)
+    q = len(m).bit_length() - 1
+    for a in (m, m.T):  # the transposed view is not C-contiguous
+        for axes in _axis_sets(q):
+            assert np.array_equal(partial_transpose_matrix(a, q, axes),
+                                  _reference_partial_transpose(a, q, axes).reshape(a.shape))
