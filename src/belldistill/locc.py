@@ -19,17 +19,19 @@ Every branch is a product of Bell pairs, so the protocol runs in the Bell
 parities, read off the states' <Z⊗Z> and <X⊗X>.  A branch is the hidden
 index and Alice's two outcomes; Bob's outcomes follow from the parities, so
 every branch has probability exactly 1/16 and every corrected copy is
-exactly Phi1.  A seeded run draws every shot's cached branch from one
-generator; a report's sample transcript is shot 0's.  `measure_local` and
-`discriminate_two_copies` keep the stepwise ket simulation (n <= 6) as the
-reference the frame is tested against; it never chooses an outcome whose
-Born probability was pruned (below 1e-14).  Both record a measurement as a
-`(party, copy, basis, outcome)` tuple.
+exactly Phi1.  A seeded run draws every shot's cached branch as one nibble
+of a standard-library `random.Random(seed)` stream; a report's sample
+transcript is shot 0's.  `measure_local` and `discriminate_two_copies` keep
+the stepwise ket simulation (n <= 6) as the reference the frame is tested
+against; it never chooses an outcome whose Born probability was pruned
+(below 1e-14).  Both record a measurement as a `(party, copy, basis,
+outcome)` tuple.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -215,16 +217,30 @@ def _frame_branches(n: int) -> tuple[Branch, ...]:
 
 def _sample(n: int, seed: int, start: int,
             stop: int) -> tuple[tuple[Branch, ...], np.ndarray]:
-    """The frame branches on n copies and the index into them of shots
-    start..stop-1 of the seeded run: shot k is the frame branch at the k-th
-    uniform draw of one stream, so it is the same in every longer run."""
+    """The frame branches on n copies and the uint8 index into them of shots
+    start..stop-1 of the seeded run.
+
+    `random.Random(seed)` draws ceil(stop / 8) whole 32-bit words in one
+    `getrandbits` call; shot 2j is the low nibble of little-endian byte j and
+    shot 2j + 1 its high nibble.  CPython fills `getrandbits` word by word
+    from the first, so a longer run reads the same words first and shot k is
+    the same in every longer run (`randbytes` has no such prefix property).
+    The output is allocated before the draw, so a shot count too large to
+    hold fails there with numpy's MemoryError.
+    """
 
     frame = _frame_branches(n)
     if start < 0:
         raise ValueError(f"shot index must be >= 0, got {start}")
     if stop <= start:
         raise ValueError(f"shots must be >= 1, got {stop - start}")
-    return frame, np.random.default_rng(seed).integers(16, size=stop)[start:]
+    words = -(-stop // 8)
+    draws = np.empty(8 * words, dtype=np.uint8)
+    raw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
+    raw = np.frombuffer(raw, dtype=np.uint8)
+    np.bitwise_and(raw, 15, out=draws[0::2])
+    np.right_shift(raw, 4, out=draws[1::2])
+    return frame, draws[start:stop]
 
 
 def _success_rate(frame: tuple[Branch, ...], counts: list[int]) -> float:
@@ -251,8 +267,8 @@ class DistillationReport:
     ebits_per_shot: int
     mean_fidelity: float
     min_fidelity: float
-    # shot k's index into the 16 frame branches at position k; n, shots and
-    # seed fix the draws, so equal fields above mean equal draws
+    # shot k's uint8 index into the 16 frame branches at position k; n, shots
+    # and seed fix the draws, so equal fields above mean equal draws
     draws: np.ndarray = field(compare=False, repr=False)
     transcript_sample: list[dict]
 

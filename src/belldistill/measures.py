@@ -12,6 +12,7 @@ n-copy mixture from its largest product-state overlap.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -310,7 +311,10 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
     eigenvectors: with |a> fixed, the best |b> is the top eigenvector of
     sum_i u_i u_i^dagger, u_i = (<a| x I)|Phi_i^n>, and vice versa.  Each
     alternation costs O(4^n).  A restart stops when G stops rising or after
-    `budget` alternations.
+    `budget` alternations.  Restart r starts from a Haar-random |a>, 2^n
+    complex Gaussian amplitudes normalised, drawn from its own
+    `random.Random(f"{seed}:{r}")`, so it starts the same whatever the
+    number of restarts.
 
     The result is n - 2 for even n and n - 1 for odd n (where X^n and Z^n
     anticommute, so G <= 2^-(n+1)).  Any value below the proven floor
@@ -333,8 +337,9 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
     evaluations = 0
     restart_values = []
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        a = _random_pure(rng, d)
+        rng = random.Random(f"{seed}:{r}")
+        z = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d)]).view(complex)
+        a = z / np.linalg.norm(z)
         g = 0.0
         for _ in range(budget):
             _, b = _top_vector(np.einsum("j,ijk->ki", a.conj(), v))

@@ -204,8 +204,8 @@ def test_discriminate_usage_error(runner):
 @pytest.mark.parametrize("args", [["distill", "--n", "3"], ["discriminate"]],
                          ids=["distill", "discriminate"])
 def test_unallocatable_shot_count_is_usage_error(runner, args):
-    # 10^16 draws need 71 PiB, past any 48-bit address space, so numpy
-    # refuses before it allocates anything
+    # 10^16 one-byte draws need 8.9 PiB, past any 48-bit address space, so
+    # numpy refuses before it allocates anything
     result = invoke(runner, [*args, "--shots", str(10 ** 16)])
     assert_usage_error(result)
     assert "Unable to allocate" in result.stderr
@@ -243,6 +243,25 @@ def test_dense_verify_never_imports_numpy_ma():
     assert proc.stderr.splitlines()[-1] == "False"
 
 
+def test_sampling_commands_never_import_numpy_random():
+    # the first default_rng call imported numpy.random, about 5 ms of a
+    # distill or explore er command; shots and restarts use the stdlib random
+    commands = [["distill", "--n", "6", "--shots", "1000", "--format", "csv"],
+                ["discriminate"], ["explore", "er", "--n", "3", "--restarts", "2"]]
+    code = ("import runpy, sys\n"
+            f"for argv in {commands!r}:\n"
+            "    sys.argv = ['belldistill', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('belldistill', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (argv, exc.code)\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("command", ["distill", "discriminate"])
 def test_protocol_has_no_size_cap(runner, command):
     # the protocol runs in the Bell frame, with no 2n-qubit ket to cap n
@@ -260,13 +279,14 @@ def test_protocol_has_no_size_cap(runner, command):
 # sigma-equiv, discriminate --n 4).  The two permutations digests were
 # recorded once the table was built from its Klein x S3 factors.  The two
 # distill digests were recorded once a seeded run drew every shot's branch
-# from one generator, which changed the sampled transcript and CSV rows;
-# discriminate prints only the rate, so its digests held.
+# as a nibble of one standard-library random.Random(seed) stream, which
+# changed the sampled transcript and CSV rows; discriminate prints only the
+# rate, so its digests held.
 RECORDED_STDOUT = {
     "distill --n 3 --shots 200 --seed 11":
-        "63a39202cd120b32d590c33be05354ff9393498f424885b6c87fd41d8adabf03",
+        "46a1968de906ff6971246fbacd39936c240c25024a5bd7ded05c0ccedb28c162",
     "distill --n 6 --shots 200 --seed 11 --format csv":
-        "32fafe0e5f77522415381666bfc8226b37ee91cf203d84367c5afa212b0b25ae",
+        "9ccfc17aa319e858e8c401b32afa0e5992a947cd9ebaeb191c6f4e4f8f7d4d2a",
     "discriminate --n 2 --shots 200 --seed 11":
         "c5cd9613f3663ba7b305eee0849b5163e6cc67fc1a5bd585e9cd17484bb0157b",
     "permutations":

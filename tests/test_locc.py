@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
@@ -31,6 +32,7 @@ from belldistill.locc import (
     _frame_branches,
     _measured_axis,
     _project,
+    _sample,
     _transcript_rows,
     discrimination_rate,
     run_shot,
@@ -300,10 +302,26 @@ def test_run_shot_reproducible():
 @pytest.mark.parametrize("n", [3, 6])
 def test_run_shot_is_a_prefix_of_every_longer_run(n):
     # the branch draws come off one stream in order, so a longer run only
-    # appends shots
-    short, long = distill(n, 40, seed=8).branches, distill(n, 500, seed=8).branches
-    for k in range(40):
-        assert run_shot(n, k, 8) is short[k] is long[k]
+    # appends shots, also when a run is not a whole number of 32-bit words
+    runs = {shots: distill(n, shots, seed=8).branches for shots in (1, 7, 9, 40, 41, 500)}
+    for shots, branches in runs.items():
+        for k in range(shots):
+            assert run_shot(n, k, 8) is branches[k] is runs[500][k]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 40 + 3])
+def test_sample_draws_are_the_nibbles_of_one_stdlib_stream(seed):
+    # reference decode: the 32-bit words of random.Random(seed) one at a
+    # time, each read as little-endian bytes, low nibble first
+    shots = 45
+    rng = random.Random(seed)
+    words = [rng.getrandbits(32) for _ in range(6)]
+    nibbles = [w >> (4 * j) & 15 for w in words for j in range(8)]
+    _, draws = _sample(4, seed, 0, shots)
+    assert draws.dtype == np.uint8
+    assert draws.tolist() == nibbles[:shots]
+    _, tail = _sample(4, seed, 17, shots)
+    assert tail.tolist() == nibbles[17:shots]
 
 
 def test_distill_trivial_n1():

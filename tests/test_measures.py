@@ -295,6 +295,13 @@ def test_er_search_reproducible():
     assert len(a.restart_values) == 2
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_er_search_restart_starts_do_not_depend_on_restart_count(seed):
+    # restart r seeds its own generator from (seed, r)
+    five = er_search(3, restarts=5, seed=seed).restart_values
+    assert five[:3] == er_search(3, restarts=3, seed=seed).restart_values
+
+
 def test_er_search_floor_breach_raises(monkeypatch):
     # an overlap above the true maximum would put the bound below E_D = n - 2
     top = measures._top_vector
