@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
@@ -109,16 +110,10 @@ class _Product(Mapping):
     def __len__(self) -> int:
         return math.prod(len(f.weights) for f in self.factors)
 
-    def expand(self, key=tuple) -> dict:
-        """The whole map as a dict, in order.  Each factor's strings pass
-        through `key` once (tuples, or digit strings for JSON) and are
-        concatenated."""
+    def expand(self) -> dict:
+        """The whole map as a dict, in order."""
 
-        out = {key(()): 1.0}
-        for f in self.factors:
-            part = {key(t): v for t, v in f.weights.items()}
-            out = {s + t: w * v for s, w in out.items() for t, v in part.items()}
-        return out
+        return _expand(f.weights.items() for f in self.factors)
 
     def items(self):
         return self.expand().items()
@@ -126,10 +121,23 @@ class _Product(Mapping):
     def __eq__(self, other):
         if not isinstance(other, Mapping):
             return NotImplemented
-        return self.expand() == other
+        return len(other) == len(self) and self.expand() == other
 
     def __iter__(self):
         return iter(self.expand())
+
+
+def _expand(parts, key=tuple) -> dict:
+    """The product of weight maps given as (string, weight) pairs, the last
+    varying fastest.  Each part's strings pass through `key` once (tuples,
+    or digit strings for JSON) and are concatenated; the weights multiply
+    left to right."""
+
+    out = {key(()): 1.0}
+    for part in parts:
+        part = {key(t): v for t, v in part}
+        out = {s + t: w * v for s, w in out.items() for t, v in part.items()}
+    return out
 
 
 def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
@@ -157,8 +165,13 @@ class BellDiagonalState:
     weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("copy count must be >= 1")
+        try:
+            n = operator.index(self.n)
+        except TypeError:  # a float, even 2.0, as from_json rejects "n": 2.0
+            n = 0
+        if n < 1:
+            raise ValueError(f"copy count must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         clean = {}
         for s, w in self.weights.items():
             s = check_bell_string(s, self.n)
@@ -224,21 +237,32 @@ class BellDiagonalState:
         return BellDiagonalState._trusted(self.n, out)
 
     def to_json(self) -> str:
-        # sort_keys orders digit strings of one length as the tuples sort
+        """The text of json.dumps({"n": n, "weights": ...}, sort_keys=True),
+        written directly.  Digit strings of one length sort as the tuples
+        do, so expanding each factor's strings in sorted order (a plain map
+        is one factor) lists the map in sort_keys order; each distinct
+        weight is formatted once, by the float.__repr__ json calls."""
+
         weights = self.weights
-        if isinstance(weights, _Product):
-            keyed = weights.expand(_digits)
-        else:
-            keyed = {_digits(s): w for s, w in weights.items()}
-        payload = {"n": self.n, "weights": keyed}
-        return json.dumps(payload, sort_keys=True)
+        factors = weights.factors if isinstance(weights, _Product) else (self,)
+        keyed = _expand((sorted(f.weights.items()) for f in factors), _digits)
+        reprs = {w: float.__repr__(w) for w in set(keyed.values())}
+        body = ", ".join([f'"{s}": {reprs[w]}' for s, w in keyed.items()])
+        return f'{{"n": {self.n}, "weights": {{{body}}}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "BellDiagonalState":
+        """Read a document written by `to_json`.  It must be an object whose
+        "n" is a JSON integer >= 1 and whose "weights" object maps Bell
+        strings to JSON numbers; any other document raises ValueError."""
+
         data = json.loads(text)
-        raw, n = data["weights"], data.get("n")
-        if (type(n) is int and n >= 1 and type(raw) is dict and set(map(len, raw)) == {n}
-                and (joined := "".join(raw)).isascii()
+        if type(data) is not dict or type(raw := data.get("weights")) is not dict:
+            raise ValueError('a state document must be an object with a "weights" object')
+        n = data.get("n")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"copy count must be an integer >= 1, got {json.dumps(n)}")
+        if (set(map(len, raw)) == {n} and (joined := "".join(raw)).isascii()
                 and not (codes := joined.encode()).translate(None, b"1234")
                 and all(type(w) is float and w > 0 for w in raw.values())):
             # every key is n of the characters 1234 and every weight a positive
@@ -247,8 +271,11 @@ class BellDiagonalState:
             # any other document goes through; the two routes must agree.
             codes = iter(codes.translate(bytes.maketrans(b"1234", b"\1\2\3\4")))
             return cls._trusted(n, dict(zip(zip(*[codes] * n), raw.values())))
+        for w in raw.values():
+            if type(w) not in (int, float):
+                raise ValueError(f"weight must be a number, got {json.dumps(w)}")
         weights = {tuple(map(int, key)): w for key, w in raw.items()}
-        return cls(int(data["n"]), weights)
+        return cls(n, weights)
 
 
 def rho_n(n: int) -> BellDiagonalState:

@@ -318,7 +318,8 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
 
     The result is n - 2 for even n and n - 1 for odd n (where X^n and Z^n
     anticommute, so G <= 2^-(n+1)).  Any value below the proven floor
-    E_R >= E_D = n - 2 raises, since it can only come from a bug.
+    E_R >= E_D = n - 2 raises, since it can only come from a bug; a value
+    within 1e-9 below it is rounding and is reported as the floor.
     """
 
     if budget <= 0:
@@ -361,13 +362,13 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
     return ErReport(
         target=f"rho_n({n})",
         n=n,
-        best_bits=best,
+        best_bits=max(best, floor),
         floor_bits=floor,
         restarts=restarts,
         budget=budget,
         seed=seed,
         evaluations=evaluations,
-        restart_values=tuple(restart_values),
+        restart_values=tuple(max(v, floor) for v in restart_values),
         alice_state=best_state[0],
         bob_state=best_state[1],
     )

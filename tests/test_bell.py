@@ -199,6 +199,16 @@ def test_weights_validation():
         BellDiagonalState(1, {(1,): float("nan")})
 
 
+def test_copy_count_is_an_integer():
+    for n in (2.0, 2.5, "2", None, 0, -1):
+        with pytest.raises(ValueError, match="^copy count must be an integer >= 1, got "):
+            BellDiagonalState(n, {(1, 1): 1.0})
+    # a bool is an int; the state keeps the plain int, which to_json writes as a number
+    state = BellDiagonalState(True, {(1,): 1.0})
+    assert type(state.n) is int and state.to_json() == _reference_json(state)
+    assert BellDiagonalState.from_json(state.to_json()) == state
+
+
 def test_bell_string_messages():
     cases = [((1, 2, 3), "Bell string has length 3, expected 4"),
              ((1, 0, 2, 5), "Bell index must be in 1..4, got 0"),
@@ -346,12 +356,59 @@ def test_trusted_producers_pass_public_validation(rng):
         "431a3e6ce7052b2f240c8fd02679598472bdfea099626fcc1275855f414edea0")
 
 
+def test_to_json_matches_json_dumps_on_unsorted_and_varied_maps(rng):
+    unsorted = {(4, 2): 0.125, (1, 3): 0.5, (3, 3): 0.25, (2, 4): 0.125}
+    states = {
+        "plain map out of order": BellDiagonalState(2, unsorted),
+        "unsorted factor maps": rho2_power(3).permute_per_copy([(4, 3, 2, 1)] * 6),
+        "unsorted factors of a tensor": BellDiagonalState(2, unsorted).tensor(
+            rho_n(2).permute_per_copy([(4, 3, 2, 1), (2, 1, 4, 3)])),
+        "sample_pairwise_separable(4)": sample_pairwise_separable(4, rng),
+        "exponent weights": BellDiagonalState(2, {(1, 1): 1e-05, (4, 4): 1 - 1e-05}),
+        "exponent product": BellDiagonalState(1, {(2,): 1e-05, (1,): 1 - 1e-05}).tensor(
+            BellDiagonalState(1, {(3,): 1e-07, (1,): 1 - 1e-07})),
+        "single copy": BellDiagonalState(1, {(3,): 0.75, (1,): 0.25}),
+        "single-copy product": rho_n(1).tensor(rho_n(1)),
+        "distinct weights": random_bell_diagonal(3, rng).tensor(random_bell_diagonal(2, rng)),
+    }
+    assert list(states["unsorted factor maps"].weights)[0] == (4,) * 6
+    assert len(states["sample_pairwise_separable(4)"].weights) == 65_536
+    assert len(set(states["distinct weights"].weights.values())) == 4 ** 5
+    for name, state in states.items():
+        text = state.to_json()
+        assert text == _reference_json(state), name
+        assert BellDiagonalState.from_json(text) == state, name
+    assert '"11": 1e-05' in states["exponent weights"].to_json()
+
+
+def test_to_json_writes_the_text_without_json_dumps(monkeypatch):
+    expected = {name: state.to_json() for name, state in
+                [("rho_n", rho_n(3)), ("rho2_power", rho2_power(2))]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_json called json.dumps")
+
+    monkeypatch.setattr(bell.json, "dumps", refuse)
+    assert rho_n(3).to_json() == expected["rho_n"]
+    assert rho2_power(2).to_json() == expected["rho2_power"]
+
+
 def _per_entry_from_json(text):
-    """from_json as it was: every key converted and checked on its own."""
+    """from_json as it was: every key converted and checked on its own, once
+    the document has an object of weights, a JSON integer n >= 1 and JSON
+    numbers as weights."""
 
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("weights"), dict):
+        raise ValueError('a state document must be an object with a "weights" object')
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"copy count must be an integer >= 1, got {json.dumps(n)}")
+    for w in data["weights"].values():
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ValueError(f"weight must be a number, got {json.dumps(w)}")
     weights = {tuple(map(int, key)): w for key, w in data["weights"].items()}
-    return BellDiagonalState(int(data["n"]), weights)
+    return BellDiagonalState(n, weights)
 
 
 def _outcome(parse, text):
@@ -381,6 +438,24 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         ('{"n": 0, "weights": {}}', False),
         ('{"n": 0, "weights": {"": 1.0}}', False),
         ('{"n": 1, "weights": {}}', False),
+        # n is a JSON integer >= 1, never truncated or coerced
+        ('{"n": 2.5, "weights": {"11": 1.0}}', False),
+        ('{"n": 2.0, "weights": {"11": 1.0}}', False),
+        ('{"n": true, "weights": {"1": 1.0}}', False),
+        ('{"n": 1e300, "weights": {"1": 1.0}}', False),
+        ('{"n": null, "weights": {"1": 1.0}}', False),
+        ('{"n": -1, "weights": {"1": 1.0}}', False),
+        ('{"weights": {"1": 1.0}}', False),
+        # malformed documents and weights raise ValueError, not a TypeError
+        ('[1, 2]', False),
+        ('"11"', False),
+        ('{"n": 1}', False),
+        ('{"n": 1, "weights": [1.0]}', False),
+        ('{"n": 1, "weights": {"1": [1.0]}}', False),
+        ('{"n": 1, "weights": {"1": null}}', False),
+        ('{"n": 1, "weights": {"1": "1.0"}}', False),
+        ('{"n": 1, "weights": {"1": true}}', False),
+        ('{"n": 1, "weights": {"1": 0.5, "2": {}}}', False),
     ]
     checked = []
     real = bell.check_bell_string
@@ -391,6 +466,12 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         outcome = _outcome(BellDiagonalState.from_json, text)
         assert checked == [] or not bulk, text
         assert outcome == _outcome(_per_entry_from_json, text), text
+        if not isinstance(outcome[0], int):  # every rejection is a one-line ValueError
+            assert issubclass(outcome[0], ValueError) and "\n" not in outcome[1], text
+    for n in ("2.5", "true", "1e+300"):
+        message = f"copy count must be an integer >= 1, got {n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BellDiagonalState.from_json(f'{{"n": {n}, "weights": {{"1": 1.0}}}}')
 
 
 def test_trusted_producers_skip_string_checks(monkeypatch):
@@ -495,6 +576,17 @@ def test_product_equality_expands_once_without_copies(monkeypatch):
     assert state.weights != rho2_power(2).weights
     assert state.weights.__eq__(list(expanded)) is NotImplemented
     assert state.weights != list(expanded)
+
+
+def test_product_equality_with_another_size_does_not_expand(monkeypatch):
+    def refuse(self):
+        raise AssertionError("equality expanded a product of another size")
+
+    monkeypatch.setattr(bell._Product, "expand", refuse)
+    assert rho2_power(9) != rho_n(18) and rho_n(18) != rho2_power(9)
+    assert rho2_power(9).weights != rho2_power(8).weights
+    assert rho2_power(2).weights != _expanded_rho2_power(3)
+    assert not rho2_power(3).weights == {}
 
 
 def test_product_weight_sum_checked_from_factors():

@@ -484,6 +484,18 @@ def test_explore_er_exploratory_exit_zero(runner):
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_explore_er_never_prints_below_the_floor(runner, n):
+    # eigensolver rounding puts some raw values just under n - 2
+    for seed in range(5):
+        data = payload_of(invoke(runner, ["explore", "er", "--n", str(n),
+                                          "--restarts", "3", "--seed", str(seed)]))
+        assert data["floor_bits"] == max(n - 2, 0)
+        assert data["value_bits"] >= data["floor_bits"], seed
+        assert min(data["restart_values"]) >= data["floor_bits"], seed
+        assert data["value_bits"] == pytest.approx(max(n - 2, 0), abs=1e-9)
+
+
 def test_explore_er_budget_default_matches_library():
     # `explore er --n N` runs what `er_search(N)` runs
     option = next(p for p in explore_er.params if p.name == "budget")
