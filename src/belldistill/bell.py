@@ -35,9 +35,22 @@ BELL_AMPLITUDES.flags.writeable = False
 
 
 def check_bell_index(i: int) -> int:
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"Bell index must be in 1..4, got {i}")
-    return i
+    return check_bell_string((i,), 1)[0]
+
+
+def bell_bits(i: int) -> tuple[int, int]:
+    """(z, x) with i - 1 = 2z + x: Phi_i's <Z⊗Z> and <X⊗X> are (-1)^z and
+    (-1)^x (the binary labels of Bennett et al., quant-ph/9604024)."""
+
+    return divmod(check_bell_index(i) - 1, 2)
+
+
+def bell_index(z: int, x: int) -> int:
+    """The Bell index with parity bits (z, x); inverts `bell_bits`."""
+
+    if z not in (0, 1) or x not in (0, 1):
+        raise ValueError(f"parity bits must be 0 or 1, got ({z!r}, {x!r})")
+    return 2 * int(z) + int(x) + 1
 
 
 def bell_amplitudes(i: int) -> np.ndarray:
@@ -51,7 +64,8 @@ def bell_product_ket(indices: Sequence[int]) -> Ket:
     if not indices:
         raise ValueError("need at least one Bell index")
     check_dense_size(2 * len(indices))
-    return Ket(reduce(np.kron, map(bell_amplitudes, indices)))
+    s = check_bell_string(indices, len(indices))
+    return Ket(reduce(np.kron, (BELL_AMPLITUDES[i - 1] for i in s)))
 
 
 _BELL_INDICES = frozenset((1, 2, 3, 4))
@@ -70,12 +84,15 @@ def _integers(indices: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_bell_string(indices: Sequence[int], n: int) -> tuple[int, ...]:
+    """The one rule for a Bell index: int() converts it without truncating
+    (a digit character converts too), and it lies in 1..4."""
+
     s = _integers(indices)
     if len(s) != n:
         raise ValueError(f"Bell string has length {len(s)}, expected {n}")
     if not _BELL_INDICES.issuperset(s):
-        for i in s:  # raises for the first bad index
-            check_bell_index(i)
+        bad = next(i for i in s if i not in _BELL_INDICES)
+        raise ValueError(f"Bell index must be in 1..4, got {bad}")
     return s
 
 
@@ -153,6 +170,16 @@ def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
         raise ValueError(f"weights sum to {total}, expected 1")
 
 
+def _count(value: int, what: str) -> int:
+    try:
+        n = operator.index(value)
+    except TypeError:  # a float, even 2.0, as from_json rejects "n": 2.0
+        n = 0
+    if n < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return n
+
+
 def _digits(s: tuple[int, ...]) -> str:
     return "".join(map(str, s))
 
@@ -165,13 +192,7 @@ class BellDiagonalState:
     weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:  # a float, even 2.0, as from_json rejects "n": 2.0
-            n = 0
-        if n < 1:
-            raise ValueError(f"copy count must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _count(self.n, "copy count"))
         clean = {}
         for s, w in self.weights.items():
             s = check_bell_string(s, self.n)
@@ -282,8 +303,7 @@ def rho_n(n: int) -> BellDiagonalState:
     """Uniform mixture of the four n-fold Bell products: weight 1/4 on each
     constant string (i, i, ..., i)."""
 
-    if n < 1:
-        raise ValueError("copy count must be >= 1")
+    n = _count(n, "copy count")
     return BellDiagonalState(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
 
 
@@ -295,8 +315,7 @@ def rho2_power(m: int) -> BellDiagonalState:
     all 4^m strings, the last block varying fastest.
     """
 
-    if m < 1:
-        raise ValueError("block count must be >= 1")
+    m = _count(m, "block count")
     if m > 511:
         raise ValueError(f"block count {m} > 511: the weight 4^-m is not a normal float")
     block = BellDiagonalState._trusted(2, {(k, k): 0.25 for k in (1, 2, 3, 4)})
@@ -348,7 +367,7 @@ def parse_permutation(one_line: str) -> tuple[int, int, int, int]:
 
 def invert_permutation(perm: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     inv = [0, 0, 0, 0]
-    for i, image in enumerate(perm, start=1):
+    for i, image in enumerate(check_permutation(perm), start=1):
         inv[image - 1] = i
     return tuple(inv)
 

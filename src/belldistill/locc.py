@@ -2,26 +2,19 @@
 discrimination, and distillation.
 
 The discrimination protocol measures one copy in Z on both sides and one in
-X on both sides.  The outcome parities identify the Bell state exactly:
-
-    parity   Z    X
-    Phi1     0    0
-    Phi2     0    1
-    Phi3     1    0
-    Phi4     1    1
-
+X on both sides.  The outcome parities identify the Bell state exactly,
+because a Bell index is its Z and X parity bits (`bell.bell_bits`).
 Bob sends his two bits to Alice, who computes the parities, announces the
 index, and applies a one-sided Pauli to every remaining copy.  Two copies
 are consumed, so n copies yield n - 2 ebits.
 
 Every branch is a product of Bell pairs, so the protocol runs in the Bell
-(Pauli) frame for any n, with no ket: `FRAME` holds each Bell index's
-parities, read off the states' <Z⊗Z> and <X⊗X>.  A branch is the hidden
-index and Alice's two outcomes; Bob's outcomes follow from the parities, so
-every branch has probability exactly 1/16 and every corrected copy is
-exactly Phi1.  A seeded run draws every shot's cached branch as one nibble
-of a standard-library `random.Random(seed)` stream; a report's sample
-transcript is shot 0's.  `measure_local` and `discriminate_two_copies` keep
+(Pauli) frame for any n, with no ket.  A branch is the hidden index and
+Alice's two outcomes; Bob's outcomes follow from the parities, so every
+branch has probability exactly 1/16 and every corrected copy is exactly
+Phi1.  A seeded run draws every shot's cached branch as one nibble of a
+standard-library `random.Random(seed)` stream; a report's sample transcript
+is shot 0's.  `measure_local` and `discriminate_two_copies` keep
 the stepwise ket simulation (n <= 6) as the reference the frame is tested
 against; it never chooses an outcome whose Born probability was pruned
 (below 1e-14).  Both record a measurement as a `(party, copy, basis,
@@ -37,14 +30,13 @@ from functools import cache
 
 import numpy as np
 
-from .bell import bell_amplitudes, bell_product_ket, rho_n, smolin_flip_check, to_dense
+from .bell import bell_bits, bell_index, bell_product_ket, rho_n, smolin_flip_check, to_dense
 from .entropies import trace_distance
 from .measures import ppt_check
-from .permutations import H, X, Z
+from .permutations import H
 from .states import ALICE, BOB, DensityOperator, Ket
 
 
-PARITY_TO_INDEX = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
 # (party, copy, basis) in protocol order on a fresh register; Bob's two
 # outcomes are the communicated bits.
 PLAN = ((ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X"))
@@ -121,7 +113,7 @@ def _decode(a_z: int, b_z: int, a_x: int, b_x: int) -> tuple[int, int, int]:
     """Parities and announced Bell index from the four outcomes in PLAN order."""
 
     parity_z, parity_x = a_z ^ b_z, a_x ^ b_x
-    return parity_z, parity_x, PARITY_TO_INDEX[(parity_z, parity_x)]
+    return parity_z, parity_x, bell_index(parity_z, parity_x)
 
 
 @dataclass(frozen=True)
@@ -157,18 +149,6 @@ def discriminate_two_copies(state: ShotState,
                                 outcomes=tuple(outcomes), state=state)
 
 
-def _parities(i: int) -> tuple[int, int]:
-    """(Z, X) parity of Bell state i: 1 where its <Z⊗Z> or <X⊗X> is -1."""
-
-    psi = bell_amplitudes(i)
-    return tuple(int(np.real(np.vdot(psi, np.kron(p, p) @ psi)) < 0) for p in (Z, X))
-
-
-# Bell index -> (Z parity, X parity), read off the states and not inverted
-# from PARITY_TO_INDEX, so that guess == hidden checks the table.
-FRAME = {i: _parities(i) for i in (1, 2, 3, 4)}
-
-
 @dataclass(frozen=True)
 class Branch:
     """One branch of the protocol: its probability, the outcomes that lead
@@ -195,7 +175,7 @@ def _branch(copies_left: bool, hidden: int, a_z: int, a_x: int) -> Branch:
     guess is the hidden index, and to an orthogonal Bell state otherwise.
     """
 
-    parity_z, parity_x = FRAME[hidden]
+    parity_z, parity_x = bell_bits(hidden)
     bits = (a_z, a_z ^ parity_z, a_x, a_x ^ parity_x)  # PLAN order
     parity_z, parity_x, guess = _decode(*bits)
     return Branch(hidden=hidden, probability=1 / 16,

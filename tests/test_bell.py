@@ -32,7 +32,8 @@ from belldistill import (
     von_neumann_entropy,
 )
 from belldistill import bell
-from belldistill.bell import (BELL_AMPLITUDES, check_permutation, is_pair_constant,
+from belldistill.bell import (BELL_AMPLITUDES, bell_amplitudes, bell_bits, bell_index,
+                              check_bell_index, check_permutation, is_pair_constant,
                               smolin_flipped_terms)
 
 from conftest import kron_state, random_bell_diagonal
@@ -201,8 +202,10 @@ def test_weights_validation():
 
 def test_copy_count_is_an_integer():
     for n in (2.0, 2.5, "2", None, 0, -1):
-        with pytest.raises(ValueError, match="^copy count must be an integer >= 1, got "):
-            BellDiagonalState(n, {(1, 1): 1.0})
+        for build, what in ((lambda n: BellDiagonalState(n, {(1, 1): 1.0}), "copy count"),
+                            (rho_n, "copy count"), (rho2_power, "block count")):
+            with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1, got "):
+                build(n)
     # a bool is an int; the state keeps the plain int, which to_json writes as a number
     state = BellDiagonalState(True, {(1,): 1.0})
     assert type(state.n) is int and state.to_json() == _reference_json(state)
@@ -239,11 +242,62 @@ def test_permutation_parsing():
         parse_permutation("2133")
     # entries must be integral, as Bell indices must: none is truncated
     assert check_permutation((2.0, 1, "3", 4)) == (2, 1, 3, 4)
+    assert invert_permutation((2.0, "3", 4, 1)) == (4, 1, 2, 3)
     for bad in ((2.9, 1, 3, 4), (2.2, 1, 3, 4), (1, 2, 3, math.inf), (math.nan, 1, 3, 4),
-                (1, 2, 3, "x")):
-        for build in (check_permutation, lambda p: sigma_n([p]), local_permutation_search):
+                (1, 2, 3, "x"), (1, 1, 2, 3), (1, 2, 3, 5)):
+        for build in (check_permutation, lambda p: sigma_n([p]), local_permutation_search,
+                      invert_permutation):
             with pytest.raises(ValueError, match="not a permutation of 1..4"):
                 build(bad)
+
+
+def test_bell_bits_are_the_parities_of_the_library_amplitudes():
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for i in (1, 2, 3, 4):
+        psi = BELL_AMPLITUDES[i - 1]  # the library table, not a test copy
+        zz, xx = (np.real(np.vdot(psi, np.kron(p, p) @ psi)) for p in (z, x))
+        assert abs(zz) == pytest.approx(1.0, abs=1e-12)
+        assert abs(xx) == pytest.approx(1.0, abs=1e-12)
+        assert bell_bits(i) == (int(zz < 0), int(xx < 0))
+    for bits in itertools.product((0, 1), repeat=2):
+        assert bell_bits(bell_index(*bits)) == bits
+    for bits in ((2, 0), (0, -1), (0.5, 1)):
+        with pytest.raises(ValueError, match="^parity bits must be 0 or 1, got "):
+            bell_index(*bits)
+
+
+@pytest.mark.parametrize("indices, expected", [
+    ((1.0,), (1,)),
+    ((2.0, 1), (2, 1)),
+    (("1",), (1,)),
+    ((True, "4"), (1, 4)),
+    ((2.9,), "Bell index must be an integer, got 2.9"),
+    ((5,), "Bell index must be in 1..4, got 5"),
+    ((1, 0.0), "Bell index must be in 1..4, got 0"),
+    ((math.nan,), "cannot convert float NaN to integer"),
+    ((math.inf,), "cannot convert float infinity to integer"),
+    (("a",), "invalid literal for int() with base 10: 'a'"),
+])
+def test_one_rule_for_bell_indices(indices, expected):
+    # every index-taking function accepts and rejects what check_bell_string
+    # does, with the same one-line message
+    single = [check_bell_index, bell_amplitudes, bell_bits] if len(indices) == 1 else []
+    if isinstance(expected, str):
+        for check in (lambda: bell.check_bell_string(indices, len(indices)),
+                      lambda: bell_product_ket(indices),
+                      *(lambda f=f: f(indices[0]) for f in single)):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == expected
+        return
+    assert bell.check_bell_string(indices, len(indices)) == expected
+    assert np.array_equal(bell_product_ket(indices).amplitudes,
+                          bell_product_ket(expected).amplitudes)
+    if single:
+        assert check_bell_index(indices[0]) == expected[0]
+        assert np.array_equal(bell_amplitudes(indices[0]), BELL_AMPLITUDES[expected[0] - 1])
+        assert bell_bits(indices[0]) == bell_bits(expected[0])
 
 
 # --- the two-copy flip identity ---------------------------------------------

@@ -22,9 +22,8 @@ from belldistill import (
     partial_trace,
     von_neumann_entropy,
 )
-from belldistill.bell import bell_amplitudes
+from belldistill.bell import bell_amplitudes, bell_index
 from belldistill.locc import (
-    PARITY_TO_INDEX,
     PLAN,
     Branch,
     _branch,
@@ -181,7 +180,8 @@ def test_measure_exact_probabilities():
 
 
 def test_parity_map_is_the_documented_table():
-    assert PARITY_TO_INDEX == {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
+    assert {(z, x): bell_index(z, x) for z in (0, 1) for x in (0, 1)} == {
+        (0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
 
 
 @settings(max_examples=30, deadline=None)
@@ -222,7 +222,7 @@ def test_transcript_structure(rng):
     assert sum(r["communicated"] for r in rows) == 2
     bob_bits = [r["outcome"] for r in sent]
     alice = {basis: outcome for party, _, basis, outcome in outcomes if party == "alice"}
-    assert PARITY_TO_INDEX[(alice["Z"] ^ bob_bits[0], alice["X"] ^ bob_bits[1])] == result.guess
+    assert bell_index(alice["Z"] ^ bob_bits[0], alice["X"] ^ bob_bits[1]) == result.guess
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -292,7 +292,7 @@ def test_bad_shot_counts_are_value_errors(sample, message):
 def test_shot_records_follow_parity_table():
     report = distill(4, shots=200, seed=3)
     for r in report.branches:
-        assert PARITY_TO_INDEX[(r.parity_z, r.parity_x)] == r.guess == r.hidden
+        assert bell_index(r.parity_z, r.parity_x) == r.guess == r.hidden
 
 
 def test_run_shot_reproducible():
