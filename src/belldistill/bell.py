@@ -53,10 +53,6 @@ def bell_index(z: int, x: int) -> int:
     return 2 * int(z) + int(x) + 1
 
 
-def bell_amplitudes(i: int) -> np.ndarray:
-    return BELL_AMPLITUDES[check_bell_index(i) - 1]
-
-
 def bell_product_ket(indices: Sequence[int]) -> Ket:
     """|Phi_s1> x |Phi_s2> x ... on the copy-major register (capped at 12
     qubits before anything is built)."""

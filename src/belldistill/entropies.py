@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _eigh_blocks
+from .states import DensityOperator, Ket, _eigh_blocks, _kept_entries, _sparse_zeros
 
 # Eigenvalues at or below this are treated as exact zeros for entropy and
 # support purposes; dimensions are <= 4096 so eigensolver noise stays well
@@ -49,13 +49,13 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     return vals[order], vecs[:, order]
 
 
-def _spectrum(m: np.ndarray, weigh: np.ndarray | None = None):
+def _spectrum(m: np.ndarray, entries=None, weigh: np.ndarray | None = None):
     """Eigenvalues of a Hermitian matrix in ascending order, solved block by
-    block (the stable sort keeps the order of a one-block solve).  With
-    `weigh`, also the weight <v|weigh|v> on each eigenvector v, in the same
-    order, from the diagonal blocks of `weigh` only."""
+    block over its `entries` (the stable sort keeps the order of a one-block
+    solve).  With `weigh`, also the weight <v|weigh|v> on each eigenvector v,
+    in the same order, from the diagonal blocks of `weigh` only."""
 
-    groups = _eigh_blocks(m, vectors=weigh is not None)
+    groups = _eigh_blocks(m, vectors=weigh is not None, entries=entries)
     vals = np.concatenate([values.ravel() for _, values, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
@@ -75,7 +75,7 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    return shannon_bits(np.clip(_spectrum(rho.matrix)[::-1], 0.0, None))
+    return shannon_bits(np.clip(_spectrum(rho.matrix, rho._entries())[::-1], 0.0, None))
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
@@ -104,8 +104,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("states must have the same number of qubits")
-    q, w = _spectrum(sigma.matrix, weigh=rho.matrix)
-    return _divergence(_spectrum(rho.matrix)[::-1], q[::-1], w[::-1])
+    q, w = _spectrum(sigma.matrix, sigma._entries(), weigh=rho.matrix)
+    return _divergence(_spectrum(rho.matrix, rho._entries())[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
@@ -121,8 +121,12 @@ def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
 
 
 def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
-    """(1/2) ||rho - tau||_1 from the eigenvalues of the difference."""
+    """(1/2) ||rho - tau||_1 from the eigenvalues of the difference, at the entries only."""
 
     if rho.matrix.shape != tau.matrix.shape:
         raise ValueError("states must have the same number of qubits")
-    return float(0.5 * np.sum(np.abs(_spectrum(rho.matrix - tau.matrix))))
+    d = len(rho.matrix)
+    k = np.concatenate([r * d + c for r, c in (rho._entries(), tau._entries())])
+    diff = _sparse_zeros(d)
+    np.put(diff, k, np.take(rho.matrix, k) - np.take(tau.matrix, k))
+    return float(0.5 * np.sum(np.abs(_spectrum(diff, _kept_entries(diff, k)))))

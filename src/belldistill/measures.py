@@ -33,7 +33,7 @@ from .entropies import (
     _spectrum,
     shannon_bits,
 )
-from .states import DensityOperator, check_dense_size, partial_transpose
+from .states import DensityOperator, check_dense_size, partial_transpose_matrix
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
 
     # sigma's blocks give support, flatness, overlap and the raw divergence;
     # rho's spectrum gives its entropy (each matrix is solved once)
-    vals, w = _spectrum(q_dense.matrix, weigh=p_dense.matrix)
+    vals, w = _spectrum(q_dense.matrix, q_dense._entries(), weigh=p_dense.matrix)
     on_support = vals > SUPPORT_CUTOFF
     support_vals = vals[on_support]
     if support_vals.size == 0:
@@ -102,7 +102,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
     ref_bits = -math.log2(float(support_vals.mean()))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    p = _spectrum(p_dense.matrix)[::-1]
+    p = _spectrum(p_dense.matrix, p_dense._entries())[::-1]
     raw = _divergence(p, vals[::-1], w[::-1])
     value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
@@ -182,9 +182,13 @@ class PptReport:
 
 def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
     """Ascending spectrum of the partial transpose over Bob's qubits, the
-    odd axes."""
+    odd axes, solved once per state and kept on it as `_pt_spectrum`."""
 
-    return _spectrum(partial_transpose(rho, range(1, rho.n_qubits, 2)))
+    if rho._pt_spectrum is None:
+        pt = partial_transpose_matrix(rho.matrix, rho.n_qubits, range(1, rho.n_qubits, 2),
+                                      rho._entries())
+        object.__setattr__(rho, "_pt_spectrum", _spectrum(*pt))
+    return rho._pt_spectrum
 
 
 def ppt_check(rho: DensityOperator) -> PptReport:
@@ -195,9 +199,12 @@ def ppt_check(rho: DensityOperator) -> PptReport:
 
 
 def log_negativity(rho: DensityOperator) -> float:
-    """log2 of the trace norm of the partial transpose (bits)."""
+    """log2 of the trace norm of the partial transpose (bits), at least 0."""
 
-    return math.log2(float(np.sum(np.abs(_pt_spectrum(rho)))))
+    norm = float(np.sum(np.abs(_pt_spectrum(rho))))
+    if not norm >= 1.0 - 1e-9:  # the norm is at least Tr rho^Gamma = 1; NaN fails too
+        raise RuntimeError(f"partial transpose has trace norm {norm} < 1, a bug")
+    return max(0.0, math.log2(norm))
 
 
 # --- Separable-state sampling ------------------------------------------------

@@ -4,13 +4,14 @@ A state's array fixes its register: q = log2(dim) qubits, big-endian, with
 axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
-sparse Bell-diagonal representation.
+sparse Bell-diagonal representation.  Builders fill matrices on private
+4 KiB pages and record the exact-nonzero entries that later steps read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,8 +47,20 @@ def _frozen_array(a, ndim: int, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def _check_trace(m: np.ndarray) -> None:
-    tr_err = abs(float(m.trace().real) - 1.0)
+def _sparse_zeros(d: int) -> np.ndarray:
+    """A zeroed d x d complex array on a private anonymous mapping of 4 KiB
+    pages, so a scattered write makes 4 KiB resident, not a 2 MiB huge page."""
+
+    import mmap
+    buf = mmap.mmap(-1, d * d * 16, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=complex).reshape(d, d)
+
+
+def _check_trace(m: np.ndarray, entries=None) -> None:
+    on = np.arange(len(m)) if entries is None else entries[0][entries[0] == entries[1]]
+    tr_err = abs(float(m[on, on].sum().real) - 1.0)
     if not tr_err <= TRACE_TOL:  # NaN fails too
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
@@ -80,7 +93,7 @@ class Ket:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
     def to_dm(self) -> "DensityOperator":
-        return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return dm_from_ensemble([(1.0, self)])
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,8 @@ class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator on q qubits."""
 
     matrix: np.ndarray
+    _nz: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _pt_spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_array(self.matrix, 2)
@@ -104,28 +119,39 @@ class DensityOperator:
     def n_qubits(self) -> int:
         return len(self.matrix).bit_length() - 1
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the exact-nonzero entries: recorded or scanned once."""
+
+        if self._nz is None:
+            object.__setattr__(self, "_nz", _nonzero_entries(self.matrix))
+        return self._nz
+
     @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
-        """Wrap a matrix built from valid states by an operation that keeps it
-        Hermitian and positive semidefinite: only the size, shape and trace
-        are checked, and the fresh array is frozen in place, not copied."""
+    def _trusted(cls, matrix: np.ndarray, entries=None) -> "DensityOperator":
+        """Wrap a fresh matrix, built from valid states by an operation that
+        keeps it Hermitian and PSD, frozen in place: only the size, shape and
+        trace are checked, the trace over the builder's `entries`, if given."""
 
         m = _frozen_array(matrix, 2, copy=False)
-        _check_trace(m)
+        _check_trace(m, entries)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "_nz", entries)
         return rho
 
 
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
-    """Mixture sum(w_k |psi_k><psi_k|) of kets on one register."""
+    """Mixture sum(w_k |psi_k><psi_k|) of kets on one register.  Its entries
+    are recorded from the kets' supports, less exact cancellations, unless
+    the candidates pass d^2 / 8: sorting those costs more than one scan."""
 
     members = list(members)
     if not members:
         raise ValueError("ensemble must not be empty")
     d = len(members[0][1].amplitudes)
     total = 0.0
-    rho = np.zeros((d, d), dtype=complex)
+    rho = _sparse_zeros(d)
+    supports = {}
     for w, psi in members:
         if w < 0:
             raise ValueError(f"negative ensemble weight {w}")
@@ -137,9 +163,22 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         a = psi.amplitudes
         on = np.flatnonzero(a)
         rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
+        supports[on.tobytes()] = on
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    return DensityOperator._trusted(rho)
+    if 8 * sum(on.size ** 2 for on in supports.values()) > d * d:
+        return DensityOperator._trusted(rho)
+    k = np.concatenate([(on[:, None] * d + on).ravel() for on in supports.values()])
+    return DensityOperator._trusted(rho, _kept_entries(rho, k))
+
+
+def _kept_entries(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, in row-major order, of the nonzero entries at `k`."""
+
+    k = np.sort(k)
+    keep = np.take(m, k) != 0  # an exact cancellation drops out
+    keep[1:] &= k[1:] != k[:-1]  # and so does a repeat (np.unique would import numpy.ma)
+    return np.divmod(k[keep], len(m))
 
 
 def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,21 +187,19 @@ def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     int32 wherever the flat index fits, to halve the index memory."""
 
     k = np.flatnonzero(m != 0).astype(np.int32 if m.size <= 2 ** 31 else np.intp)
-    r = k // len(m)
-    k -= r * len(m)
-    return r, k
+    return np.divmod(k, len(m))
 
 
-def _block_labels(m: np.ndarray) -> np.ndarray:
+def _block_labels(m: np.ndarray, entries=None) -> np.ndarray:
     """The smallest index of each index's connected component in the
-    symmetrised exact-nonzero pattern of a square matrix.
+    symmetrised exact-nonzero pattern of a square matrix (its `entries`).
 
     Each index takes the smallest label among its neighbours in either
     direction, over the nonzero entries, until nothing changes; pointer
     jumping shortens the chains.  One gather of labels is alive at a time,
     so the peak stays near the int32 indices."""
 
-    r, c = _nonzero_entries(m)
+    r, c = _nonzero_entries(m) if entries is None else entries
     label = np.arange(len(m))
     while True:
         new = label.copy()
@@ -173,14 +210,14 @@ def _block_labels(m: np.ndarray) -> np.ndarray:
         label = new[new]
 
 
-def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
+def _eigh_blocks(m: np.ndarray, vectors: bool = True, entries=None) -> list[tuple]:
     """Eigensolve a Hermitian matrix block by block.
 
     The blocks are the connected components of the matrix's exact-nonzero
-    pattern, symmetrised, so no tolerance decides the split, and a matrix
-    that forms one block is solved whole by one `np.linalg.eigh` (or
-    `eigvalsh` without `vectors`) with the same digits.  Blocks of one size
-    go through one stacked call; 1x1 blocks are read off the diagonal.
+    `entries` (or a scan's), symmetrised, so no tolerance decides the split,
+    and a matrix that forms one block is solved whole by one `np.linalg.eigh`
+    (or `eigvalsh` without `vectors`) with the same digits.  Blocks of one
+    size go through one stacked call; 1x1 blocks are read off the diagonal.
     Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
     lists the k blocks of that size, `values` (k, s) their ascending
     eigenvalues and `vecs` (k, s, s) their eigenvectors, or None.
@@ -192,7 +229,8 @@ def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
         return np.linalg.eigvalsh(a), None
 
     d = len(m)
-    label = _block_labels(m)
+    r, c = entries = _nonzero_entries(m) if entries is None else entries
+    label = _block_labels(m, entries)
     if not label.any():
         values, vecs = solve(m)
         return [(np.arange(d)[None], values[None], None if vecs is None else vecs[None])]
@@ -202,8 +240,9 @@ def _eigh_blocks(m: np.ndarray, vectors: bool = True) -> list[tuple]:
     # a bare np.unique imports numpy.ma, which a set of a few ints does not need
     for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
-        if s == 1:
-            values = m[rows, rows].real
+        if s == 1:  # an index off the diagonal entries holds an exact zero
+            on = r[r == c]
+            values = np.bincount(on, m[on, on].real, d)[rows]
             vecs = np.ones((len(rows), 1, 1), dtype=m.dtype) if vectors else None
         else:
             values, vecs = solve(m[rows[:, :, None], rows[:, None, :]])
@@ -235,31 +274,29 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator._trusted(reduced.reshape(d, d))
 
 
-def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int,
-                             axes: Sequence[int]) -> np.ndarray:
-    """Transpose the given qubit axes only: a pure index permutation of the
-    nonzero entries.  Axis k is bit q - 1 - k of a row or column index, and
-    an entry moves by swapping its row's and column's bits on those axes."""
+def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int, axes: Sequence[int],
+                             entries=None) -> tuple[np.ndarray, tuple]:
+    """Transpose the given qubit axes only, permuting the nonzero `entries`
+    (or a scan's): axis k is bit q - 1 - k of an index, and an entry swaps its
+    row's and column's bits on those axes.  Returns the result and its entries."""
 
     d = 2 ** n_qubits
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n_qubits} qubits")
     mask = sum(1 << (n_qubits - 1 - ax) for ax in _check_axes(axes, n_qubits))
-    r, c = _nonzero_entries(matrix)
+    r, c = _nonzero_entries(matrix) if entries is None else entries
     swap = (r ^ c) & mask  # the masked bits where row and column differ
-    k = r * d + c
-    out = np.zeros((d, d), dtype=matrix.dtype)
-    # flipping `swap` in both the row and the column part of a flat index
-    # trades the row's and the column's bits on the transposed axes
-    np.put(out, k ^ swap * (d + 1), np.take(matrix, k))
-    return out
+    moved = r ^ swap, c ^ swap  # the row's and column's bits traded on the axes
+    out = _sparse_zeros(d)
+    out[moved] = matrix[r, c]
+    return out, moved
 
 
 def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
     """Partial transpose over the given qubit axes.  Result is Hermitian and
     unit-trace but generally not positive, so a raw matrix is returned."""
 
-    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes)
+    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes, rho._entries())[0]
 
 
 def reorder(state: Ket | DensityOperator, new_order: Sequence[int]):

@@ -22,7 +22,7 @@ from belldistill import (
     partial_trace,
     von_neumann_entropy,
 )
-from belldistill.bell import bell_amplitudes, bell_index
+from belldistill.bell import BELL_AMPLITUDES, bell_index
 from belldistill.locc import (
     PLAN,
     Branch,
@@ -80,7 +80,7 @@ def _remaining_copy_fidelity(ket, copy):
     ax_a = 2 * (copy - 1)  # Alice's qubit; Bob's is the next axis
     moved = np.moveaxis(ket.tensor_view(), (ax_a, ax_a + 1), (0, 1)).reshape(4, -1)
     reduced = moved @ moved.conj().T
-    phi1 = bell_amplitudes(1)
+    phi1 = BELL_AMPLITUDES[0]
     return float(np.real(phi1.conj() @ reduced @ phi1))
 
 

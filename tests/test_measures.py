@@ -113,6 +113,35 @@ def test_log_negativity_examples():
     assert log_negativity(to_dense(rho_n(2))) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_log_negativity_is_never_below_zero():
+    # rounding gave -3.2e-16 for rho_1 and -6.4e-16 for rho_2
+    for n in (1, 2):
+        assert log_negativity(to_dense(rho_n(n))) == 0.0
+    rho = to_dense(rho_n(2))
+    object.__setattr__(rho, "_pt_spectrum", np.array([0.25, 0.25, 0.5 - 1e-6]))
+    with pytest.raises(RuntimeError, match="trace norm .* < 1"):
+        log_negativity(rho)
+
+
+def test_ppt_and_log_negativity_share_one_partial_transpose(monkeypatch):
+    calls = []
+    real = measures.partial_transpose_matrix
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(measures, "partial_transpose_matrix", counting)
+    rho = to_dense(rho_n(3))
+    report = ppt_check(rho)
+    value = log_negativity(rho)
+    assert calls == [6]
+    assert report == ppt_check(rho) and value == log_negativity(rho) == pytest.approx(2.0)
+    assert calls == [6]
+    log_negativity(to_dense(rho_n(3)))  # a new state solves its own
+    assert calls == [6, 6]
+
+
 def test_log_negativity_rho3_bruteforce():
     # independent oracle: partial transpose of the 64x64 matrix by explicit
     # index arithmetic over Bob's three qubits

@@ -21,8 +21,10 @@ from belldistill import (
     to_dense,
 )
 from belldistill.permutations import H, S
-from belldistill.bell import bell_amplitudes
-from belldistill.states import _block_labels, check_dense_size, partial_transpose_matrix
+from belldistill.bell import BELL_AMPLITUDES
+from belldistill import states
+from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
+                                 partial_transpose_matrix)
 
 from conftest import dump_matrix, kron_state, planted_blocks, random_density
 
@@ -157,7 +159,7 @@ def test_partial_transpose_involution_and_trace(seed, n):
     rho = random_density(2 * n, gen)
     bob = range(1, 2 * n, 2)
     once = partial_transpose(rho, bob)
-    twice = partial_transpose_matrix(once, 2 * n, bob)
+    twice, _ = partial_transpose_matrix(once, 2 * n, bob)
     assert np.array_equal(twice, rho.matrix)  # bit-exact involution
     assert abs(np.trace(once).real - 1.0) < 1e-12
     assert np.max(np.abs(once - once.conj().T)) < 1e-12
@@ -197,7 +199,7 @@ def test_bell_pairs_layout_is_copy_major():
     rho = bell_product_ket(s).to_dm()
     for j, i in enumerate(s):
         pair = partial_trace(rho, [2 * j, 2 * j + 1])
-        phi = bell_amplitudes(i)
+        phi = BELL_AMPLITUDES[i - 1]
         assert np.allclose(pair.matrix, np.outer(phi, phi.conj()), atol=1e-15)
     qubits = json.loads(dm_to_json(rho))["qubits"]
     assert [q["label"] for q in qubits] == ["A1", "B1", "A2", "B2", "A3", "B3"]
@@ -391,7 +393,7 @@ def test_partial_transpose_matches_reference_on_bell_diagonal_states(name):
     rho = to_dense(BELL_DIAGONAL[name]())
     q = rho.n_qubits
     for axes in _axis_sets(q) if q < 12 else [range(1, q, 2)]:
-        out = partial_transpose_matrix(rho.matrix, q, axes)
+        out, _ = partial_transpose_matrix(rho.matrix, q, axes)
         assert out.dtype == rho.matrix.dtype and out.shape == rho.matrix.shape
         assert np.array_equal(out.reshape((2,) * (2 * q)),
                               _reference_partial_transpose(rho.matrix, q, axes))
@@ -404,5 +406,86 @@ def test_partial_transpose_matches_reference_on_random_matrices(name):
     q = len(m).bit_length() - 1
     for a in (m, m.T):  # the transposed view is not C-contiguous
         for axes in _axis_sets(q):
-            assert np.array_equal(partial_transpose_matrix(a, q, axes),
+            assert np.array_equal(partial_transpose_matrix(a, q, axes)[0],
                                   _reference_partial_transpose(a, q, axes).reshape(a.shape))
+
+
+# --- recorded nonzero entries ---------------------------------------------------
+
+
+def _entry_set(entries, d):
+    """The flat indices of (rows, cols), after checking that none repeats."""
+
+    r, c = entries
+    flat = set((np.asarray(r, dtype=np.int64) * d + c).tolist())
+    assert len(flat) == len(r)
+    return flat
+
+
+@pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
+def test_recorded_entries_match_the_scan(name):
+    rho = to_dense(BELL_DIAGONAL[name]())
+    q, d = rho.n_qubits, len(rho.matrix)
+    if q >= 6:  # a few candidates per entry of d x d: dm_from_ensemble records them
+        assert rho._nz is not None
+    assert _entry_set(rho._entries(), d) == _entry_set(_nonzero_entries(rho.matrix), d)
+    for axes in _axis_sets(q):
+        out, entries = partial_transpose_matrix(rho.matrix, q, axes, rho._entries())
+        assert _entry_set(entries, d) == _entry_set(_nonzero_entries(out), d)
+
+
+def test_recorded_entries_of_to_dm_match_the_scan(rng):
+    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    a[rng.permutation(16)[:7]] = 0
+    for psi, recorded in ((bell_product_ket((1, 3)), True), (bell_product_ket((4,) * 6), True),
+                          (Ket(a / np.linalg.norm(a)), False)):  # 81 candidates > 256 / 8
+        rho = psi.to_dm()
+        d = len(rho.matrix)
+        assert (rho._nz is not None) == recorded
+        assert _entry_set(rho._entries(), d) == _entry_set(_nonzero_entries(rho.matrix), d)
+
+
+def test_an_exact_cancellation_is_not_recorded():
+    # Phi1 and Phi2 cancel off the diagonal of copy 1: of the 64 candidates
+    # on their common support, 32 stay nonzero
+    rho = dm_from_ensemble([(0.5, bell_product_ket((1, 1, 1))),
+                            (0.5, bell_product_ket((2, 1, 1)))])
+    assert len(rho._nz[0]) == 32
+    assert _entry_set(rho._nz, 64) == _entry_set(_nonzero_entries(rho.matrix), 64)
+
+
+def test_a_dense_fill_is_scanned_on_first_use_instead():
+    # a full-support ket has d^2 candidates: sorting them costs more than
+    # one scan, so none are recorded
+    a = np.random.default_rng(1).standard_normal(2 ** 10)
+    rho = Ket(a / np.linalg.norm(a)).to_dm()
+    assert rho._nz is None
+    assert len(rho._entries()[0]) == 2 ** 20
+
+
+def test_states_with_recorded_entries_never_scan(monkeypatch):
+    from belldistill import (fidelity_pure, log_negativity, ppt_check, trace_distance,
+                             von_neumann_entropy)
+
+    def refuse(m):
+        raise AssertionError("scanned a matrix whose entries were recorded")
+
+    monkeypatch.setattr(states, "_nonzero_entries", refuse)
+    rho5 = to_dense(rho_n(5))
+    assert von_neumann_entropy(rho5) == pytest.approx(2.0, abs=1e-12)
+    assert not ppt_check(rho5).is_ppt
+    assert log_negativity(rho5) == pytest.approx(4.0, abs=1e-10)
+    assert trace_distance(rho5, rho5) == 0.0
+    rho6 = to_dense(rho_n(6))
+    for i in (1, 2, 3, 4):
+        assert fidelity_pure(rho6, bell_product_ket((i,) * 6)) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_a_public_state_scans_once(monkeypatch):
+    rho = DensityOperator(np.eye(4) / 4)
+    calls = []
+    real = states._nonzero_entries
+    monkeypatch.setattr(states, "_nonzero_entries", lambda m: calls.append(1) or real(m))
+    first = rho._entries()
+    assert rho._entries() is first and calls == [1]
+    assert _entry_set(first, 4) == {0, 5, 10, 15}
