@@ -29,7 +29,6 @@ from .bell import (
     rho2_power,
     rho_n,
     sigma_n,
-    smolin_flip_check,
     to_dense,
 )
 from .permutations import (
@@ -44,6 +43,7 @@ from .measures import (
     DivergenceReport,
     ErReport,
     PptReport,
+    distill_trivial,
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,
@@ -52,6 +52,7 @@ from .measures import (
     ppt_check,
     sample_pairwise_separable,
     sample_separable,
+    smolin_flip_check,
 )
 from .locc import (
     BranchAnalysis,
@@ -61,7 +62,6 @@ from .locc import (
     discriminate_two_copies,
     distill,
     distill_exact_branches,
-    distill_trivial,
     measure_local,
 )
 

@@ -412,13 +412,3 @@ def smolin_flipped_terms() -> list[Ket]:
         flipped = np.kron(phi, phi).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
         terms.append(Ket(flipped.transpose(0, 2, 1, 3).reshape(16)))
     return terms
-
-
-def smolin_flip_check() -> float:
-    """Trace distance between the two-copy mixture and its flipped form."""
-
-    from .entropies import trace_distance
-
-    rho2 = to_dense(rho_n(2))
-    flipped = dm_from_ensemble([(0.25, t) for t in smolin_flipped_terms()])
-    return trace_distance(rho2, flipped)

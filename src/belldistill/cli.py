@@ -31,8 +31,9 @@ from .bell import (
     to_dense,
 )
 from .entropies import trace_distance
-from .locc import discrimination_rate, distill as run_distill, distill_trivial
+from .locc import discrimination_rate, distill as run_distill
 from .measures import (
+    distill_trivial,
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,
@@ -199,7 +200,7 @@ def distill_cmd(n, shots, seed, fmt):
         if fmt == "csv":
             raise click.UsageError("the zero-yield cases have no per-shot rows; "
                                    "use --format json")
-        payload = _zero_yield_payload(n)
+        payload = distill_trivial(n)
         payload["seed"] = seed
         return payload, None
     report = run_distill(n, shots=shots, seed=seed)
@@ -233,18 +234,6 @@ def discriminate_cmd(n, shots, seed):
 # --- separability evidence -----------------------------------------------------
 
 
-def _zero_yield_payload(n: int) -> dict:
-    """The n = 1 or 2 evidence with its pass flag: maximally mixed, or PPT
-    with the flip identity."""
-
-    payload = distill_trivial(n)
-    if n == 1:
-        payload["pass"] = payload["distance_to_maximally_mixed"] <= 1e-12
-    else:
-        payload["pass"] = payload["is_ppt"] and payload["smolin_residual"] <= 1e-10
-    return payload
-
-
 @main.command("separability")
 @click.option("--n", "n", type=click.Choice(["1", "2"]), required=True)
 @click.option("--dump", type=click.Path(), default=None,
@@ -254,7 +243,7 @@ def separability_cmd(n, dump):
     """Checkable separability evidence for the one- and two-copy mixtures."""
 
     n = int(n)
-    payload = _zero_yield_payload(n)
+    payload = distill_trivial(n)
     payload["command"] = "separability"
     if dump:
         with open(dump, "w") as fh:

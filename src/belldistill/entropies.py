@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _eigh_blocks, _kept_entries, _sparse_zeros
+from .states import (DensityOperator, Ket, _eigh_blocks, _hermitian_entries, _kept_entries,
+                     _real_diagonal, _sparse_zeros)
 
 # Eigenvalues at or below this are treated as exact zeros for entropy and
 # support purposes; dimensions are <= 4096 so eigensolver noise stays well
@@ -20,27 +21,26 @@ SUPPORT_CUTOFF = 1e-10
 # outside sigma's support, the divergence is infinite.
 SUPPORT_LEAK_TOL = 1e-9
 
-HERM_INPUT_TOL = 1e-10
-
 
 def herm_eig(matrix: np.ndarray | DensityOperator):
     """Eigenvalues (real, descending) and matching orthonormal eigenvectors.
 
-    Rejects inputs that are not Hermitian within 1e-10.  Blocks of the
-    exact-nonzero pattern are solved separately.
+    A matrix must be Hermitian within 1e-10 at the entries of one scan (a
+    state brings its own entries); their blocks are solved separately.
     """
 
-    m = matrix.matrix if isinstance(matrix, DensityOperator) else np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if not asym <= HERM_INPUT_TOL:  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.2e})")
+    if isinstance(matrix, DensityOperator):
+        m, entries = matrix.matrix, matrix._entries
+    else:
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        entries = _hermitian_entries(m, 1e-10)
     d = len(m)
     vals = np.empty(d)
     vecs = np.zeros((d, d), dtype=complex)
     start = 0
-    for rows, values, block_vecs in _eigh_blocks(m):
+    for rows, values, block_vecs in _eigh_blocks(m, entries):
         cols = start + np.arange(rows.size).reshape(rows.shape)
         vals[cols] = values
         vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
@@ -49,19 +49,22 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     return vals[order], vecs[:, order]
 
 
-def _spectrum(m: np.ndarray, entries=None, weigh: np.ndarray | None = None):
+def _spectrum(m: np.ndarray, entries, weigh: DensityOperator | None = None):
     """Eigenvalues of a Hermitian matrix in ascending order, solved block by
     block over its `entries` (the stable sort keeps the order of a one-block
-    solve).  With `weigh`, also the weight <v|weigh|v> on each eigenvector v,
-    in the same order, from the diagonal blocks of `weigh` only."""
+    solve).  With the state `weigh`, also the weight <v|weigh|v> on each
+    eigenvector v, in the same order, from `weigh` on m's diagonal blocks
+    only (a 1x1 block's weight from `weigh`'s recorded diagonal)."""
 
-    groups = _eigh_blocks(m, vectors=weigh is not None, entries=entries)
+    groups = _eigh_blocks(m, entries, vectors=weigh is not None)
     vals = np.concatenate([values.ravel() for _, values, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
         return vals[order]
+    x = weigh.matrix
     w = np.concatenate([
-        np.real(np.sum(v.conj() * (weigh[rows[:, :, None], rows[:, None, :]] @ v), axis=1)).ravel()
+        (_real_diagonal(x, weigh._entries)[rows] if rows.shape[1] == 1 else
+         np.real(np.sum(v.conj() * (x[rows[:, :, None], rows[:, None, :]] @ v), axis=1))).ravel()
         for rows, _, v in groups])
     return vals[order], w[order]
 
@@ -75,7 +78,7 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    return shannon_bits(np.clip(_spectrum(rho.matrix, rho._entries())[::-1], 0.0, None))
+    return shannon_bits(np.clip(_spectrum(rho.matrix, rho._entries)[::-1], 0.0, None))
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
@@ -104,8 +107,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValueError("states must have the same number of qubits")
-    q, w = _spectrum(sigma.matrix, sigma._entries(), weigh=rho.matrix)
-    return _divergence(_spectrum(rho.matrix, rho._entries())[::-1], q[::-1], w[::-1])
+    q, w = _spectrum(sigma.matrix, sigma._entries, weigh=rho)
+    return _divergence(_spectrum(rho.matrix, rho._entries)[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
@@ -126,7 +129,7 @@ def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
     if rho.matrix.shape != tau.matrix.shape:
         raise ValueError("states must have the same number of qubits")
     d = len(rho.matrix)
-    k = np.concatenate([r * d + c for r, c in (rho._entries(), tau._entries())])
+    k = np.concatenate([r * d + c for r, c in (rho._entries, tau._entries)])
     diff = _sparse_zeros(d)
     np.put(diff, k, np.take(rho.matrix, k) - np.take(tau.matrix, k))
     return float(0.5 * np.sum(np.abs(_spectrum(diff, _kept_entries(diff, k)))))

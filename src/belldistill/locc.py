@@ -30,11 +30,9 @@ from functools import cache
 
 import numpy as np
 
-from .bell import bell_bits, bell_index, bell_product_ket, rho_n, smolin_flip_check, to_dense
-from .entropies import trace_distance
-from .measures import ppt_check
+from .bell import bell_bits, bell_index, bell_product_ket
 from .permutations import H
-from .states import ALICE, BOB, DensityOperator, Ket
+from .states import ALICE, BOB, Ket
 
 
 # (party, copy, basis) in protocol order on a fresh register; Bob's two
@@ -325,24 +323,6 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
         draws=draws,
         transcript_sample=_transcript_rows(frame[draws[0]].outcomes),
     )
-
-
-def distill_trivial(n: int) -> dict:
-    """The zero-yield payload with its evidence.  n = 1: the mixture is
-    maximally mixed.  n = 2: it is PPT and equals its flipped, manifestly
-    separable form.  Either way 0 ebits."""
-
-    out = {"command": "distill", "n": n, "ebits_per_shot": 0, "success_rate": 1.0}
-    if n == 1:
-        mixed = DensityOperator(np.eye(4, dtype=complex) / 4.0)
-        out["distance_to_maximally_mixed"] = trace_distance(to_dense(rho_n(1)), mixed)
-    elif n == 2:
-        ppt = ppt_check(to_dense(rho_n(2)))
-        out.update(ppt_min_eigenvalue=ppt.min_eigenvalue, is_ppt=ppt.is_ppt,
-                   smolin_residual=smolin_flip_check())
-    else:
-        raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")
-    return out
 
 
 @dataclass

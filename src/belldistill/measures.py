@@ -4,9 +4,9 @@ The uniform four-Bell mixture on 2m copies has relative entropy exactly
 2m - 2 against the m-fold product of two-copy blocks, and that candidate is
 separable, so the relative entropy of entanglement is bounded by the same
 closed form the distillation protocol achieves.  This module evaluates the
-closed forms, the raw divergences behind them, PPT/negativity evidence,
-separable-state sampling, and the relative entropy of entanglement of the
-n-copy mixture from its largest product-state overlap.
+closed forms, the raw divergences behind them, PPT/negativity and zero-yield
+evidence, separable-state sampling, and the relative entropy of entanglement
+of the n-copy mixture from its largest product-state overlap.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .bell import (
     is_pair_constant,
     rho2_power,
     rho_n,
+    smolin_flipped_terms,
     to_dense,
 )
 from .entropies import (
@@ -32,8 +33,9 @@ from .entropies import (
     _divergence,
     _spectrum,
     shannon_bits,
+    trace_distance,
 )
-from .states import DensityOperator, check_dense_size, partial_transpose_matrix
+from .states import DensityOperator, check_dense_size, dm_from_ensemble, partial_transpose_matrix
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
 
     # sigma's blocks give support, flatness, overlap and the raw divergence;
     # rho's spectrum gives its entropy (each matrix is solved once)
-    vals, w = _spectrum(q_dense.matrix, q_dense._entries(), weigh=p_dense.matrix)
+    vals, w = _spectrum(q_dense.matrix, q_dense._entries, weigh=p_dense)
     on_support = vals > SUPPORT_CUTOFF
     support_vals = vals[on_support]
     if support_vals.size == 0:
@@ -102,7 +104,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
     ref_bits = -math.log2(float(support_vals.mean()))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    p = _spectrum(p_dense.matrix, p_dense._entries())[::-1]
+    p = _spectrum(p_dense.matrix, p_dense._entries)[::-1]
     raw = _divergence(p, vals[::-1], w[::-1])
     value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
@@ -171,7 +173,7 @@ def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport
     return replace(report, halved_bits=report.value_bits / 2.0)
 
 
-# --- PPT / negativity -------------------------------------------------------
+# --- PPT / negativity and the zero-yield evidence ------------------------------
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
 
     if rho._pt_spectrum is None:
         pt = partial_transpose_matrix(rho.matrix, rho.n_qubits, range(1, rho.n_qubits, 2),
-                                      rho._entries())
+                                      rho._entries)
         object.__setattr__(rho, "_pt_spectrum", _spectrum(*pt))
     return rho._pt_spectrum
 
@@ -205,6 +207,34 @@ def log_negativity(rho: DensityOperator) -> float:
     if not norm >= 1.0 - 1e-9:  # the norm is at least Tr rho^Gamma = 1; NaN fails too
         raise RuntimeError(f"partial transpose has trace norm {norm} < 1, a bug")
     return max(0.0, math.log2(norm))
+
+
+def smolin_flip_check() -> float:
+    """Trace distance between the two-copy mixture and its flipped form."""
+
+    flipped = dm_from_ensemble([(0.25, t) for t in smolin_flipped_terms()])
+    return trace_distance(to_dense(rho_n(2)), flipped)
+
+
+def distill_trivial(n: int) -> dict:
+    """The zero-yield payload with its evidence and pass flag.  n = 1: the
+    mixture is maximally mixed (trace distance at most 1e-12).  n = 2: it is
+    PPT and equals its flipped, manifestly separable form (residual at most
+    1e-10).  Either way 0 ebits."""
+
+    out = {"command": "distill", "n": n, "ebits_per_shot": 0, "success_rate": 1.0}
+    if n == 1:
+        mixed = DensityOperator(np.eye(4, dtype=complex) / 4.0)
+        out["distance_to_maximally_mixed"] = trace_distance(to_dense(rho_n(1)), mixed)
+        out["pass"] = out["distance_to_maximally_mixed"] <= 1e-12
+    elif n == 2:
+        ppt = ppt_check(to_dense(rho_n(2)))
+        out.update(ppt_min_eigenvalue=ppt.min_eigenvalue, is_ppt=ppt.is_ppt,
+                   smolin_residual=smolin_flip_check())
+        out["pass"] = ppt.is_ppt and out["smolin_residual"] <= 1e-10
+    else:
+        raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")
+    return out
 
 
 # --- Separable-state sampling ------------------------------------------------

@@ -5,7 +5,8 @@ axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
 sparse Bell-diagonal representation.  Builders fill matrices on private
-4 KiB pages and record the exact-nonzero entries that later steps read.
+4 KiB pages.  A density operator holds its exact-nonzero entries from
+construction (its builder's or one scan's); every check and solve reads them.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ def _sparse_zeros(d: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex).reshape(d, d)
 
 
-def _check_trace(m: np.ndarray, entries=None) -> None:
-    on = np.arange(len(m)) if entries is None else entries[0][entries[0] == entries[1]]
-    tr_err = abs(float(m[on, on].sum().real) - 1.0)
+def _check_trace(m: np.ndarray, entries) -> None:
+    tr_err = abs(float(_real_diagonal(m, entries).sum()) - 1.0)
     if not tr_err <= TRACE_TOL:  # NaN fails too
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
@@ -96,22 +96,32 @@ class Ket:
         return dm_from_ensemble([(1.0, self)])
 
 
+def _hermitian_entries(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """One scan's exact-nonzero entries of a square matrix, checked to be
+    Hermitian within `tol` there; off them and their mirrors m - m^dagger is 0."""
+
+    r, c = entries = _nonzero_entries(m)
+    asym = float(np.max(np.abs(m[r, c] - m[c, r].conj()), initial=0.0))
+    if not asym <= tol:  # NaN fails too
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.2e})")
+    return entries
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator on q qubits."""
+    """Hermitian, positive semidefinite, unit-trace operator on q qubits.  It
+    holds the (rows, cols) of its exact-nonzero entries as `_entries`; the
+    constructor scans once and checks every property at them and their blocks."""
 
     matrix: np.ndarray
-    _nz: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _entries: tuple = field(init=False, repr=False, compare=False)
     _pt_spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _frozen_array(self.matrix, 2)
-        object.__setattr__(self, "matrix", m)
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= HERM_TOL * 10:
-            raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.2e})")
-        _check_trace(m)
-        min_eig = float(np.linalg.eigvalsh(m)[0])
+        object.__setattr__(self, "matrix", m := _frozen_array(self.matrix, 2))
+        object.__setattr__(self, "_entries", _hermitian_entries(m, HERM_TOL * 10))
+        _check_trace(m, self._entries)
+        min_eig = min(float(v.min()) for _, v, _ in _eigh_blocks(m, self._entries, vectors=False))
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")
 
@@ -119,24 +129,16 @@ class DensityOperator:
     def n_qubits(self) -> int:
         return len(self.matrix).bit_length() - 1
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the exact-nonzero entries: recorded or scanned once."""
-
-        if self._nz is None:
-            object.__setattr__(self, "_nz", _nonzero_entries(self.matrix))
-        return self._nz
-
     @classmethod
     def _trusted(cls, matrix: np.ndarray, entries=None) -> "DensityOperator":
         """Wrap a fresh matrix, built from valid states by an operation that
-        keeps it Hermitian and PSD, frozen in place: only the size, shape and
-        trace are checked, the trace over the builder's `entries`, if given."""
+        keeps it Hermitian and PSD, frozen in place, with its builder's
+        `entries` or else one scan's: only the size, shape and trace are checked."""
 
-        m = _frozen_array(matrix, 2, copy=False)
-        _check_trace(m, entries)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", m)
-        object.__setattr__(rho, "_nz", entries)
+        object.__setattr__(rho, "matrix", m := _frozen_array(matrix, 2, copy=False))
+        object.__setattr__(rho, "_entries", _nonzero_entries(m) if entries is None else entries)
+        _check_trace(m, rho._entries)
         return rho
 
 
@@ -190,7 +192,7 @@ def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(k, len(m))
 
 
-def _block_labels(m: np.ndarray, entries=None) -> np.ndarray:
+def _block_labels(m: np.ndarray, entries) -> np.ndarray:
     """The smallest index of each index's connected component in the
     symmetrised exact-nonzero pattern of a square matrix (its `entries`).
 
@@ -199,7 +201,7 @@ def _block_labels(m: np.ndarray, entries=None) -> np.ndarray:
     jumping shortens the chains.  One gather of labels is alive at a time,
     so the peak stays near the int32 indices."""
 
-    r, c = _nonzero_entries(m) if entries is None else entries
+    r, c = entries
     label = np.arange(len(m))
     while True:
         new = label.copy()
@@ -210,13 +212,21 @@ def _block_labels(m: np.ndarray, entries=None) -> np.ndarray:
         label = new[new]
 
 
-def _eigh_blocks(m: np.ndarray, vectors: bool = True, entries=None) -> list[tuple]:
-    """Eigensolve a Hermitian matrix block by block.
+def _real_diagonal(m: np.ndarray, entries) -> np.ndarray:
+    """Re m[i, i] for every i, read at the `entries` only (elsewhere it is 0)."""
+
+    r, c = entries
+    on = r[r == c]
+    return np.bincount(on, m[on, on].real, len(m))
+
+
+def _eigh_blocks(m: np.ndarray, entries, vectors: bool = True) -> list[tuple]:
+    """Eigensolve a Hermitian matrix block by block; the only dense solve.
 
     The blocks are the connected components of the matrix's exact-nonzero
-    `entries` (or a scan's), symmetrised, so no tolerance decides the split,
-    and a matrix that forms one block is solved whole by one `np.linalg.eigh`
-    (or `eigvalsh` without `vectors`) with the same digits.  Blocks of one
+    `entries`, symmetrised, so no tolerance decides the split, and a matrix
+    that forms one block is solved whole by one `np.linalg.eigh` (or
+    `eigvalsh` without `vectors`) with the same digits.  Blocks of one
     size go through one stacked call; 1x1 blocks are read off the diagonal.
     Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
     lists the k blocks of that size, `values` (k, s) their ascending
@@ -228,21 +238,18 @@ def _eigh_blocks(m: np.ndarray, vectors: bool = True, entries=None) -> list[tupl
             return np.linalg.eigh(a)
         return np.linalg.eigvalsh(a), None
 
-    d = len(m)
-    r, c = entries = _nonzero_entries(m) if entries is None else entries
     label = _block_labels(m, entries)
     if not label.any():
         values, vecs = solve(m)
-        return [(np.arange(d)[None], values[None], None if vecs is None else vecs[None])]
+        return [(np.arange(len(m))[None], values[None], None if vecs is None else vecs[None])]
     order = np.argsort(label, kind="stable")
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     groups = []
     # a bare np.unique imports numpy.ma, which a set of a few ints does not need
     for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
-        if s == 1:  # an index off the diagonal entries holds an exact zero
-            on = r[r == c]
-            values = np.bincount(on, m[on, on].real, d)[rows]
+        if s == 1:
+            values = _real_diagonal(m, entries)[rows]
             vecs = np.ones((len(rows), 1, 1), dtype=m.dtype) if vectors else None
         else:
             values, vecs = solve(m[rows[:, :, None], rows[:, None, :]])
@@ -275,16 +282,16 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
 
 def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int, axes: Sequence[int],
-                             entries=None) -> tuple[np.ndarray, tuple]:
-    """Transpose the given qubit axes only, permuting the nonzero `entries`
-    (or a scan's): axis k is bit q - 1 - k of an index, and an entry swaps its
-    row's and column's bits on those axes.  Returns the result and its entries."""
+                             entries) -> tuple[np.ndarray, tuple]:
+    """Transpose the given qubit axes only, permuting the nonzero `entries`:
+    axis k is bit q - 1 - k of an index, and an entry swaps its row's and
+    column's bits on those axes.  Returns the result and its entries."""
 
     d = 2 ** n_qubits
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n_qubits} qubits")
     mask = sum(1 << (n_qubits - 1 - ax) for ax in _check_axes(axes, n_qubits))
-    r, c = _nonzero_entries(matrix) if entries is None else entries
+    r, c = entries
     swap = (r ^ c) & mask  # the masked bits where row and column differ
     moved = r ^ swap, c ^ swap  # the row's and column's bits traded on the axes
     out = _sparse_zeros(d)
@@ -296,7 +303,7 @@ def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
     """Partial transpose over the given qubit axes.  Result is Hermitian and
     unit-trace but generally not positive, so a raw matrix is returned."""
 
-    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes, rho._entries())[0]
+    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes, rho._entries)[0]
 
 
 def reorder(state: Ket | DensityOperator, new_order: Sequence[int]):

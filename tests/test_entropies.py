@@ -23,6 +23,7 @@ from belldistill import (
 )
 
 from belldistill.entropies import _spectrum
+from belldistill.states import _nonzero_entries
 
 from conftest import kron_state, planted_blocks, random_density
 
@@ -218,7 +219,7 @@ def test_twelve_qubit_block_solve_scans_only_the_nonzero_entries():
     m = to_dense(rho_n(6)).matrix
     tracemalloc.start()
     try:
-        vals = _spectrum(m)
+        vals = _spectrum(m, _nonzero_entries(m))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -328,6 +328,7 @@ def test_distill_trivial_n1():
     payload = distill_trivial(1)
     assert payload["ebits_per_shot"] == 0
     assert payload["distance_to_maximally_mixed"] <= 1e-12
+    assert payload["pass"] is True
 
 
 def test_distill_trivial_n2():
@@ -336,6 +337,7 @@ def test_distill_trivial_n2():
     assert payload["is_ppt"]
     assert payload["ppt_min_eigenvalue"] >= -1e-10
     assert payload["smolin_residual"] <= 1e-10
+    assert payload["pass"] is True
 
 
 def test_distill_trivial_rejects_other_n():

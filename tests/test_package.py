@@ -4,6 +4,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import types
 from pathlib import Path
@@ -100,3 +101,25 @@ def test_src_has_no_dead_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert _dead_private_names(modules) == []
+
+
+def test_dense_eigensolves_have_one_path():
+    # a dense spectrum is solved only block by block over a state's entries;
+    # _top_vector solves the search's small Gram matrix
+    allowed = {("states.py", "_eigh_blocks"), ("measures.py", "_top_vector")}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+                        and ast.unparse(node.value) == "np.linalg"):
+                    calls.append((path.name, getattr(top, "name", None)))
+    assert calls and set(calls) <= allowed, calls
+    from belldistill import entropies, states
+
+    for fn, name in ((states._check_trace, "entries"), (states._block_labels, "entries"),
+                     (states._eigh_blocks, "entries"), (states.partial_transpose_matrix, "entries"),
+                     (entropies._spectrum, "entries")):
+        param = inspect.signature(fn).parameters[name]
+        assert param.default is inspect.Parameter.empty, fn.__name__

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def test_partial_transpose_involution_and_trace(seed, n):
     rho = random_density(2 * n, gen)
     bob = range(1, 2 * n, 2)
     once = partial_transpose(rho, bob)
-    twice, _ = partial_transpose_matrix(once, 2 * n, bob)
+    twice, _ = partial_transpose_matrix(once, 2 * n, bob, _nonzero_entries(once))
     assert np.array_equal(twice, rho.matrix)  # bit-exact involution
     assert abs(np.trace(once).real - 1.0) < 1e-12
     assert np.max(np.abs(once - once.conj().T)) < 1e-12
@@ -234,20 +235,61 @@ def test_trusted_producers_pass_public_validation(rng):
         assert not rho.matrix.flags.writeable, name
 
 
+def _record_solve_widths(monkeypatch, refuse_above=None) -> list[int]:
+    """The width of every matrix that np.linalg.eigh or eigvalsh solves (a
+    stack of k blocks of width s records s); wider than `refuse_above` raises."""
+
+    widths = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, **kwargs):
+            widths.append(np.shape(a)[-1])
+            if refuse_above is not None and widths[-1] > refuse_above:
+                raise AssertionError(f"solved a {widths[-1]}-wide matrix")
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return widths
+
+
 def test_trusted_producers_skip_the_eigensolve(monkeypatch):
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(len(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    calls = _record_solve_widths(monkeypatch)
     rho3 = to_dense(rho_n(3))
     partial_trace(rho3, [0, 1])
     assert calls == []
+    # the public constructor solves the 4 x 4 blocks of the 64 x 64 matrix
     DensityOperator(rho3.matrix)
-    assert calls == [64]
+    assert calls and max(calls) <= 4
+
+
+def test_public_constructor_solves_blocks_only(monkeypatch):
+    _record_solve_widths(monkeypatch, refuse_above=16)
+    m = to_dense(rho_n(5)).matrix  # 16 MiB, on a private mapping tracemalloc does not see
+    tracemalloc.start()
+    try:
+        rho = DensityOperator(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rho.matrix, m)
+    assert peak < 1.25 * m.nbytes  # the frozen copy and one bool scan
+
+    # a 64 x 64 matrix of 2 x 2 blocks: wide enough that a whole solve is refused
+    good = np.kron(np.eye(32), np.full((2, 2), 0.5)) / 32
+    DensityOperator(good)
+    asym = good.copy()
+    asym[0, 7] = 0.25  # its mirror (7, 0) is an exact zero
+    negative = good.copy()
+    negative[2:4, 2:4] = [[0.5 / 32, 1.0 / 32], [1.0 / 32, 0.5 / 32]]  # eigenvalue -1/64
+    nan = good.copy()
+    nan[5, 9] = np.nan
+    for bad, message in ((asym, "matrix is not Hermitian (max asymmetry 2.50e-01)"),
+                         (negative, "matrix has negative eigenvalue -1.56e-02"),
+                         (nan, "matrix is not Hermitian (max asymmetry nan)")):
+        with pytest.raises(ValueError) as err:
+            DensityOperator(bad)
+        assert str(err.value) == message
 
 
 def test_nan_fails_every_sum_and_trace_check():
@@ -374,14 +416,14 @@ def _random_matrix(name):
 @pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
 def test_block_labels_match_reference_on_bell_diagonal_states(name):
     m = to_dense(BELL_DIAGONAL[name]()).matrix
-    assert np.array_equal(_block_labels(m), _reference_labels(m))
+    assert np.array_equal(_block_labels(m, _nonzero_entries(m)), _reference_labels(m))
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_MATRICES))
 def test_block_labels_match_reference_on_random_matrices(name):
     m = _random_matrix(name)
     for a in (m, m.T, m.conj().T):
-        assert np.array_equal(_block_labels(a), _reference_labels(a))
+        assert np.array_equal(_block_labels(a, _nonzero_entries(a)), _reference_labels(a))
 
 
 def _axis_sets(q):
@@ -393,7 +435,7 @@ def test_partial_transpose_matches_reference_on_bell_diagonal_states(name):
     rho = to_dense(BELL_DIAGONAL[name]())
     q = rho.n_qubits
     for axes in _axis_sets(q) if q < 12 else [range(1, q, 2)]:
-        out, _ = partial_transpose_matrix(rho.matrix, q, axes)
+        out, _ = partial_transpose_matrix(rho.matrix, q, axes, rho._entries)
         assert out.dtype == rho.matrix.dtype and out.shape == rho.matrix.shape
         assert np.array_equal(out.reshape((2,) * (2 * q)),
                               _reference_partial_transpose(rho.matrix, q, axes))
@@ -406,7 +448,7 @@ def test_partial_transpose_matches_reference_on_random_matrices(name):
     q = len(m).bit_length() - 1
     for a in (m, m.T):  # the transposed view is not C-contiguous
         for axes in _axis_sets(q):
-            assert np.array_equal(partial_transpose_matrix(a, q, axes)[0],
+            assert np.array_equal(partial_transpose_matrix(a, q, axes, _nonzero_entries(a))[0],
                                   _reference_partial_transpose(a, q, axes).reshape(a.shape))
 
 
@@ -422,27 +464,62 @@ def _entry_set(entries, d):
     return flat
 
 
+def _counting_scans(monkeypatch) -> list[int]:
+    """The size of every matrix `states._nonzero_entries` scans from now on."""
+
+    calls = []
+    real = states._nonzero_entries
+    monkeypatch.setattr(states, "_nonzero_entries", lambda m: calls.append(m.size) or real(m))
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
-def test_recorded_entries_match_the_scan(name):
+def test_recorded_entries_match_the_scan(name, monkeypatch):
+    scans = _counting_scans(monkeypatch)
     rho = to_dense(BELL_DIAGONAL[name]())
     q, d = rho.n_qubits, len(rho.matrix)
     if q >= 6:  # a few candidates per entry of d x d: dm_from_ensemble records them
-        assert rho._nz is not None
-    assert _entry_set(rho._entries(), d) == _entry_set(_nonzero_entries(rho.matrix), d)
+        assert scans == []
+    assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
     for axes in _axis_sets(q):
-        out, entries = partial_transpose_matrix(rho.matrix, q, axes, rho._entries())
+        out, entries = partial_transpose_matrix(rho.matrix, q, axes, rho._entries)
         assert _entry_set(entries, d) == _entry_set(_nonzero_entries(out), d)
 
 
-def test_recorded_entries_of_to_dm_match_the_scan(rng):
+def test_recorded_entries_of_to_dm_match_the_scan(rng, monkeypatch):
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     a[rng.permutation(16)[:7]] = 0
     for psi, recorded in ((bell_product_ket((1, 3)), True), (bell_product_ket((4,) * 6), True),
                           (Ket(a / np.linalg.norm(a)), False)):  # 81 candidates > 256 / 8
+        scans = _counting_scans(monkeypatch)
         rho = psi.to_dm()
         d = len(rho.matrix)
-        assert (rho._nz is not None) == recorded
-        assert _entry_set(rho._entries(), d) == _entry_set(_nonzero_entries(rho.matrix), d)
+        assert scans == ([] if recorded else [d * d])
+        assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
+
+
+def test_every_construction_path_holds_the_scans_entries(rng):
+    rho3 = to_dense(rho_n(3))
+    mixed = random_density(2, rng)
+    sparse = dm_from_ensemble([(0.5, bell_product_ket((1, 3))), (0.5, bell_product_ket((2, 3)))])
+    a = rng.standard_normal(64)
+    full = dm_from_ensemble([(0.5, Ket(a / np.linalg.norm(a))), (0.5, bell_product_ket((2,) * 3))])
+    built = {
+        "DensityOperator": DensityOperator(mixed.matrix),
+        "DensityOperator, block-diagonal": DensityOperator(rho3.matrix),
+        "_trusted with entries": DensityOperator._trusted(rho3.matrix, rho3._entries),
+        "_trusted without entries": DensityOperator._trusted(np.array(rho3.matrix)),
+        "dm_from_ensemble, below d^2 / 8": sparse,  # 16 candidates of 256, 8 cancel
+        "dm_from_ensemble, above d^2 / 8": full,  # 4,096 + 64 candidates of 4,096
+        "Ket.to_dm": bell_product_ket((2, 4)).to_dm(),
+        "partial_trace": partial_trace(rho3, [0, 3, 4]),
+        "reorder": reorder(rho3, [5, 0, 3, 4, 1, 2]),
+        "apply_local": apply_local(rho3, {0: H, 3: S}),
+        "apply_local, full": apply_local(mixed, {1: S}),
+    }
+    for name, rho in built.items():
+        d = len(rho.matrix)
+        assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d), name
 
 
 def test_an_exact_cancellation_is_not_recorded():
@@ -450,17 +527,18 @@ def test_an_exact_cancellation_is_not_recorded():
     # on their common support, 32 stay nonzero
     rho = dm_from_ensemble([(0.5, bell_product_ket((1, 1, 1))),
                             (0.5, bell_product_ket((2, 1, 1)))])
-    assert len(rho._nz[0]) == 32
-    assert _entry_set(rho._nz, 64) == _entry_set(_nonzero_entries(rho.matrix), 64)
+    assert len(rho._entries[0]) == 32
+    assert _entry_set(rho._entries, 64) == _entry_set(_nonzero_entries(rho.matrix), 64)
 
 
-def test_a_dense_fill_is_scanned_on_first_use_instead():
+def test_a_dense_fill_is_scanned_at_construction_instead(monkeypatch):
     # a full-support ket has d^2 candidates: sorting them costs more than
-    # one scan, so none are recorded
+    # one scan, so none are recorded and the wrapper scans once
     a = np.random.default_rng(1).standard_normal(2 ** 10)
+    scans = _counting_scans(monkeypatch)
     rho = Ket(a / np.linalg.norm(a)).to_dm()
-    assert rho._nz is None
-    assert len(rho._entries()[0]) == 2 ** 20
+    assert scans == [2 ** 20]
+    assert len(rho._entries[0]) == 2 ** 20
 
 
 def test_states_with_recorded_entries_never_scan(monkeypatch):
@@ -482,10 +560,13 @@ def test_states_with_recorded_entries_never_scan(monkeypatch):
 
 
 def test_a_public_state_scans_once(monkeypatch):
+    from belldistill import log_negativity, trace_distance, von_neumann_entropy
+
+    scans = _counting_scans(monkeypatch)
     rho = DensityOperator(np.eye(4) / 4)
-    calls = []
-    real = states._nonzero_entries
-    monkeypatch.setattr(states, "_nonzero_entries", lambda m: calls.append(1) or real(m))
-    first = rho._entries()
-    assert rho._entries() is first and calls == [1]
-    assert _entry_set(first, 4) == {0, 5, 10, 15}
+    assert scans == [16]
+    assert _entry_set(rho._entries, 4) == {0, 5, 10, 15}
+    assert von_neumann_entropy(rho) == 2.0
+    assert log_negativity(rho) == 0.0
+    assert trace_distance(rho, rho) == 0.0
+    assert scans == [16]
