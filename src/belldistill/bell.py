@@ -11,14 +11,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, Ket, check_dense_size, dm_from_ensemble
+from .states import DensityOperator, Ket, _kron, check_dense_size, dm_from_ensemble
 
 WEIGHT_SUM_TOL = 1e-12
+MAX_COPIES = 10 ** 6  # rho_n's 4 strings are tuples of n ints: 91 MB for eq5 --m 500000
 
 # Rows are the four Bell amplitude vectors over |00>,|01>,|10>,|11>.
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -61,7 +61,7 @@ def bell_product_ket(indices: Sequence[int]) -> Ket:
         raise ValueError("need at least one Bell index")
     check_dense_size(2 * len(indices))
     s = check_bell_string(indices, len(indices))
-    return Ket(reduce(np.kron, (BELL_AMPLITUDES[i - 1] for i in s)))
+    return Ket(_kron([BELL_AMPLITUDES[i - 1] for i in s]))
 
 
 _BELL_INDICES = frozenset((1, 2, 3, 4))
@@ -299,7 +299,8 @@ def rho_n(n: int) -> BellDiagonalState:
     """Uniform mixture of the four n-fold Bell products: weight 1/4 on each
     constant string (i, i, ..., i)."""
 
-    n = _count(n, "copy count")
+    if (n := _count(n, "copy count")) > MAX_COPIES:
+        raise ValueError(f"copy count {n} > {MAX_COPIES}, the most rho_n builds")
     return BellDiagonalState(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
 
 
@@ -409,6 +410,6 @@ def smolin_flipped_terms() -> list[Ket]:
 
     terms = []
     for phi in BELL_AMPLITUDES:
-        flipped = np.kron(phi, phi).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
+        flipped = _kron([phi, phi]).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
         terms.append(Ket(flipped.transpose(0, 2, 1, 3).reshape(16)))
     return terms

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -35,7 +34,8 @@ from .entropies import (
     shannon_bits,
     trace_distance,
 )
-from .states import DensityOperator, check_dense_size, dm_from_ensemble, partial_transpose_matrix
+from .states import (DensityOperator, _kron, check_dense_size, dm_from_ensemble,
+                     partial_transpose_matrix)
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def sample_separable(n: int, terms: int, seed: int | None = 0,
     weights = rng.dirichlet(np.ones(terms))
     sigma = np.zeros((d * d, d * d), dtype=complex)
     for w in weights:
-        v = np.kron(_random_pure(rng, d), _random_pure(rng, d))
+        v = _kron([_random_pure(rng, d), _random_pure(rng, d)])
         v = v.reshape((2,) * (2 * n)).transpose(copy_major).reshape(d * d)
         sigma += w * np.outer(v, v.conj())
     return DensityOperator(sigma)
@@ -368,7 +368,7 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
                          f"(12 qubits), got n={n}")
     d = 2 ** n
     # v[i] is |Phi_i^n> with rows on Alice's qubits A1..An and columns on Bob's
-    v = np.stack([reduce(np.kron, [phi.reshape(2, 2)] * n) for phi in BELL_AMPLITUDES])
+    v = np.stack([_kron([phi.reshape(2, 2)] * n) for phi in BELL_AMPLITUDES])
     floor = float(max(n - 2, 0))
     best_g = 0.0
     best_state = None

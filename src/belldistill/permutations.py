@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bell import BELL_AMPLITUDES, check_permutation
+from .states import _kron
 
 PHASE_ALIGN_TOL = 1e-9
 UNITARY_TOL = 1e-12
@@ -64,7 +65,7 @@ class LocalUnitaryPair:
             object.__setattr__(self, f"u_{side}", u)
 
     def tensor(self) -> np.ndarray:
-        return np.kron(self.u_alice, self.u_bob)
+        return _kron([self.u_alice, self.u_bob])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,19 @@ def check_dense_size(n_qubits: int) -> None:
             f"dense operations are capped at {MAX_DENSE_QUBITS} qubits "
             f"(got {n_qubits}); use the Bell-diagonal representation instead"
         )
+
+
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of 1-D or of 2-D `factors` from one chain of outer
+    products: each entry is the same product, in the same order, as in
+    `reduce(np.kron, factors)`, without np.kron's per-step expand_dims and reshape."""
+
+    t = reduce(np.multiply.outer, factors)
+    if factors[0].ndim == 1:
+        return t.reshape(-1)
+    k = len(factors)  # interleaved (row, column) axes: all rows, then all columns
+    t = t.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+    return t.reshape(np.prod(t.shape[:k]), -1)
 
 
 def _frozen_array(a, ndim: int, copy: bool = True) -> np.ndarray:
@@ -111,16 +125,24 @@ def _hermitian_entries(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator on q qubits.  It
     holds the (rows, cols) of its exact-nonzero entries as `_entries`; the
-    constructor scans once and checks every property at them and their blocks."""
+    constructor scans the caller's array once, checks every property at them
+    and their blocks, and copies only them if they are at most d^2 / 8."""
 
     matrix: np.ndarray
     _entries: tuple = field(init=False, repr=False, compare=False)
     _pt_spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", m := _frozen_array(self.matrix, 2))
-        object.__setattr__(self, "_entries", _hermitian_entries(m, HERM_TOL * 10))
-        _check_trace(m, self._entries)
+        view = _frozen_array(np.asarray(self.matrix, dtype=complex).view(), 2, copy=False)
+        r, c = entries = _hermitian_entries(view, HERM_TOL * 10)
+        if 8 * r.size > view.size:  # dm_from_ensemble's rule
+            m = view.copy()
+        else:  # only the entries' pages become resident; -0.0 off them is 0.0
+            m = _sparse_zeros(len(view))
+            m[r, c] = view[r, c]
+        object.__setattr__(self, "matrix", _frozen_array(m, 2, copy=False))
+        object.__setattr__(self, "_entries", entries)
+        _check_trace(m, entries)
         min_eig = min(float(v.min()) for _, v, _ in _eigh_blocks(m, self._entries, vectors=False))
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")

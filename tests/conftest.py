@@ -1,9 +1,31 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from belldistill import DensityOperator, Ket
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def resident_growth_kib(setup: str, measured: str) -> int:
+    """How far a fresh interpreter's peak resident set (VmHWM, in KiB) grows
+    while it runs `measured` after `setup`.  ru_maxrss would not do: a child
+    starts with its parent's, so a large test process hides the growth."""
+
+    code = (f"{setup}\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+            f"before = peak()\n{measured}\nprint(peak() - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
+                               "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.fixture

@@ -83,6 +83,16 @@ def test_rho_n_dense_rejects_oversize():
         to_dense(rho_n(7))
 
 
+def test_rho_n_refuses_copy_counts_past_the_limit():
+    # the largest accepted count builds (four tuples of 10^6 ints); the next
+    # is refused before anything is built
+    limit = bell.MAX_COPIES
+    assert len(rho_n(limit).weights) == 4
+    with pytest.raises(ValueError) as err:
+        rho_n(limit + 1)
+    assert str(err.value) == f"copy count {limit + 1} > {limit}, the most rho_n builds"
+
+
 def test_rho2_power_structure():
     assert rho2_power(1).weights == rho_n(2).weights
     m2 = rho2_power(2)
@@ -342,6 +352,34 @@ def test_bell_product_ket_matches_joined_pair_kets(rng):
             psi = bell_product_ket(s)
             assert psi.n_qubits == reference.n_qubits == 2 * n
             assert np.array_equal(psi.amplitudes, reference.amplitudes), s
+
+
+def test_bell_product_ket_matches_the_np_kron_chain_bit_for_bit():
+    for n in range(1, 5):
+        for s in itertools.product((1, 2, 3, 4), repeat=n):
+            expected = functools.reduce(np.kron, [BELL_AMPLITUDES[i - 1] for i in s])
+            assert bell_product_ket(s).amplitudes.tobytes() == expected.tobytes(), s
+
+
+# sha256 of to_dense(...).matrix.tobytes() as built by the np.kron chain
+RECORDED_DENSE_BYTES = {
+    "rho_n(1)": "2fada4138905efc5a4c644dabb3b0344f0c0f9b4dcd048d4550cb29d5188e855",
+    "rho_n(2)": "bf576683baca1d6c9a15b26de44276e5e2a539565d95c620e4c9f15e5a29680b",
+    "rho_n(3)": "7f87a3fc76551a186d95c11bd6ac219ad9efb20c63e1341a949db904903a8ca3",
+    "rho_n(4)": "878be148fb447b8d4ca8819d2f8642c9b41954c295bc5218b5e03e557f58eba2",
+    "rho_n(5)": "b8fa231610ac7cb338fbc4f005b9cd0b999d76ecc393da0fb3d7d626516fa434",
+    "rho_n(6)": "12d31b828a1ffb9957cb6733423fb22615f369690976083927f6ff26a7be4d58",
+    "rho2_power(1)": "bf576683baca1d6c9a15b26de44276e5e2a539565d95c620e4c9f15e5a29680b",
+    "rho2_power(2)": "24b5f1c6d6332aa3c551f95c00c572fa04f62c911a7a500fdb9b992d5736d71e",
+    "rho2_power(3)": "6b7557cdf78ef55e98e5154e1f511e2109ab4ee92335b6aee3cb3bdc9fab9b8c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DENSE_BYTES))
+def test_dense_builders_keep_their_bytes(name):
+    build, size = name.rstrip(")").split("(")
+    matrix = to_dense({"rho_n": rho_n, "rho2_power": rho2_power}[build](int(size))).matrix
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == RECORDED_DENSE_BYTES[name]
 
 
 def test_bell_product_ket_checks_the_cap_before_building():

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from belldistill import DensityOperator, er_search, rho_n, to_dense
+from belldistill.bell import MAX_COPIES
 from belldistill.cli import explore_er, main
 from belldistill.states import dm_to_json
 
@@ -215,7 +216,7 @@ def test_unallocatable_shot_count_is_usage_error(runner, args):
 @pytest.mark.parametrize("args", [["eq5", "--m"], ["eq10", "--m"], ["er-pair", "--n"]])
 def test_unallocatable_copy_count_is_usage_error(runner, args, method):
     # 10^16 copies: the structured path's copy strings would need about
-    # 160 PB, so Python refuses at once with a MemoryError that has no text;
+    # 160 PB, so rho_n refuses the copy count before it builds anything;
     # the dense path must stop at the 12-qubit cap before it builds anything
     result = invoke(runner, ["verify", *args, str(10 ** 16), "--method", method])
     assert_usage_error(result)
@@ -223,7 +224,21 @@ def test_unallocatable_copy_count_is_usage_error(runner, args, method):
     if method == "dense":
         assert message.startswith("dense operations are capped at 12 qubits")
     else:
-        assert message == "the requested size cannot be allocated"
+        assert message.startswith("copy count ") and message.endswith(", the most rho_n builds")
+
+
+@pytest.mark.parametrize("args, copies", [
+    (["eq5", "--m", str(MAX_COPIES // 2 + 1)], MAX_COPIES + 2),  # rho_n(2m)
+    (["eq10", "--m", str(MAX_COPIES // 2)], MAX_COPIES + 1),  # rho_n(2m + 1), twice
+    (["er-pair", "--n", str(MAX_COPIES + 1)], MAX_COPIES + 1),  # rho_n(n), twice
+], ids=["eq5", "eq10", "er-pair"])
+def test_first_oversized_copy_count_is_usage_error(runner, args, copies):
+    # each command's smallest size past the limit; eq5 --m 10^8 was killed
+    # for memory before rho_n refused sizes above MAX_COPIES
+    result = invoke(runner, ["verify", *args])
+    assert_usage_error(result)
+    assert result.stderr.splitlines()[-1] == (
+        f"Error: copy count {copies} > {MAX_COPIES}, the most rho_n builds")
 
 
 def test_dense_verify_never_imports_numpy_ma():

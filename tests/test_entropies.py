@@ -1,8 +1,6 @@
 import math
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from belldistill import (
 from belldistill.entropies import _spectrum
 from belldistill.states import _nonzero_entries
 
-from conftest import kron_state, planted_blocks, random_density
+from conftest import kron_state, planted_blocks, random_density, resident_growth_kib
 
 
 def test_herm_eig_examples():
@@ -227,21 +225,14 @@ def test_twelve_qubit_block_solve_scans_only_the_nonzero_entries():
     assert np.allclose(vals[-4:], 0.25) and np.allclose(vals[:-4], 0.0)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_twelve_qubit_state_makes_only_its_written_pages_resident():
     # the 256 MiB matrix is filled on a private mapping of 4 KiB pages; with
     # numpy's 2 MiB huge pages the same 4,096 entries made 60-90 MB resident.
     # tracemalloc does not see a mapped buffer, so this reads the process's RSS
-    code = ("import resource\n"
-            "import belldistill as bd\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "rho = bd.to_dense(bd.rho_n(6))\n"
-            "for i in (1, 2, 3, 4):\n"
-            "    assert abs(bd.fidelity_pure(rho, bd.bell_product_ket((i,) * 6)) - 0.25) < 1e-12\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin",
-                               "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 16 * 1024  # KiB
+    grown = resident_growth_kib(
+        "import belldistill as bd",
+        "rho = bd.to_dense(bd.rho_n(6))\n"
+        "for i in (1, 2, 3, 4):\n"
+        "    assert abs(bd.fidelity_pure(rho, bd.bell_product_ket((i,) * 6)) - 0.25) < 1e-12")
+    assert grown < 16 * 1024  # KiB

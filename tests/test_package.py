@@ -103,6 +103,18 @@ def test_src_has_no_dead_private_names():
     assert _dead_private_names(modules) == []
 
 
+def test_kronecker_products_have_one_path():
+    # every product goes through states._kron's outer-product chain, which
+    # gives np.kron's bits without its per-call expand_dims and reshape
+    refs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                    or isinstance(node, ast.alias) and node.name == "kron"):
+                refs.append((path.name, node.lineno, ast.unparse(node)))
+    assert refs == []
+
+
 def test_dense_eigensolves_have_one_path():
     # a dense spectrum is solved only block by block over a state's entries;
     # _top_vector solves the search's small Gram matrix

@@ -56,6 +56,13 @@ def test_pauli_pairs_give_expected_permutations():
     assert permutation_action(LocalUnitaryPair(H, H)).perm == (1, 3, 2, 4)
 
 
+def test_pair_tensors_match_np_kron_bit_for_bit():
+    table = permutation_table()
+    assert len(table) == 24
+    for pair in table.values():
+        assert pair.tensor().tobytes() == np.kron(pair.u_alice, pair.u_bob).tobytes()
+
+
 def test_closure_reaches_exactly_24_permutations():
     table = permutation_table()
     assert len(table) == 24

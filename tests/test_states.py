@@ -1,4 +1,6 @@
+import functools
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from belldistill import states
 from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
                                  partial_transpose_matrix)
 
-from conftest import dump_matrix, kron_state, planted_blocks, random_density
+from conftest import dump_matrix, kron_state, planted_blocks, random_density, resident_growth_kib
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -273,7 +275,8 @@ def test_public_constructor_solves_blocks_only(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(rho.matrix, m)
-    assert peak < 1.25 * m.nbytes  # the frozen copy and one bool scan
+    # one bool scan (m.nbytes / 16); the entries' copy is on a private mapping too
+    assert peak < 0.125 * m.nbytes
 
     # a 64 x 64 matrix of 2 x 2 blocks: wide enough that a whole solve is refused
     good = np.kron(np.eye(32), np.full((2, 2), 0.5)) / 32
@@ -290,6 +293,56 @@ def test_public_constructor_solves_blocks_only(monkeypatch):
         with pytest.raises(ValueError) as err:
             DensityOperator(bad)
         assert str(err.value) == message
+
+
+def test_kron_matches_np_kron_bit_for_bit(rng):
+    # the same products in the same association, so the same bits, signed
+    # zeros included
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5j, -0.5j, complex(-0.0, -0.0),
+                       complex(0.0, -0.0), complex(-0.0, 1.0), 0.75 - 0.25j])
+    for k in range(1, 7):
+        for _ in range(4):
+            vectors = [rng.normal(size=2 ** rng.integers(1, 3)) + 1j * rng.normal(size=1)
+                       for _ in range(k)]
+            matrices = [rng.choice(signed, size=(2, 2)) for _ in range(k)]
+            for factors in (vectors, matrices):
+                expected = functools.reduce(np.kron, factors)
+                got = states._kron(factors)
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_public_constructor_keeps_no_tie_to_the_callers_array(rng):
+    # a sparse matrix (at most d^2 / 8 entries) and a dense one
+    for m in (to_dense(rho_n(2)).matrix.copy(), random_density(2, rng).matrix.copy()):
+        before = m.copy()
+        rho = DensityOperator(m)
+        assert m.flags.writeable and not rho.matrix.flags.writeable
+        m[0, 0] = 5.0
+        m[1, 3] = 1.0j
+        assert np.array_equal(rho.matrix, before)
+        assert not np.shares_memory(rho.matrix, m)
+
+
+def test_public_constructor_stores_an_off_entry_negative_zero_as_zero():
+    # 1 entry of 16: only the entries are copied, and -0.0 == 0.0
+    m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    m[1, 2] = complex(-0.0, -0.0)
+    rho = DensityOperator(m)
+    assert np.array_equal(rho.matrix, m)
+    assert not np.signbit(rho.matrix.view(float)).any()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_public_constructor_makes_only_the_entries_pages_resident():
+    # 4,096 entries of a 256 MiB matrix: the constructor copies them onto a
+    # private mapping; a whole copy made 272 MB resident.  About 16 MB of
+    # the allowance is the scan's one-byte mask
+    grown = resident_growth_kib(
+        "import numpy as np\nimport belldistill as bd\nm = bd.to_dense(bd.rho_n(6)).matrix",
+        "rho = bd.DensityOperator(m)\nr, c = rho._entries\n"
+        "assert r.size == 4096 and np.array_equal(rho.matrix[r, c], m[r, c])")
+    assert grown < 32 * 1024  # KiB
 
 
 def test_nan_fails_every_sum_and_trace_check():
