@@ -97,7 +97,7 @@ class _Product(Mapping):
     none of which is itself a product.
 
     A lookup multiplies one weight per factor, left to right, as a chain of
-    expanded products would.  Iteration builds the whole map with the same
+    expanded products would.  Iteration streams the map with the same
     products, the last factor varying fastest.
     """
 
@@ -123,34 +123,32 @@ class _Product(Mapping):
     def __len__(self) -> int:
         return math.prod(len(f.weights) for f in self.factors)
 
-    def expand(self) -> dict:
-        """The whole map as a dict, in order."""
-
-        return _expand(f.weights.items() for f in self.factors)
-
     def items(self):
-        return self.expand().items()
+        return _expand(f.weights.items() for f in self.factors)
 
     def __eq__(self, other):
         if not isinstance(other, Mapping):
             return NotImplemented
-        return len(other) == len(self) and self.expand() == other
+        get = other.get
+        return len(other) == len(self) and all(get(s) == w for s, w in self.items())
 
     def __iter__(self):
-        return iter(self.expand())
+        return (s for s, _ in self.items())
 
 
-def _expand(parts, key=tuple) -> dict:
-    """The product of weight maps given as (string, weight) pairs, the last
-    varying fastest.  Each part's strings pass through `key` once (tuples,
-    or digit strings for JSON) and are concatenated; the weights multiply
-    left to right."""
+def _expand(parts, key=tuple):
+    """Stream the product of weight maps given as (string, weight) pairs,
+    the last varying fastest, holding only the product of all but the last.
+    Each part's strings pass through `key` once (tuples, or digit strings
+    for JSON) and are concatenated; the weights multiply left to right."""
 
-    out = {key(()): 1.0}
-    for part in parts:
-        part = {key(t): v for t, v in part}
-        out = {s + t: w * v for s, w in out.items() for t, v in part.items()}
-    return out
+    *lead, last = [[(key(t), v) for t, v in part] for part in parts]
+    prefix = [(key(()), 1.0)]
+    for part in lead:
+        prefix = [(s + t, w * v) for s, w in prefix for t, v in part]
+    for s, w in prefix:
+        for t, v in last:
+            yield s + t, w * v
 
 
 def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
@@ -256,15 +254,16 @@ class BellDiagonalState:
     def to_json(self) -> str:
         """The text of json.dumps({"n": n, "weights": ...}, sort_keys=True),
         written directly.  Digit strings of one length sort as the tuples
-        do, so expanding each factor's strings in sorted order (a plain map
+        do, so streaming each factor's strings in sorted order (a plain map
         is one factor) lists the map in sort_keys order; each distinct
         weight is formatted once, by the float.__repr__ json calls."""
 
         weights = self.weights
         factors = weights.factors if isinstance(weights, _Product) else (self,)
         keyed = _expand((sorted(f.weights.items()) for f in factors), _digits)
-        reprs = {w: float.__repr__(w) for w in set(keyed.values())}
-        body = ", ".join([f'"{s}": {reprs[w]}' for s, w in keyed.items()])
+        reprs = {}
+        body = ", ".join([f'"{s}": {reprs.get(w) or reprs.setdefault(w, float.__repr__(w))}'
+                          for s, w in keyed])
         return f'{{"n": {self.n}, "weights": {{{body}}}}}'
 
     @classmethod
@@ -308,7 +307,7 @@ def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
     string (k1, k1, k2, k2, ..., km, km) of length 2m.
 
-    The map keeps the m blocks, so a lookup costs O(m); iterating it builds
+    The map keeps the m blocks, so a lookup costs O(m); iterating it streams
     all 4^m strings, the last block varying fastest.
     """
 
@@ -320,9 +319,7 @@ def rho2_power(m: int) -> BellDiagonalState:
 
 
 def is_pair_constant(s: Sequence[int]) -> bool:
-    if len(s) % 2 != 0:
-        return False
-    return all(s[2 * j] == s[2 * j + 1] for j in range(len(s) // 2))
+    return s[::2] == s[1::2]  # an odd length makes the halves differ in length
 
 
 def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellDiagonalState:

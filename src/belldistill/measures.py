@@ -156,7 +156,7 @@ def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _versus_pair_reference(2 * n, lambda: rho_n(n).tensor(rho_n(n)), method)
+    return _versus_pair_reference(2 * n, lambda: (r := rho_n(n)).tensor(r), method)
 
 
 def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport:

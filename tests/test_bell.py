@@ -101,6 +101,15 @@ def test_rho2_power_structure():
     assert all(is_pair_constant(s) for s in m2.weights)
 
 
+def test_is_pair_constant_matches_the_pairwise_definition():
+    def pairwise(s):
+        return len(s) % 2 == 0 and all(s[2 * j] == s[2 * j + 1] for j in range(len(s) // 2))
+
+    for n in range(7):  # odd lengths, and n = 0 with no pair at all
+        for s in itertools.product((1, 2, 3, 4), repeat=n):
+            assert is_pair_constant(s) is is_pair_constant(list(s)) is pairwise(s), s
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_rho_n_support_inside_rho2_power(m):
     p = rho_n(2 * m)
@@ -655,25 +664,37 @@ def test_factored_maps_match_their_expansion(rng):
         assert next(iter(big.weights)) == (1,) * big.n
 
 
-def test_product_equality_expands_once_without_copies(monkeypatch):
-    def refuse(self):
-        raise AssertionError("equality copied a map item by item")
-
-    monkeypatch.setattr(bell._Product, "items", refuse)
+def test_product_equality_streams_without_building_the_map():
+    # equality holds only the product of the leading factors: its peak stays
+    # below one expanded 16,384-entry dict (building the whole map exceeds it)
+    tracemalloc.start()
+    try:
+        expanded = _expanded_rho2_power(7)
+        one_map = tracemalloc.get_traced_memory()[0]
+        state = rho2_power(7)
+        for compare in (lambda: state.weights == expanded, lambda: expanded == state.weights):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert compare()
+            assert tracemalloc.get_traced_memory()[1] - base < one_map
+    finally:
+        tracemalloc.stop()
     state = rho2_power(3)
     expanded = _expanded_rho2_power(3)
     assert state.weights == expanded and expanded == state.weights
     assert state.weights == rho2_power(3).weights
     assert state.weights != rho2_power(2).weights
+    assert state.weights != {**expanded, (4, 4, 4, 4, 4, 4): 0.5}
+    assert state.weights != dict([((1, 1, 1, 1, 2, 1), 1 / 64), *list(expanded.items())[1:]])
     assert state.weights.__eq__(list(expanded)) is NotImplemented
     assert state.weights != list(expanded)
 
 
 def test_product_equality_with_another_size_does_not_expand(monkeypatch):
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("equality expanded a product of another size")
 
-    monkeypatch.setattr(bell._Product, "expand", refuse)
+    monkeypatch.setattr(bell, "_expand", refuse)
     assert rho2_power(9) != rho_n(18) and rho_n(18) != rho2_power(9)
     assert rho2_power(9).weights != rho2_power(8).weights
     assert rho2_power(2).weights != _expanded_rho2_power(3)
@@ -695,7 +716,7 @@ def test_factored_hot_paths_never_expand(monkeypatch, rng):
 
     monkeypatch.setattr(bell._Product, "__iter__", refuse)
     monkeypatch.setattr(bell._Product, "items", refuse)
-    monkeypatch.setattr(bell._Product, "expand", refuse)
+    monkeypatch.setattr(bell, "_expand", refuse)
     separable = sample_pairwise_separable(5, rng)
     assert len(separable.weights) == 16 ** 5
     assert bell_diagonal_kl(rho_n(10), separable) >= 8 - 1e-12

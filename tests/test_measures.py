@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from belldistill import (
 )
 from belldistill import measures
 from belldistill.permutations import I2, X, Z
+
+from conftest import resident_growth_kib
 
 
 # --- closed forms -------------------------------------------------------------
@@ -80,6 +83,17 @@ def test_pair_bound_all_n(n):
     report = er_bound_pair(n)
     assert report.value_bits == pytest.approx(2 * n - 4, abs=1e-12)
     assert report.support_contained == (n % 2 == 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_pair_bound_streams_its_strings():
+    # rho_n(n) is held once and the 16 strings of 2n ints are made one at a
+    # time; holding all 16 at once takes about 80 MB
+    grown = resident_growth_kib(
+        "import belldistill as bd",
+        "r = bd.er_bound_pair(250000)\n"
+        "assert r.value_bits == 2 * 250000 - 4 and r.support_contained")
+    assert grown < 40 * 1024  # KiB
 
 
 def test_pair_bound_n2_coincides_dense():
