@@ -151,15 +151,9 @@ def _expand(parts, key=tuple):
             yield s + t, w * v
 
 
-def _weight_total(weights: Mapping[tuple[int, ...], float]) -> float:
-    if isinstance(weights, _Product):
-        return math.prod(_weight_total(f.weights) for f in weights.factors)
+def _check_weight_sum(state: "BellDiagonalState") -> None:
     # a running float sum drifts past the tolerance over 10^6 strings; fsum does not
-    return math.fsum(weights.values())
-
-
-def _check_weight_sum(weights: Mapping[tuple[int, ...], float]) -> None:
-    total = _weight_total(weights)
+    total = math.prod(math.fsum(f.weights.values()) for f in state.factors)
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
         raise ValueError(f"weights sum to {total}, expected 1")
 
@@ -196,39 +190,44 @@ class BellDiagonalState:
             if w == 0.0:
                 continue
             clean[s] = clean.get(s, 0.0) + w
-        _check_weight_sum(clean)
         object.__setattr__(self, "weights", clean)
+        _check_weight_sum(self)
 
     @classmethod
     def _trusted(cls, n: int, weights: Mapping[tuple[int, ...], float]) -> "BellDiagonalState":
         """Wrap a map of distinct valid strings with positive float weights,
-        built from valid states by an operation or parsed by `from_json`
-        from keys and weights it has checked: only the weight sum is checked
-        (from the factors, for a product), and the map is kept as given."""
+        built from valid states by an operation, made by `rho_n` from its
+        constant strings, or parsed by `from_json` from keys and weights it
+        has checked: only the weight sum is checked (from the factors, for a
+        product), and the map is kept as given."""
 
-        _check_weight_sum(weights)
         state = object.__new__(cls)
         object.__setattr__(state, "n", n)
         object.__setattr__(state, "weights", weights)
+        _check_weight_sum(state)
         return state
+
+    @property
+    def factors(self) -> tuple["BellDiagonalState", ...]:
+        """The tensor factors in copy order; a plain state is its own one."""
+
+        if isinstance(self.weights, _Product):
+            return self.weights.factors
+        return (self,)
 
     def weight(self, s: Sequence[int]) -> float:
         return self.weights.get(tuple(s), 0.0)
 
     def entropy_bits(self) -> float:
-        return float(-sum(w * math.log2(w) for _, w in self.weights.items() if w > 0))
+        if len(self.factors) > 1:  # a product: its factors' entropies add
+            return math.fsum(f.entropy_bits() for f in self.factors)
+        return -sum(w * math.log2(w) for w in self.weights.values())  # every w > 0
 
     def tensor(self, *others: "BellDiagonalState") -> "BellDiagonalState":
         """Tensor product; the others' copies are appended after ours, in
         order.  The result keeps the factors and looks weights up in them."""
 
-        factors = []
-        for state in (self, *others):
-            weights = state.weights
-            if isinstance(weights, _Product):
-                factors.extend(weights.factors)
-            else:
-                factors.append(state)
+        factors = [f for state in (self, *others) for f in state.factors]
         combined = _Product(factors)
         if combined.smallest == 0.0:
             # a product that underflows to 0.0 is dropped, as the public constructor does
@@ -241,11 +240,10 @@ class BellDiagonalState:
         if len(perms) != self.n:
             raise ValueError(f"need {self.n} permutations, got {len(perms)}")
         perms = [check_permutation(p) for p in perms]
-        if isinstance(self.weights, _Product):
+        if len(self.factors) > 1:
             # permuting each factor keeps the product factored
-            factored = self.weights
             factors = [f.permute_per_copy(perms[a:b])
-                       for f, (a, b, _) in zip(factored.factors, factored.slices)]
+                       for f, (a, b, _) in zip(self.factors, self.weights.slices)]
             return BellDiagonalState._trusted(self.n, _Product(factors))
         # a bijection per copy maps distinct strings to distinct strings
         out = {tuple(p[i - 1] for p, i in zip(perms, s)): w for s, w in self.weights.items()}
@@ -258,9 +256,7 @@ class BellDiagonalState:
         is one factor) lists the map in sort_keys order; each distinct
         weight is formatted once, by the float.__repr__ json calls."""
 
-        weights = self.weights
-        factors = weights.factors if isinstance(weights, _Product) else (self,)
-        keyed = _expand((sorted(f.weights.items()) for f in factors), _digits)
+        keyed = _expand((sorted(f.weights.items()) for f in self.factors), _digits)
         reprs = {}
         body = ", ".join([f'"{s}": {reprs.get(w) or reprs.setdefault(w, float.__repr__(w))}'
                           for s, w in keyed])
@@ -300,7 +296,7 @@ def rho_n(n: int) -> BellDiagonalState:
 
     if (n := _count(n, "copy count")) > MAX_COPIES:
         raise ValueError(f"copy count {n} > {MAX_COPIES}, the most rho_n builds")
-    return BellDiagonalState(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
+    return BellDiagonalState._trusted(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
 
 
 def rho2_power(m: int) -> BellDiagonalState:
@@ -323,22 +319,17 @@ def is_pair_constant(s: Sequence[int]) -> bool:
 
 
 def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellDiagonalState:
-    """Four-term mixture with weight 1/4 on (pi_1(i), ..., pi_n(i)), i=1..4.
+    """Four-term mixture with weight 1/4 on (pi_1(i), ..., pi_n(i)), i=1..4:
+    rho_n relabelled copy by copy.
 
     Each copy carries its own Bell-index permutation; permutations may be
     given in one-line notation strings like "2134".
     """
 
-    parsed = [parse_permutation(p) if isinstance(p, str) else check_permutation(p)
-              for p in perms]
+    parsed = [parse_permutation(p) if isinstance(p, str) else p for p in perms]
     if not parsed:
         raise ValueError("need at least one permutation (one per copy)")
-    n = len(parsed)
-    weights = {}
-    for i in (1, 2, 3, 4):
-        s = tuple(p[i - 1] for p in parsed)
-        weights[s] = weights.get(s, 0.0) + 0.25
-    return BellDiagonalState(n, weights)
+    return rho_n(len(parsed)).permute_per_copy(parsed)
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, int, int, int]:

@@ -289,7 +289,8 @@ def permutations_cmd(fmt):
 @click.option("--perms", required=True,
               help="comma-separated one-line permutations, one per copy, e.g. 2134,1234")
 @click.option("--method", type=click.Choice(["structured", "dense", "both"]),
-              default="structured")
+              default="structured",
+              help="dense and both are the same: the structured check plus the dense one")
 @click.option("--tol", type=click.FloatRange(min=0), default=1e-9, callback=_finite)
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense permuted mixture in the JSON matrix format")

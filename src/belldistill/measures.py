@@ -65,23 +65,18 @@ def _structured_vs_pair_reference(p: BellDiagonalState) -> DivergenceReport:
 
     if p.n % 2 != 0:
         raise ValueError("pair reference needs an even total copy count")
-    m = p.n // 2
-    ref_bits = 2.0 * m  # -log2 of the flat support weight 4^-m
-    overlap = 0.0
-    raw = 0.0
+    ref_bits = float(p.n)  # -log2 of the flat support weight 4^-(n/2)
+    overlap = raw = 0.0
     contained = True
     for s, w in p.weights.items():
         if is_pair_constant(s):
             overlap += w
-            if not math.isinf(raw):
-                raw += w * (math.log2(w) + ref_bits)
+            raw += w * (math.log2(w) + ref_bits)
         else:
             contained = False
-            raw = math.inf
-    value = ref_bits - p.entropy_bits()
     return DivergenceReport(
         method="structured",
-        value_bits=value,
+        value_bits=ref_bits - p.entropy_bits(),
         raw_divergence_bits=raw if contained else math.inf,
         support_contained=contained,
         support_overlap=overlap,

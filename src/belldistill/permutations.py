@@ -22,7 +22,7 @@ from .bell import BELL_AMPLITUDES, check_permutation
 from .states import _kron
 
 PHASE_ALIGN_TOL = 1e-9
-UNITARY_TOL = 1e-12
+UNITARY_TOL = 1e-11
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,7 +59,7 @@ class LocalUnitaryPair:
             if u.shape != (2, 2):
                 raise ValueError(f"{side} operator must be 2x2")
             err = float(np.max(np.abs(u.conj().T @ u - I2)))
-            if not err <= UNITARY_TOL * 10:  # NaN fails too
+            if not err <= UNITARY_TOL:  # NaN fails too
                 raise ValueError(f"{side} operator is not unitary (error {err:.2e})")
             u.flags.writeable = False
             object.__setattr__(self, f"u_{side}", u)

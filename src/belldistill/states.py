@@ -23,8 +23,8 @@ BOB = "bob"
 
 MAX_DENSE_QUBITS = 12
 
-NORM_TOL = 1e-12
-HERM_TOL = 1e-12
+NORM_TOL = 1e-11
+HERM_TOL = 1e-11
 EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
 
@@ -96,7 +96,7 @@ class Ket:
         amps = _frozen_array(self.amplitudes, 1)
         object.__setattr__(self, "amplitudes", amps)
         norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= NORM_TOL * 10:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"ket is not normalized: |psi|^2 = {norm2}")
 
     @property
@@ -134,7 +134,7 @@ class DensityOperator:
 
     def __post_init__(self):
         view = _frozen_array(np.asarray(self.matrix, dtype=complex).view(), 2, copy=False)
-        r, c = entries = _hermitian_entries(view, HERM_TOL * 10)
+        r, c = entries = _hermitian_entries(view, HERM_TOL)
         if 8 * r.size > view.size:  # dm_from_ensemble's rule
             m = view.copy()
         else:  # only the entries' pages become resident; -0.0 off them is 0.0

@@ -133,8 +133,38 @@ def test_sigma_n_entropy_independent_of_perms(rng):
 
 
 def test_sigma_n_rejects_empty():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match=r"^need at least one permutation \(one per copy\)$"):
         sigma_n([])
+
+
+def test_sigma_n_error_messages():
+    for perms, message in ((["1234", "2133"], "not a permutation of 1..4: (2, 1, 3, 3)"),
+                           (["1234", "213"], "one-line permutation must be 4 digits, got '213'"),
+                           ([(1, 2, 3, 4), (1, 1, 2, 3)], "not a permutation of 1..4: (1, 1, 2, 3)")):
+        with pytest.raises(ValueError) as info:
+            sigma_n(perms)
+        assert str(info.value) == message
+
+
+def _sigma_by_index(perms):
+    """sigma_n as built index by index: weight 1/4 on (pi_1(i), ..., pi_n(i))."""
+
+    weights = {}
+    for i in (1, 2, 3, 4):
+        s = tuple(p[i - 1] for p in perms)
+        weights[s] = weights.get(s, 0.0) + 0.25
+    return weights
+
+
+def test_sigma_n_is_rho_n_relabelled(rng):
+    for n in range(1, 7):
+        for _ in range(5):
+            perms = [tuple(int(d) for d in rng.permutation([1, 2, 3, 4])) for _ in range(n)]
+            expected = _sigma_by_index(perms)
+            for given in (perms, ["".join(map(str, p)) for p in perms]):
+                state = sigma_n(given)
+                assert state.n == n
+                assert list(state.weights.items()) == list(expected.items())
 
 
 def test_bell_diagonal_kl_examples():
@@ -584,9 +614,10 @@ def test_trusted_producers_skip_string_checks(monkeypatch):
 
     monkeypatch.setattr(bell, "check_bell_string", counting)
     rho2_power(3).tensor(rho2_power(1)).permute_per_copy([(2, 1, 3, 4)] * 8)
-    assert calls == []
+    # the package's own four-string mixtures are valid by construction
     rho_n(2)
-    assert calls == [2, 2, 2, 2]
+    sigma_n(["2134", "1234"])
+    assert calls == []
 
 
 def test_tensor_drops_underflowed_products():
@@ -726,12 +757,30 @@ def test_factored_hot_paths_never_expand(monkeypatch, rng):
 
 
 def test_entropy_of_a_product_never_looks_strings_up(monkeypatch):
-    # the entropy expands a factored product once; a lookup per string slices
-    # it once per factor and doubles the time
-    def refuse(self, key):
-        raise AssertionError("a string was looked up in a factored product")
+    # a product's entropy is the sum of its factors' entropies: it neither
+    # streams the product's strings nor looks any of them up
+    def refuse(*args):
+        raise AssertionError("a factored product was looked up or streamed")
 
     state = rho2_power(4)
     assert isinstance(state.weights, bell._Product)
     monkeypatch.setattr(bell._Product, "__getitem__", refuse)
+    monkeypatch.setattr(bell, "_expand", refuse)
     assert state.entropy_bits() == 8.0
+
+
+def _expanded_entropy(state):
+    return -sum(w * math.log2(w) for w in dict(state.weights.items()).values())
+
+
+def test_product_entropy_is_the_sum_of_its_factors(rng):
+    for m in (1, 2, 3, 4):
+        separable = sample_pairwise_separable(m, rng)
+        assert separable.entropy_bits() == pytest.approx(_expanded_entropy(separable),
+                                                         abs=1e-12)
+        assert rho2_power(m).entropy_bits() == 2 * m
+    for n in (1, 2, 7, 1000):
+        assert rho_n(n).tensor(rho_n(n)).entropy_bits() == 4
+    # a one-factor product is its factor
+    tenths = BellDiagonalState(1, {(1,): 0.1, (2,): 0.2, (3,): 0.3, (4,): 0.4})
+    assert tenths.tensor().entropy_bits() == tenths.entropy_bits()

@@ -432,6 +432,19 @@ def test_sigma_equiv_structured_and_dense(runner):
     assert checks["dense_trace_distance"]["computed"] <= 1e-9
 
 
+def test_sigma_equiv_dense_and_both_are_one_method(runner):
+    # both run the structured check and the dense one; the payload does not
+    # name the method, so the two print the same bytes
+    outputs = []
+    for method in ("dense", "both"):
+        result = invoke(runner, ["sigma-equiv", "--perms", "2134,3412,1234", "--method", method])
+        assert result.exit_code == 0
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    names = [c["name"] for c in json.loads(outputs[0])["checks"]]
+    assert names == ["structured_weight_equality", "dense_trace_distance"]
+
+
 def test_sigma_equiv_structured_large_n(runner):
     perms = ",".join(["2134", "3412", "4321", "1234", "2413", "3142", "4231", "1324"])
     result = invoke(runner, ["sigma-equiv", "--perms", perms])

@@ -27,7 +27,7 @@ from belldistill import (
     sample_separable,
     to_dense,
 )
-from belldistill import measures
+from belldistill import bell, measures
 from belldistill.permutations import I2, X, Z
 
 from conftest import resident_growth_kib
@@ -356,3 +356,13 @@ def test_er_search_floor_breach_raises(monkeypatch):
 def test_er_search_rejects_bad_budget():
     with pytest.raises(ValueError, match="budget"):
         er_search(2, budget=0)
+
+
+def test_pair_bound_at_the_copy_limit_checks_no_string(monkeypatch):
+    # rho_n builds its constant strings through the trusted route
+    def refuse(indices, n):
+        raise AssertionError("a Bell string was re-checked")
+
+    monkeypatch.setattr(bell, "check_bell_string", refuse)
+    report = er_bound_even(500000)
+    assert report.value_bits == 999998.0

@@ -36,6 +36,11 @@ def test_instrumented_functions_resolve():
     assert spans.INSTRUMENTED
     for module, path, _, _ in spans.INSTRUMENTED:
         assert callable(_resolve(importlib.import_module(module), path)), (module, path)
+        # install reads a method from its own class's namespace, not an inherited one
+        owner_path, _, attr = path.rpartition(".")
+        if owner_path:
+            owner = _resolve(importlib.import_module(module), owner_path)
+            assert attr in vars(owner), (module, path)
     # called by the exact-branches question, not instrumented
     assert callable(_resolve(belldistill, "BranchAnalysis.total_probability"))
 
