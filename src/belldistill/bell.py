@@ -1,8 +1,8 @@
 """Bell basis and the rank-structured Bell-diagonal representation.
 
 Every state this package studies is diagonal in the n-fold Bell product
-basis, so a sparse probability map over index strings in {1..4}^n describes
-it completely.  The dense path exists for cross-validation at small n.
+basis, so a sparse probability map over digit strings in {1..4}^n ("1122")
+describes it completely.  The dense path exists for cross-validation at small n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .states import DensityOperator, Ket, _kron, check_dense_size, dm_from_ensemble
 
 WEIGHT_SUM_TOL = 1e-12
-MAX_COPIES = 10 ** 6  # rho_n's 4 strings are tuples of n ints: 91 MB for eq5 --m 500000
+MAX_COPIES = 10 ** 6  # er-pair streams 16 strings of 2n digits: 39 MB peak at n = 10^6
 
 # Rows are the four Bell amplitude vectors over |00>,|01>,|10>,|11>.
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -113,7 +113,7 @@ class _Product(Mapping):
         self.smallest = math.prod(min(f.weights.values()) for f in self.factors)
 
     def __getitem__(self, s):
-        if not isinstance(s, tuple) or len(s) != self.n:
+        if not isinstance(s, str) or len(s) != self.n:
             raise KeyError(s)
         w = 1.0
         for a, b, weights in self.slices:
@@ -136,14 +136,13 @@ class _Product(Mapping):
         return (s for s, _ in self.items())
 
 
-def _expand(parts, key=tuple):
-    """Stream the product of weight maps given as (string, weight) pairs,
-    the last varying fastest, holding only the product of all but the last.
-    Each part's strings pass through `key` once (tuples, or digit strings
-    for JSON) and are concatenated; the weights multiply left to right."""
+def _expand(parts):
+    """Stream the product of weight maps given as re-iterable (string,
+    weight) pairs, the last varying fastest, holding only the product of all
+    but the last.  Strings concatenate; weights multiply left to right."""
 
-    *lead, last = [[(key(t), v) for t, v in part] for part in parts]
-    prefix = [(key(()), 1.0)]
+    *lead, last = parts
+    prefix = [("", 1.0)]
     for part in lead:
         prefix = [(s + t, w * v) for s, w in prefix for t, v in part]
     for s, w in prefix:
@@ -168,22 +167,20 @@ def _count(value: int, what: str) -> int:
     return n
 
 
-def _digits(s: tuple[int, ...]) -> str:
-    return "".join(map(str, s))
-
-
 @dataclass(frozen=True)
 class BellDiagonalState:
-    """Sparse probability distribution over Bell strings of length n."""
+    """Sparse probability distribution over Bell strings of length n, each
+    stored as its digit text ("1122"); the constructor and `weight` also
+    take a string spelled as a sequence of indices."""
 
     n: int
-    weights: Mapping[tuple[int, ...], float]
+    weights: Mapping[str, float]
 
     def __post_init__(self):
         object.__setattr__(self, "n", _count(self.n, "copy count"))
         clean = {}
         for s, w in self.weights.items():
-            s = check_bell_string(s, self.n)
+            s = "".join(map(str, check_bell_string(s, self.n)))
             w = float(w)
             if w < 0:
                 raise ValueError(f"negative weight {w} for string {s}")
@@ -194,8 +191,8 @@ class BellDiagonalState:
         _check_weight_sum(self)
 
     @classmethod
-    def _trusted(cls, n: int, weights: Mapping[tuple[int, ...], float]) -> "BellDiagonalState":
-        """Wrap a map of distinct valid strings with positive float weights,
+    def _trusted(cls, n: int, weights: Mapping[str, float]) -> "BellDiagonalState":
+        """Wrap a map of distinct valid digit strings with positive float weights,
         built from valid states by an operation, made by `rho_n` from its
         constant strings, or parsed by `from_json` from keys and weights it
         has checked: only the weight sum is checked (from the factors, for a
@@ -215,8 +212,9 @@ class BellDiagonalState:
             return self.weights.factors
         return (self,)
 
-    def weight(self, s: Sequence[int]) -> float:
-        return self.weights.get(tuple(s), 0.0)
+    def weight(self, s: str | Sequence[int]) -> float:
+        """s's weight, its indices read by check_bell_string's rule; 0.0 off the support."""
+        return self.weights.get("".join(map(str, _integers(s))), 0.0)
 
     def entropy_bits(self) -> float:
         if len(self.factors) > 1:  # a product: its factors' entropies add
@@ -245,18 +243,21 @@ class BellDiagonalState:
             factors = [f.permute_per_copy(perms[a:b])
                        for f, (a, b, _) in zip(self.factors, self.weights.slices)]
             return BellDiagonalState._trusted(self.n, _Product(factors))
-        # a bijection per copy maps distinct strings to distinct strings
-        out = {tuple(p[i - 1] for p, i in zip(perms, s)): w for s, w in self.weights.items()}
+        # a bijection per copy maps distinct strings to distinct strings; the
+        # digit of code c on copy j maps to images[j][c - 49], written as code + 48
+        images = [bytes(p) for p in perms]
+        out = {bytes([t[c - 49] + 48 for t, c in zip(images, s.encode())]).decode(): w
+               for s, w in self.weights.items()}
         return BellDiagonalState._trusted(self.n, out)
 
     def to_json(self) -> str:
         """The text of json.dumps({"n": n, "weights": ...}, sort_keys=True),
-        written directly.  Digit strings of one length sort as the tuples
-        do, so streaming each factor's strings in sorted order (a plain map
-        is one factor) lists the map in sort_keys order; each distinct
-        weight is formatted once, by the float.__repr__ json calls."""
+        written directly.  A factor's strings share one length, so streaming
+        each factor's strings in sorted order (a plain map is one factor)
+        lists the map in sort_keys order; each distinct weight is formatted
+        once, by the float.__repr__ json calls."""
 
-        keyed = _expand((sorted(f.weights.items()) for f in self.factors), _digits)
+        keyed = _expand(sorted(f.weights.items()) for f in self.factors)
         reprs = {}
         body = ", ".join([f'"{s}": {reprs.get(w) or reprs.setdefault(w, float.__repr__(w))}'
                           for s, w in keyed])
@@ -266,7 +267,9 @@ class BellDiagonalState:
     def from_json(cls, text: str) -> "BellDiagonalState":
         """Read a document written by `to_json`.  It must be an object whose
         "n" is a JSON integer >= 1 and whose "weights" object maps Bell
-        strings to JSON numbers; any other document raises ValueError."""
+        strings to JSON numbers; any other document raises ValueError.  Its
+        parsed map is kept if every key is digit text and every weight a
+        positive float, else it goes through the public constructor."""
 
         data = json.loads(text)
         if type(data) is not dict or type(raw := data.get("weights")) is not dict:
@@ -275,33 +278,30 @@ class BellDiagonalState:
         if type(n) is not int or n < 1:
             raise ValueError(f"copy count must be an integer >= 1, got {json.dumps(n)}")
         if (set(map(len, raw)) == {n} and (joined := "".join(raw)).isascii()
-                and not (codes := joined.encode()).translate(None, b"1234")
+                and not joined.encode().translate(None, b"1234")
                 and all(type(w) is float and w > 0 for w in raw.values())):
-            # every key is n of the characters 1234 and every weight a positive
-            # float: convert all keys at once; _trusted still checks the sum.
-            # These are the rules of check_bell_string and __post_init__, which
-            # any other document goes through; the two routes must agree.
-            codes = iter(codes.translate(bytes.maketrans(b"1234", b"\1\2\3\4")))
-            return cls._trusted(n, dict(zip(zip(*[codes] * n), raw.values())))
+            # every key is n of the characters 1234, so already canonical, and every
+            # weight a positive float: the rules of check_bell_string and __post_init__,
+            # which any other document goes through.  _trusted still checks the sum.
+            return cls._trusted(n, raw)
         for w in raw.values():
             if type(w) not in (int, float):
                 raise ValueError(f"weight must be a number, got {json.dumps(w)}")
-        weights = {tuple(map(int, key)): w for key, w in raw.items()}
-        return cls(n, weights)
+        return cls(n, raw)
 
 
 def rho_n(n: int) -> BellDiagonalState:
     """Uniform mixture of the four n-fold Bell products: weight 1/4 on each
-    constant string (i, i, ..., i)."""
+    constant string "ii...i"."""
 
     if (n := _count(n, "copy count")) > MAX_COPIES:
         raise ValueError(f"copy count {n} > {MAX_COPIES}, the most rho_n builds")
-    return BellDiagonalState._trusted(n, {(i,) * n: 0.25 for i in (1, 2, 3, 4)})
+    return BellDiagonalState._trusted(n, {i * n: 0.25 for i in "1234"})
 
 
 def rho2_power(m: int) -> BellDiagonalState:
     """m independent two-copy blocks: weight 4^-m on every pair-constant
-    string (k1, k1, k2, k2, ..., km, km) of length 2m.
+    string "k1k1k2k2...kmkm" of length 2m.
 
     The map keeps the m blocks, so a lookup costs O(m); iterating it streams
     all 4^m strings, the last block varying fastest.
@@ -310,16 +310,16 @@ def rho2_power(m: int) -> BellDiagonalState:
     m = _count(m, "block count")
     if m > 511:
         raise ValueError(f"block count {m} > 511: the weight 4^-m is not a normal float")
-    block = BellDiagonalState._trusted(2, {(k, k): 0.25 for k in (1, 2, 3, 4)})
+    block = BellDiagonalState._trusted(2, {k * 2: 0.25 for k in "1234"})
     return BellDiagonalState._trusted(2 * m, _Product([block] * m))
 
 
-def is_pair_constant(s: Sequence[int]) -> bool:
+def is_pair_constant(s: str | Sequence[int]) -> bool:
     return s[::2] == s[1::2]  # an odd length makes the halves differ in length
 
 
 def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellDiagonalState:
-    """Four-term mixture with weight 1/4 on (pi_1(i), ..., pi_n(i)), i=1..4:
+    """Four-term mixture with weight 1/4 on the string pi_1(i) ... pi_n(i), i=1..4:
     rho_n relabelled copy by copy.
 
     Each copy carries its own Bell-index permutation; permutations may be
@@ -369,7 +369,7 @@ def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:
         raise ValueError("states must have the same copy count")
     total = 0.0
     for s, w in p.weights.items():
-        qs = q.weight(s)
+        qs = q.weights.get(s, 0.0)  # p's keys are digit text, as q's are
         if qs <= 0.0:
             return math.inf
         total += w * math.log2(w / qs)

@@ -68,7 +68,7 @@ def test_rho_n_dense_n1_is_maximally_mixed():
 
 def test_rho_n_structured_weights():
     state = rho_n(2)
-    assert state.weights == {(i, i): 0.25 for i in (1, 2, 3, 4)}
+    assert state.weights == {f"{i}{i}": 0.25 for i in (1, 2, 3, 4)}
 
 
 def test_rho_n_entropy_two_bits():
@@ -84,7 +84,7 @@ def test_rho_n_dense_rejects_oversize():
 
 
 def test_rho_n_refuses_copy_counts_past_the_limit():
-    # the largest accepted count builds (four tuples of 10^6 ints); the next
+    # the largest accepted count builds (four strings of 10^6 digits); the next
     # is refused before anything is built
     limit = bell.MAX_COPIES
     assert len(rho_n(limit).weights) == 4
@@ -107,7 +107,9 @@ def test_is_pair_constant_matches_the_pairwise_definition():
 
     for n in range(7):  # odd lengths, and n = 0 with no pair at all
         for s in itertools.product((1, 2, 3, 4), repeat=n):
+            text = "".join(map(str, s))
             assert is_pair_constant(s) is is_pair_constant(list(s)) is pairwise(s), s
+            assert is_pair_constant(text) is pairwise(s), s
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -123,7 +125,7 @@ def test_sigma_n_identity_perms_is_rho_n():
 
 def test_sigma_n_swap_example():
     state = sigma_n(["2134", "1234"])
-    assert state.weights == {(2, 1): 0.25, (1, 2): 0.25, (3, 3): 0.25, (4, 4): 0.25}
+    assert state.weights == {"21": 0.25, "12": 0.25, "33": 0.25, "44": 0.25}
 
 
 def test_sigma_n_entropy_independent_of_perms(rng):
@@ -151,7 +153,7 @@ def _sigma_by_index(perms):
 
     weights = {}
     for i in (1, 2, 3, 4):
-        s = tuple(p[i - 1] for p in perms)
+        s = "".join(str(p[i - 1]) for p in perms)
         weights[s] = weights.get(s, 0.0) + 0.25
     return weights
 
@@ -501,7 +503,7 @@ def test_to_json_matches_json_dumps_on_unsorted_and_varied_maps(rng):
         "single-copy product": rho_n(1).tensor(rho_n(1)),
         "distinct weights": random_bell_diagonal(3, rng).tensor(random_bell_diagonal(2, rng)),
     }
-    assert list(states["unsorted factor maps"].weights)[0] == (4,) * 6
+    assert list(states["unsorted factor maps"].weights)[0] == "4" * 6
     assert len(states["sample_pairwise_separable(4)"].weights) == 65_536
     assert len(set(states["distinct weights"].weights.values())) == 4 ** 5
     for name, state in states.items():
@@ -524,9 +526,9 @@ def test_to_json_writes_the_text_without_json_dumps(monkeypatch):
 
 
 def _per_entry_from_json(text):
-    """from_json as it was: every key converted and checked on its own, once
-    the document has an object of weights, a JSON integer n >= 1 and JSON
-    numbers as weights."""
+    """from_json through the public constructor alone: every key converted
+    and checked on its own, once the document has an object of weights, a
+    JSON integer n >= 1 and JSON numbers as weights."""
 
     data = json.loads(text)
     if not isinstance(data, dict) or not isinstance(data.get("weights"), dict):
@@ -537,8 +539,7 @@ def _per_entry_from_json(text):
     for w in data["weights"].values():
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise ValueError(f"weight must be a number, got {json.dumps(w)}")
-    weights = {tuple(map(int, key)): w for key, w in data["weights"].items()}
-    return BellDiagonalState(n, weights)
+    return BellDiagonalState(n, data["weights"])
 
 
 def _outcome(parse, text):
@@ -563,6 +564,7 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         ('{"n": 2, "weights": {"15": 1.0}}', False),
         ('{"n": 1, "weights": {"\uff11": 1.0}}', False),  # full-width digit one
         ('{"n": 1, "weights": {"1": 0.5, "\uff11": 0.5}}', False),  # the same string twice
+        ('{"n": 1, "weights": {"1": 0.5, "\uff11": 0.5, "2": 0.5}}', False),
         ('{"n": 1, "weights": {"\ud800": 1.0}}', False),  # a lone surrogate
         ('{"n": "2", "weights": {"11": 1.0}}', False),
         ('{"n": 0, "weights": {}}', False),
@@ -598,6 +600,11 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         assert outcome == _outcome(_per_entry_from_json, text), text
         if not isinstance(outcome[0], int):  # every rejection is a one-line ValueError
             assert issubclass(outcome[0], ValueError) and "\n" not in outcome[1], text
+    # two spellings of one string add up, as in the constructor: neither is dropped
+    assert BellDiagonalState.from_json(
+        '{"n": 1, "weights": {"1": 0.5, "\uff11": 0.5}}').weights == {"1": 1.0}
+    with pytest.raises(ValueError, match=r"^weights sum to 1.5, expected 1$"):
+        BellDiagonalState.from_json('{"n": 1, "weights": {"1": 0.5, "\uff11": 0.5, "2": 0.5}}')
     for n in ("2.5", "true", "1e+300"):
         message = f"copy count must be an integer >= 1, got {n}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -620,18 +627,64 @@ def test_trusted_producers_skip_string_checks(monkeypatch):
     assert calls == []
 
 
+def test_bell_strings_are_digit_text():
+    # every producer keys its map by each string's digit text, whatever
+    # spelling it was given; two spellings of one string merge
+    pair = {"11": 0.5, "23": 0.5}
+    spelled = {
+        "text": BellDiagonalState(2, pair),
+        "tuples": BellDiagonalState(2, {(1, 1): 0.5, (2, 3): 0.5}),
+        "digit characters": BellDiagonalState(2, {("1", "1"): 0.5, ("2", "3"): 0.5}),
+        "mixed spellings": BellDiagonalState(2, {(1, "1"): 0.5, (2.0, True + 2): 0.5}),
+        "duplicate spellings": BellDiagonalState(2, {(1, 1): 0.25, "11": 0.125,
+                                                     ("1", 1): 0.125, "23": 0.5}),
+        "general from_json": BellDiagonalState.from_json(
+            '{"n": 2, "weights": {"11": 0.5, "\uff12\uff13": 0.5, "44": 0}}'),
+        "bulk from_json": BellDiagonalState.from_json('{"n": 2, "weights": {"11": 0.5, "23": 0.5}}'),
+    }
+    for name, state in spelled.items():
+        assert state.weights == pair and state == spelled["text"], name
+        assert [type(s) for s in state.weights] == [str, str], name
+    produced = {
+        **spelled,
+        "rho_n(3)": rho_n(3),
+        "rho2_power(3)": rho2_power(3),
+        "sigma_n": sigma_n(["2134", "3412", "1243"]),
+        "tensor": rho_n(2).tensor(sigma_n(["2134", "3412", "1243"]), rho2_power(2)),
+        "permute_per_copy": rho2_power(2).permute_per_copy(
+            [(2, 1, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4), (3, 4, 1, 2)]),
+        "permuted plain map": rho_n(3).permute_per_copy([(4, 3, 2, 1), (2, 1, 4, 3), (1, 3, 2, 4)]),
+        "bulk from_json of a product": BellDiagonalState.from_json(rho2_power(3).to_json()),
+    }
+    for name, state in produced.items():
+        strings = list(state.weights)
+        assert len(strings) == len(state.weights) == len(set(strings)), name
+        for s in strings:
+            assert type(s) is str and len(s) == state.n and not s.strip("1234"), (name, s)
+            indices = tuple(map(int, s))
+            w = state.weights[s]
+            assert w > 0 and state.weight(s) == state.weight(indices) == w, (name, s)
+            assert state.weight(list(s)) == state.weight(list(indices)) == w, (name, s)
+        off = "1" * (state.n - 1) + "5"
+        assert state.weight(off) == state.weight(tuple(map(int, off))) == 0.0, name
+    assert rho_n(2).weight("11") == rho_n(2).weight((1, 1)) == rho_n(2).weight(["1", "1"]) == 0.25
+    assert rho2_power(2).weight("1122") == rho2_power(2).weight([1, 1, 2, 2]) == 1 / 16
+    assert produced["permuted plain map"].weights == {"421": 0.25, "313": 0.25,
+                                                      "242": 0.25, "134": 0.25}
+
+
 def test_tensor_drops_underflowed_products():
     tiny = BellDiagonalState(1, {(1,): 1.0 - 1e-200, (2,): 1e-200})
     assert tiny.weight((2,)) == 1e-200
     product = tiny.tensor(tiny)
-    assert (2, 2) not in product.weights
+    assert "22" not in product.weights
     assert len(product.weights) == 3
 
 
 def _chained_tensor(states):
     """The expanded product, built as chained dict tensors used to build it."""
 
-    out = {(): 1.0}
+    out = {"": 1.0}
     for state in states:
         out = {s + t: w * v for s, w in out.items() for t, v in state.weights.items()}
     return out
@@ -640,9 +693,9 @@ def _chained_tensor(states):
 def _expanded_rho2_power(m):
     """rho(2)^m as a dict, built string by string (the last block varies fastest)."""
 
-    strings = [()]
+    strings = [""]
     for _ in range(m):
-        strings = [s + (k, k) for s in strings for k in (1, 2, 3, 4)]
+        strings = [s + f"{k}{k}" for s in strings for k in (1, 2, 3, 4)]
     return dict.fromkeys(strings, 4.0 ** (-m))
 
 
@@ -658,7 +711,7 @@ def test_factored_maps_match_their_expansion(rng):
                    _chained_tensor([rho_n(2), rho2_power(2), sigma])),
         "tenths": (tenths.tensor(tenths, tenths, tenths), _chained_tensor([tenths] * 4)),
         "permute_per_copy": (rho2_power(2).permute_per_copy(perms),
-                             {tuple(p[i - 1] for p, i in zip(perms, s)): w
+                             {"".join(str(p[int(i) - 1]) for p, i in zip(perms, s)): w
                               for s, w in _expanded_rho2_power(2).items()}),
         "sample_pairwise_separable(3)": (separable,
                                          _chained_tensor(separable.weights.factors)),
@@ -677,10 +730,10 @@ def test_factored_maps_match_their_expansion(rng):
         weights = state.weights
         n = state.n
         probes = list(expanded)
-        probes += [s + (1,) for s in expanded] + [s[:-1] for s in expanded]
-        probes += [(1,) * (n - 1) + (2,), (4,) * (n + 2), (), (1, 1, 2, 2, 3, 3, 4)]
+        probes += [s + "1" for s in expanded] + [s[:-1] for s in expanded]
+        probes += ["1" * (n - 1) + "2", "4" * (n + 2), "", "1122334"]
         if n <= 6:
-            probes += list(itertools.product((1, 2, 3, 4), repeat=n))
+            probes += ["".join(map(str, s)) for s in itertools.product((1, 2, 3, 4), repeat=n)]
         for s in probes:
             assert state.weight(s) == expanded.get(s, 0.0), (name, s)
             assert (s in weights) == (s in expanded), (name, s)
@@ -692,7 +745,7 @@ def test_factored_maps_match_their_expansion(rng):
     assert three == rho_n(1).tensor(uniform) and three != rho_n(1).tensor(rho_n(2))
     for big in (rho2_power(8), sample_pairwise_separable(4, rng)):
         assert len(big.weights) == 16 ** 4
-        assert next(iter(big.weights)) == (1,) * big.n
+        assert next(iter(big.weights)) == "1" * big.n
 
 
 def test_product_equality_streams_without_building_the_map():
@@ -715,8 +768,8 @@ def test_product_equality_streams_without_building_the_map():
     assert state.weights == expanded and expanded == state.weights
     assert state.weights == rho2_power(3).weights
     assert state.weights != rho2_power(2).weights
-    assert state.weights != {**expanded, (4, 4, 4, 4, 4, 4): 0.5}
-    assert state.weights != dict([((1, 1, 1, 1, 2, 1), 1 / 64), *list(expanded.items())[1:]])
+    assert state.weights != {**expanded, "444444": 0.5}
+    assert state.weights != dict([("111121", 1 / 64), *list(expanded.items())[1:]])
     assert state.weights.__eq__(list(expanded)) is NotImplemented
     assert state.weights != list(expanded)
 

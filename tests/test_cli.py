@@ -318,6 +318,13 @@ RECORDED_STDOUT = {
         "62b02c83b8c5128c9d62a4e9361b188921230b54392c3b37a971d3ccdbbf6143",
     "discriminate --n 4 --shots 300 --seed 3":
         "698e41fbb9990eece3a50f0a67bbc91943cbb695686ebd5e36c6bb3a37b49030",
+    # the copy limits of rho_n (eq5, er-pair) and rho2_power (eq10)
+    "verify er-pair --n 1000000":
+        "ab2e1cf26fcb523a9b2941cf1bc7759c658f906a4f22eae40c521fa6f85341f0",
+    "verify eq10 --m 499999":
+        "3bf63ec873a6616776caff8e7b99e06cb485878a8a5eb2fd1e303ef3350b7d9a",
+    "verify eq5 --m 500000":
+        "7378d7ddde6bcd1872b8992b8fdb91a39bfef5145f352c85812244732dcb6242",
 }
 
 # Dense payloads print eigensolver rounding digits, which can move with the

@@ -87,13 +87,19 @@ def test_pair_bound_all_n(n):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_large_pair_bound_streams_its_strings():
-    # rho_n(n) is held once and the 16 strings of 2n ints are made one at a
-    # time; holding all 16 at once takes about 80 MB
+    # rho_n(n) is held once and the 16 strings of 2n digits are made one at a
+    # time, a byte per digit: about 2 MB (17 MB as tuples of ints)
     grown = resident_growth_kib(
         "import belldistill as bd",
         "r = bd.er_bound_pair(250000)\n"
         "assert r.value_bits == 2 * 250000 - 4 and r.support_contained")
-    assert grown < 40 * 1024  # KiB
+    assert grown < 8 * 1024  # KiB
+    # rho_n(10^6) against the pair reference: about 5 MB (39 MB as tuples of ints)
+    grown = resident_growth_kib(
+        "import belldistill as bd",
+        "r = bd.er_bound_even(500000)\n"
+        "assert r.value_bits == 2 * 500000 - 2 and r.support_contained")
+    assert grown < 10 * 1024  # KiB
 
 
 def test_pair_bound_n2_coincides_dense():
