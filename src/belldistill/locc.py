@@ -12,25 +12,27 @@ Every branch is a product of Bell pairs, so the protocol runs in the Bell
 (Pauli) frame for any n, with no ket.  A branch is the hidden index and
 Alice's two outcomes; Bob's outcomes follow from the parities, so every
 branch has probability exactly 1/16 and every corrected copy is exactly
-Phi1.  A seeded run draws every shot's cached branch as one nibble of a
-standard-library `random.Random(seed)` stream; a report's sample transcript
-is shot 0's.  `measure_local` and `discriminate_two_copies` keep
-the stepwise ket simulation (n <= 6) as the reference the frame is tested
-against; it never chooses an outcome whose Born probability was pruned
-(below 1e-14).  Both record a measurement as a `(party, copy, basis,
-outcome)` tuple.
+Phi1.  `distill` and `discrimination_rate` answer from these 16 branches;
+each weighs the dyadic 1/16, so every sum is exact.  A seeded run is drawn
+only where a shot is shown: shot k is one nibble of a standard-library
+`random.Random(seed)` stream (`run_shot`), a report's sample transcript is
+shot 0's, and `DistillationReport.to_csv` draws one row per shot.
+`measure_local` and `discriminate_two_copies` keep the stepwise ket
+simulation (n <= 6) as the reference the frame is tested against; it never
+chooses an outcome whose Born probability was pruned (below 1e-14).  Both
+record a measurement as a `(party, copy, basis, outcome)` tuple.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 
 import numpy as np
 
-from .bell import bell_bits, bell_index, bell_product_ket
+from .bell import _count, bell_bits, bell_index, bell_product_ket
 from .permutations import H
 from .states import ALICE, BOB, Ket
 
@@ -162,41 +164,44 @@ class Branch:
     parity_x: int
 
 
-@cache  # 32 keys: whether copies remain, the hidden index, Alice's two outcomes
-def _branch(copies_left: bool, hidden: int, a_z: int, a_x: int) -> Branch:
-    """The branch where Alice sees a_z on copy 1 and a_x on copy 2.
+@cache  # two keys: whether copies remain after the two measured ones
+def _frame(copies_left: bool) -> tuple[Branch, ...]:
+    """The 16 branches, hidden index 1 before 4, then Alice's outcome a_z on
+    copy 1 and a_x on copy 2, 0 before 1.
 
     Bob's outcome on each copy is Alice's XOR that copy's parity, so he has
-    no choice and the branch has probability 1/4 * 1/2 * 1/2.  The one-sided
+    no choice and each branch has probability 1/4 * 1/2 * 1/2.  The one-sided
     Paulis multiply like the Klein group up to a phase, so the correction
     for the guess returns every remaining copy to Phi1 exactly when the
     guess is the hidden index, and to an orthogonal Bell state otherwise.
     """
 
-    parity_z, parity_x = bell_bits(hidden)
-    bits = (a_z, a_z ^ parity_z, a_x, a_x ^ parity_x)  # PLAN order
-    parity_z, parity_x, guess = _decode(*bits)
-    return Branch(hidden=hidden, probability=1 / 16,
-                  outcomes=tuple(step + (bit,) for step, bit in zip(PLAN, bits)),
-                  guess=guess, output_fidelity=float(guess == hidden) if copies_left else None,
-                  parity_z=parity_z, parity_x=parity_x)
+    frame = []
+    for hidden in (1, 2, 3, 4):
+        parity_z, parity_x = bell_bits(hidden)
+        for a_z in (0, 1):
+            for a_x in (0, 1):
+                bits = (a_z, a_z ^ parity_z, a_x, a_x ^ parity_x)  # PLAN order
+                z, x, guess = _decode(*bits)
+                frame.append(Branch(
+                    hidden=hidden, probability=1 / 16,
+                    outcomes=tuple(step + (bit,) for step, bit in zip(PLAN, bits)),
+                    guess=guess, output_fidelity=float(guess == hidden) if copies_left else None,
+                    parity_z=z, parity_x=x))
+    return tuple(frame)
 
 
 def _frame_branches(n: int) -> tuple[Branch, ...]:
-    """The 16 cached branches on n copies in `distill_exact_branches` order.
-    Their outcomes are ints: a bool would share an int's `_branch` cache slot
-    and print as false in a transcript."""
+    """The cached 16 frame branches on n copies, in `_frame` order."""
 
-    if n < 2:
+    if (n := _count(n, "copy count")) < 2:
         raise ValueError(f"the protocol consumes two copies; need n >= 2, got n = {n}")
-    return tuple(_branch(n > 2, hidden, a_z, a_x)
-                 for hidden in (1, 2, 3, 4) for a_z in (0, 1) for a_x in (0, 1))
+    return _frame(n > 2)
 
 
-def _sample(n: int, seed: int, start: int,
-            stop: int) -> tuple[tuple[Branch, ...], np.ndarray]:
-    """The frame branches on n copies and the uint8 index into them of shots
-    start..stop-1 of the seeded run.
+def _draws(seed: int, start: int, shots: int) -> np.ndarray:
+    """The uint8 frame-branch index of shots start..start+shots-1 of the
+    seeded run.
 
     `random.Random(seed)` draws ceil(stop / 8) whole 32-bit words in one
     `getrandbits` call; shot 2j is the low nibble of little-endian byte j and
@@ -207,37 +212,25 @@ def _sample(n: int, seed: int, start: int,
     hold fails there with numpy's MemoryError.
     """
 
-    frame = _frame_branches(n)
     if start < 0:
         raise ValueError(f"shot index must be >= 0, got {start}")
-    if stop <= start:
-        raise ValueError(f"shots must be >= 1, got {stop - start}")
+    stop = start + _count(shots, "shot count")
     words = -(-stop // 8)
     draws = np.empty(8 * words, dtype=np.uint8)
     raw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
     raw = np.frombuffer(raw, dtype=np.uint8)
     np.bitwise_and(raw, 15, out=draws[0::2])
     np.right_shift(raw, 4, out=draws[1::2])
-    return frame, draws[start:stop]
-
-
-def _success_rate(frame: tuple[Branch, ...], counts: list[int]) -> float:
-    """Share of the counted shots announcing the hidden index, from how often
-    each frame branch was drawn."""
-
-    return sum(c for b, c in zip(frame, counts) if b.guess == b.hidden) / sum(counts)
-
-
-def _transcript_rows(outcomes) -> list[dict]:
-    """One row per measurement in protocol order; Bob communicates each of
-    his outcomes."""
-
-    return [{"party": party, "copy": copy, "basis": basis, "outcome": outcome,
-             "communicated": party == BOB} for party, copy, basis, outcome in outcomes]
+    return draws[start:stop]
 
 
 @dataclass
 class DistillationReport:
+    """The protocol on n copies.  The rates and fidelities are exact sums
+    over the 16 frame branches, so they do not depend on `shots` or `seed`;
+    those two fix the seeded run, of which the report shows shot 0's
+    transcript and `to_csv` one row per shot."""
+
     n: int
     shots: int
     seed: int
@@ -245,83 +238,66 @@ class DistillationReport:
     ebits_per_shot: int
     mean_fidelity: float
     min_fidelity: float
-    # shot k's uint8 index into the 16 frame branches at position k; n, shots
-    # and seed fix the draws, so equal fields above mean equal draws
-    draws: np.ndarray = field(compare=False, repr=False)
     transcript_sample: list[dict]
 
-    @property
-    def branches(self) -> list[Branch]:
-        """Shot k's cached frame branch at index k, built on demand."""
-
-        frame = _frame_branches(self.n)
-        return [frame[i] for i in self.draws.tolist()]
-
     def to_dict(self) -> dict:
-        return {
-            "command": "distill",
-            "n": self.n,
-            "shots": self.shots,
-            "seed": self.seed,
-            "success_rate": self.success_rate,
-            "ebits_per_shot": self.ebits_per_shot,
-            "mean_fidelity": self.mean_fidelity,
-            "min_fidelity": self.min_fidelity,
-            "transcript_sample": self.transcript_sample,
-        }
+        return {"command": "distill", **asdict(self)}
 
     CSV_HEADER = ["shot", "hidden", "guess", "parity_z", "parity_x",
                   "correct", "ebits", "fidelity"]
 
     def to_csv(self) -> str:
-        """Header and one row per shot.  Every shot is one of the 16 cached
-        frame branches, so each branch's row after the shot number is
-        rendered once; no field needs CSV quoting."""
+        """Header and one row per shot of the seeded run.  Every shot is one
+        of the 16 cached frame branches, so each branch's row after the shot
+        number is rendered once; no field needs CSV quoting."""
 
         row = [f"{b.hidden},{b.guess},{b.parity_z},{b.parity_x},"
                f"{int(b.guess == b.hidden)},{self.n - 2},{b.output_fidelity:.15f}"
                for b in _frame_branches(self.n)]
         lines = [",".join(self.CSV_HEADER)]
-        lines += [f"{k},{row[i]}" for k, i in enumerate(self.draws.tolist())]
+        lines += [f"{k},{row[i]}" for k, i in enumerate(_draws(self.seed, 0, self.shots).tolist())]
         return "\n".join(lines) + "\n"
 
 
 def run_shot(n: int, shot_index: int, seed: int) -> Branch:
-    """Shot k of the seeded run on n copies, as every longer `distill` run
-    reports it: one of the 32 cached branches, not a copy."""
+    """Shot k of the seeded run on n copies, as every longer run draws it:
+    one of the cached frame branches, not a copy."""
 
-    frame, draws = _sample(n, seed, shot_index, shot_index + 1)
-    return frame[draws[0]]
+    return _frame_branches(n)[_draws(seed, shot_index, 1)[0]]
 
 
 def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
-    """Share of the seeded run's shots on n copies announcing the hidden index."""
+    """Probability that the protocol on n copies announces the hidden index:
+    the exact sum over the 16 frame branches.  `shots` is checked and, with
+    `seed`, only echoed by the `discriminate` command; nothing is drawn."""
 
-    frame, draws = _sample(n, seed, 0, shots)
-    return _success_rate(frame, np.bincount(draws, minlength=16).tolist())
+    _count(shots, "shot count")
+    return sum(b.probability for b in _frame_branches(n) if b.guess == b.hidden)
 
 
 def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
-    """Run the discriminate-then-correct protocol on `shots` independent
-    preparations of the n-copy mixture.  Every shot identifies the hidden
-    index exactly and leaves n - 2 perfect Bell pairs."""
+    """The discriminate-then-correct protocol on n copies, from its 16 frame
+    branches: every branch identifies the hidden index exactly and leaves
+    n - 2 perfect Bell pairs.  Only shot 0 of the seeded run is drawn, for
+    the sample transcript."""
 
-    if n < 3:
+    if (n := _count(n, "copy count")) < 3:
         raise ValueError("distillation needs n >= 3; for n in {1, 2} the "
                          "yield is 0 ebits (see distill_trivial)")
-    frame, draws = _sample(n, seed, 0, shots)
-    counts = np.bincount(draws, minlength=16).tolist()
+    shots = _count(shots, "shot count")
+    frame = _frame_branches(n)
     return DistillationReport(
         n=n,
         shots=shots,
         seed=seed,
-        success_rate=_success_rate(frame, counts),
+        success_rate=discrimination_rate(n, shots),
         ebits_per_shot=n - 2,
-        # every fidelity is exactly 0.0 or 1.0, so the weighted sum is exact
-        mean_fidelity=sum(c * b.output_fidelity for b, c in zip(frame, counts)) / shots,
-        min_fidelity=min(b.output_fidelity for b, c in zip(frame, counts) if c),
-        draws=draws,
-        transcript_sample=_transcript_rows(frame[draws[0]].outcomes),
+        mean_fidelity=sum(b.probability * b.output_fidelity for b in frame),
+        min_fidelity=min(b.output_fidelity for b in frame),
+        # Bob communicates each of his outcomes
+        transcript_sample=[{"party": party, "copy": copy, "basis": basis, "outcome": outcome,
+                            "communicated": party == BOB}
+                           for party, copy, basis, outcome in run_shot(n, 0, seed).outcomes],
     )
 
 

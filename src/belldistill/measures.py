@@ -20,6 +20,7 @@ import numpy as np
 from .bell import (
     BELL_AMPLITUDES,
     BellDiagonalState,
+    _count,
     is_pair_constant,
     rho2_power,
     rho_n,
@@ -131,8 +132,7 @@ def er_bound_even(m: int, method: str = "structured") -> DivergenceReport:
     closed form and the raw divergence agree.
     """
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "block count")
     return _versus_pair_reference(2 * m, lambda: rho_n(2 * m), method)
 
 
@@ -149,8 +149,7 @@ def er_bound_pair(n: int, method: str = "structured") -> DivergenceReport:
     is reported with `support_contained=False`.
     """
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "copy count")
     return _versus_pair_reference(2 * n, lambda: (r := rho_n(n)).tensor(r), method)
 
 
@@ -162,8 +161,7 @@ def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport
     See `er_bound_pair` for why the raw divergence is infinite here.
     """
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "block count")
     report = er_bound_pair(2 * m + 1, method=method)
     return replace(report, halved_bits=report.value_bits / 2.0)
 
@@ -272,8 +270,7 @@ def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalS
     is maximally mixed, so every draw is separable by construction.
     """
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "block count")
     lams = rng.uniform(0.0, 1.0, size=m)
     block_weights = []
     for lam in lams:

@@ -263,6 +263,32 @@ def test_copy_count_is_an_integer():
     assert BellDiagonalState.from_json(state.to_json()) == state
 
 
+
+def test_every_count_follows_the_copy_count_rule():
+    # the bounds, the sampler and the protocol read their counts through the
+    # rule above, so a message names the value the caller passed (the bounds
+    # once reported er_bound_even(2.0) as "got 4.0", and distill(3.0, 4) ran)
+    from belldistill.locc import _draws, discrimination_rate, distill
+    from belldistill.measures import er_bound_even, er_bound_odd_doubled, er_bound_pair
+
+    rng = np.random.default_rng(0)
+    counted = [(er_bound_even, "block count"), (er_bound_pair, "copy count"),
+               (er_bound_odd_doubled, "block count"),
+               (lambda m: sample_pairwise_separable(m, rng), "block count"),
+               (lambda n: distill(n, 4), "copy count"), (lambda s: distill(3, s), "shot count"),
+               (lambda n: discrimination_rate(n, 4), "copy count"),
+               (lambda s: discrimination_rate(2, s), "shot count"),
+               (lambda s: _draws(0, 0, s), "shot count")]
+    for value in (2.0, 1.5, 2.5, "2", None, 0, -1):
+        for call, what in counted:
+            with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1, "
+                                                 f"got {re.escape(repr(value))}$"):
+                call(value)
+    # an integer of another type is read as the plain int
+    report = distill(np.int64(3), np.int64(4))
+    assert (type(report.n), type(report.shots)) == (int, int)
+    assert er_bound_even(np.int64(1)) == er_bound_even(1)
+
 def test_bell_string_messages():
     cases = [((1, 2, 3), "Bell string has length 3, expected 4"),
              ((1, 0, 2, 5), "Bell index must be in 1..4, got 0"),

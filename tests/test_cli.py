@@ -202,14 +202,38 @@ def test_discriminate_usage_error(runner):
     assert payload_of(result)["success_rate"] == 1.0
 
 
-@pytest.mark.parametrize("args", [["distill", "--n", "3"], ["discriminate"]],
-                         ids=["distill", "discriminate"])
+@pytest.mark.parametrize("args", [["distill", "--n", "3", "--format", "csv"]],
+                         ids=["distill"])
 def test_unallocatable_shot_count_is_usage_error(runner, args):
-    # 10^16 one-byte draws need 8.9 PiB, past any 48-bit address space, so
-    # numpy refuses before it allocates anything
+    # the CSV draws one row per shot: 10^16 one-byte draws need 8.9 PiB, past
+    # any 48-bit address space, so numpy refuses before it allocates anything
+    # (JSON distill and discriminate draw at most shot 0; see below)
     result = invoke(runner, [*args, "--shots", str(10 ** 16)])
     assert_usage_error(result)
     assert "Unable to allocate" in result.stderr
+
+
+@pytest.mark.parametrize("command, sizes", [("distill", (3, 100, 10 ** 6)),
+                                            ("discriminate", (2, 10 ** 6))],
+                         ids=["distill", "discriminate"])
+def test_answers_do_not_depend_on_shot_count(runner, command, sizes):
+    # the answers come from the 16 frame branches, so --shots is only echoed
+    # and the time does not grow with it (or with n); each wall time is the
+    # best of three runs, which must print the same bytes
+    for n in sizes:
+        payloads = []
+        for shots in (1, 1000, 10 ** 16):
+            args = [command, "--n", str(n), "--shots", str(shots), "--seed", "5"]
+            runs = [invoke(runner, args) for _ in range(3)]
+            assert all(r.exit_code == 0 for r in runs)
+            assert len({r.stdout for r in runs}) == 1
+            assert min(float(r.stderr.rsplit("wall_time_s=", 1)[1]) for r in runs) <= 0.001
+            payload = payload_of(runs[0])
+            assert (payload["pass"], payload["n"], payload["shots"]) == (True, n, shots)
+            del payload["shots"]
+            payloads.append(payload)
+        assert payloads[0]["success_rate"] == 1.0
+        assert payloads[1:] == payloads[:-1]
 
 
 @pytest.mark.parametrize("method", ["structured", "dense"])

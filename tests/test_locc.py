@@ -26,13 +26,12 @@ from belldistill.bell import BELL_AMPLITUDES, bell_index
 from belldistill.locc import (
     PLAN,
     Branch,
-    _branch,
     _decode,
+    _draws,
+    _frame,
     _frame_branches,
     _measured_axis,
     _project,
-    _sample,
-    _transcript_rows,
     discrimination_rate,
     run_shot,
 )
@@ -115,6 +114,19 @@ def _protocol_tree(n):
 
     return [leaf for hidden in (1, 2, 3, 4)
             for leaf in _grow(ShotState.prepared(hidden, n), 0.25, ())]
+
+
+def _shots(n, shots, seed):
+    """The seeded run's shots on n copies: the frame branch of each draw."""
+
+    frame = _frame_branches(n)
+    return [frame[i] for i in _draws(seed, 0, shots).tolist()]
+
+
+def _frame_index(hidden, a_z, a_x):
+    """Position in the frame of the branch where Alice sees a_z and a_x."""
+
+    return 4 * (hidden - 1) + 2 * a_z + a_x
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -208,21 +220,27 @@ def test_discrimination_needs_two_copies(rng):
         discriminate_two_copies(ShotState.prepared(1, 1), rng)
 
 
-def test_transcript_structure(rng):
-    state = ShotState.prepared(3, 4)
-    result = discriminate_two_copies(state, rng)
-    outcomes = result.outcomes
-    assert len(outcomes) == 4
-    assert [basis for _, _, basis, _ in outcomes] == ["Z", "Z", "X", "X"]
-    # only Bob's bits travel; the guess is a function of parities alone
-    rows = _transcript_rows(outcomes)
-    sent = [r for r in rows if r["communicated"]]
-    assert len(sent) == 2
-    assert all(r["party"] == "bob" for r in sent)
-    assert sum(r["communicated"] for r in rows) == 2
-    bob_bits = [r["outcome"] for r in sent]
-    alice = {basis: outcome for party, _, basis, outcome in outcomes if party == "alice"}
-    assert bell_index(alice["Z"] ^ bob_bits[0], alice["X"] ^ bob_bits[1]) == result.guess
+def test_transcript_structure():
+    # a report's transcript is shot 0's, and the stepwise ket simulation
+    # driven by Alice's two outcomes of that shot records the same steps
+    for seed in (0, 3, 11):
+        shot = run_shot(4, 0, seed)
+        a_z, a_x = shot.outcomes[0][3], shot.outcomes[2][3]
+        result = discriminate_two_copies(ShotState.prepared(shot.hidden, 4), _ScriptedGenerator(
+            (a_z * LARGEST_DRAW, 0.5, a_x * LARGEST_DRAW, 0.5)))
+        outcomes = result.outcomes
+        assert len(outcomes) == 4
+        assert [basis for _, _, basis, _ in outcomes] == ["Z", "Z", "X", "X"]
+        rows = distill(4, shots=1, seed=seed).transcript_sample
+        assert [(r["party"], r["copy"], r["basis"], r["outcome"]) for r in rows] == list(outcomes)
+        # only Bob's bits travel; the guess is a function of parities alone
+        sent = [r for r in rows if r["communicated"]]
+        assert len(sent) == 2
+        assert all(r["party"] == "bob" for r in sent)
+        assert sum(r["communicated"] for r in rows) == 2
+        bob_bits = [r["outcome"] for r in sent]
+        alice = {basis: outcome for party, _, basis, outcome in outcomes if party == "alice"}
+        assert bell_index(alice["Z"] ^ bob_bits[0], alice["X"] ^ bob_bits[1]) == result.guess
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -245,12 +263,17 @@ def test_distill_yield_and_fidelity(n):
     assert report.ebits_per_shot == n - 2
     assert {row.split(",")[6] for row in report.to_csv().splitlines()[1:]} == {str(n - 2)}
     assert report.min_fidelity >= 1 - 1e-12
-    assert all(b.guess == b.hidden for b in report.branches)
-    # a report holds the cached frame branches themselves, not a copy per shot
+    shots = _shots(n, 300, 21)
+    assert all(b.guess == b.hidden for b in shots)
+    # a run's shots are the cached frame branches themselves, not a copy per shot
     exact = distill_exact_branches(n).branches
-    for k, b in enumerate(report.branches):
+    for k, b in enumerate(shots):
         assert b is run_shot(n, k, 21)
         assert any(b is e for e in exact)
+    # and the CSV rows are those shots
+    rows = [row.split(",")[1:5] for row in report.to_csv().splitlines()[1:]]
+    assert rows == [[str(b.hidden), str(b.guess), str(b.parity_z), str(b.parity_x)]
+                    for b in shots]
 
 
 def test_distill_reports_are_deterministic():
@@ -279,9 +302,9 @@ def test_protocol_needs_two_copies():
 
 
 @pytest.mark.parametrize("sample, message", [
-    (lambda: distill(3, shots=0), "shots must be >= 1, got 0"),
-    (lambda: discrimination_rate(2, 0), "shots must be >= 1, got 0"),
-    (lambda: discrimination_rate(2, -3), "shots must be >= 1, got -3"),
+    (lambda: distill(3, shots=0), "shot count must be an integer >= 1, got 0"),
+    (lambda: discrimination_rate(2, 0), "shot count must be an integer >= 1, got 0"),
+    (lambda: discrimination_rate(2, -3), "shot count must be an integer >= 1, got -3"),
     (lambda: run_shot(3, -1, 0), "shot index must be >= 0, got -1"),
 ])
 def test_bad_shot_counts_are_value_errors(sample, message):
@@ -290,9 +313,16 @@ def test_bad_shot_counts_are_value_errors(sample, message):
 
 
 def test_shot_records_follow_parity_table():
-    report = distill(4, shots=200, seed=3)
-    for r in report.branches:
+    for r in _shots(4, 200, 3):
         assert bell_index(r.parity_z, r.parity_x) == r.guess == r.hidden
+
+
+def test_frame_cache_holds_two_tables():
+    # the frame depends on n only through whether copies remain
+    for n in range(3, 201):
+        distill(n, shots=5, seed=n)
+    assert _frame.cache_info().currsize <= 2
+    assert _frame_branches(3) is _frame_branches(200) is not _frame_branches(2)
 
 
 def test_run_shot_reproducible():
@@ -303,10 +333,13 @@ def test_run_shot_reproducible():
 def test_run_shot_is_a_prefix_of_every_longer_run(n):
     # the branch draws come off one stream in order, so a longer run only
     # appends shots, also when a run is not a whole number of 32-bit words
-    runs = {shots: distill(n, shots, seed=8).branches for shots in (1, 7, 9, 40, 41, 500)}
+    runs = {shots: _shots(n, shots, 8) for shots in (1, 7, 9, 40, 41, 500)}
     for shots, branches in runs.items():
         for k in range(shots):
             assert run_shot(n, k, 8) is branches[k] is runs[500][k]
+    longest = distill(n, 500, seed=8).to_csv().splitlines()
+    for shots in runs:
+        assert distill(n, shots, seed=8).to_csv().splitlines() == longest[:shots + 1]
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2 ** 40 + 3])
@@ -317,10 +350,10 @@ def test_sample_draws_are_the_nibbles_of_one_stdlib_stream(seed):
     rng = random.Random(seed)
     words = [rng.getrandbits(32) for _ in range(6)]
     nibbles = [w >> (4 * j) & 15 for w in words for j in range(8)]
-    _, draws = _sample(4, seed, 0, shots)
+    draws = _draws(seed, 0, shots)
     assert draws.dtype == np.uint8
     assert draws.tolist() == nibbles[:shots]
-    _, tail = _sample(4, seed, 17, shots)
+    tail = _draws(seed, 17, shots - 17)
     assert tail.tolist() == nibbles[17:shots]
 
 
@@ -375,7 +408,7 @@ def test_sampled_frequencies_match_exact_branches():
     # 3-sigma binomial agreement between shot sampling and the exact branch
     # distribution: each of the 16 branches has probability 1/16
     shots = 10_000
-    counts = Counter(distill(3, shots=shots, seed=99).branches)
+    counts = Counter(_shots(3, shots, 99))
     analysis = distill_exact_branches(3)
     assert set(counts) == set(analysis.branches)
     for b in analysis.branches:
@@ -423,15 +456,16 @@ def test_tree_walk_matches_stepwise_protocol(n):
     # the stepwise ket simulation, driven to each frame branch by Alice's
     # draws (0 below 1/2), lands on that branch; Bob's outcomes are forced
     remaining = range(3, n + 1)
-    _branch.cache_clear()  # the frame fills each slot: its bits must be ints
-    frame = iter(_frame_branches(n))
+    table = _frame_branches(n)
+    frame = iter(table)
     for hidden in (1, 2, 3, 4):
         for a_z, a_x in itertools.product((0, 1), repeat=2):
             branch = next(frame)
             draws = (a_z * LARGEST_DRAW, 0.5, a_x * LARGEST_DRAW, 0.5)
             result = discriminate_two_copies(ShotState.prepared(hidden, n),
                                              _ScriptedGenerator(draws))
-            assert branch is _branch(n > 2, hidden, a_z, a_x)
+            assert branch is _frame_branches(n)[_frame_index(hidden, a_z, a_x)]
+            assert _frame_branches(n) is table is _frame(n > 2)
             assert branch.hidden == hidden
             assert branch.outcomes == result.outcomes
             assert all(type(bit) is int for *_, bit in branch.outcomes)
@@ -456,7 +490,8 @@ def test_pruned_outcomes_are_never_taken(n):
     scripts += [(hidden, draws) for hidden in (1, 2, 3, 4)
                 for draws in itertools.product((0.0, LARGEST_DRAW), repeat=len(PLAN))]
     for hidden, draws in scripts:
-        leaf = _branch(n > 2, hidden, int(draws[0] >= 0.5), int(draws[2] >= 0.5))
+        leaf = _frame_branches(n)[_frame_index(hidden, int(draws[0] >= 0.5),
+                                               int(draws[2] >= 0.5))]
         assert leaf.guess == leaf.hidden == hidden
         result = discriminate_two_copies(ShotState.prepared(hidden, n),
                                          _ScriptedGenerator(draws))
