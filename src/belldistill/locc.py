@@ -26,6 +26,7 @@ record a measurement as a `(party, copy, basis, outcome)` tuple.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, replace
 from functools import cache
@@ -199,6 +200,19 @@ def _frame_branches(n: int) -> tuple[Branch, ...]:
     return _frame(n > 2)
 
 
+def _shot_count(shots: int) -> int:
+    """`shots` as a plain int.  A value that is not an integer fails by the
+    shared count rule; an integer below 1 keeps the protocol's own message."""
+
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        return _count(shots, "shot count")  # raises: not an integer
+    if count < 1:
+        raise ValueError(f"shots must be >= 1, got {count}")
+    return count
+
+
 def _draws(seed: int, start: int, shots: int) -> np.ndarray:
     """The uint8 frame-branch index of shots start..start+shots-1 of the
     seeded run.
@@ -214,7 +228,7 @@ def _draws(seed: int, start: int, shots: int) -> np.ndarray:
 
     if start < 0:
         raise ValueError(f"shot index must be >= 0, got {start}")
-    stop = start + _count(shots, "shot count")
+    stop = start + _shot_count(shots)
     words = -(-stop // 8)
     draws = np.empty(8 * words, dtype=np.uint8)
     raw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
@@ -271,7 +285,7 @@ def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
     the exact sum over the 16 frame branches.  `shots` is checked and, with
     `seed`, only echoed by the `discriminate` command; nothing is drawn."""
 
-    _count(shots, "shot count")
+    _shot_count(shots)
     return sum(b.probability for b in _frame_branches(n) if b.guess == b.hidden)
 
 
@@ -284,7 +298,7 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
     if (n := _count(n, "copy count")) < 3:
         raise ValueError("distillation needs n >= 3; for n in {1, 2} the "
                          "yield is 0 ebits (see distill_trivial)")
-    shots = _count(shots, "shot count")
+    shots = _shot_count(shots)
     frame = _frame_branches(n)
     return DistillationReport(
         n=n,

@@ -281,8 +281,11 @@ def test_every_count_follows_the_copy_count_rule():
                (lambda s: _draws(0, 0, s), "shot count")]
     for value in (2.0, 1.5, 2.5, "2", None, 0, -1):
         for call, what in counted:
-            with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1, "
-                                                 f"got {re.escape(repr(value))}$"):
+            message = f"^{what} must be an integer >= 1, got {re.escape(repr(value))}$"
+            if what == "shot count" and isinstance(value, int):
+                # the protocol names an integer shot count below 1 in its own words
+                message = f"^shots must be >= 1, got {value}$"
+            with pytest.raises(ValueError, match=message):
                 call(value)
     # an integer of another type is read as the plain int
     report = distill(np.int64(3), np.int64(4))

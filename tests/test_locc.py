@@ -302,9 +302,9 @@ def test_protocol_needs_two_copies():
 
 
 @pytest.mark.parametrize("sample, message", [
-    (lambda: distill(3, shots=0), "shot count must be an integer >= 1, got 0"),
-    (lambda: discrimination_rate(2, 0), "shot count must be an integer >= 1, got 0"),
-    (lambda: discrimination_rate(2, -3), "shot count must be an integer >= 1, got -3"),
+    (lambda: distill(3, shots=0), "shots must be >= 1, got 0"),
+    (lambda: discrimination_rate(2, 0), "shots must be >= 1, got 0"),
+    (lambda: discrimination_rate(2, -3), "shots must be >= 1, got -3"),
     (lambda: run_shot(3, -1, 0), "shot index must be >= 0, got -1"),
 ])
 def test_bad_shot_counts_are_value_errors(sample, message):
