@@ -228,6 +228,9 @@ class BellDiagonalState:
         factors = [f for state in (self, *others) for f in state.factors]
         combined = _Product(factors)
         if combined.smallest == 0.0:
+            # rounding is monotone, so every product underflows iff the largest does
+            if math.prod(max(f.weights.values()) for f in factors) == 0.0:
+                raise ValueError("every weight of the tensor product underflows to 0.0")
             # a product that underflows to 0.0 is dropped, as the public constructor does
             combined = {s: w for s, w in combined.items() if w}
         return BellDiagonalState._trusted(sum(f.n for f in factors), combined)
@@ -383,21 +386,3 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     check_dense_size(2 * b.n)
     members = [(w, bell_product_ket(s)) for s, w in sorted(b.weights.items())]
     return dm_from_ensemble(members)
-
-
-# --- The two-copy flip identity --------------------------------------------
-#
-# The uniform four-fold mixture on two copies equals the same mixture with
-# the Bell pairs re-formed across (A1,A2) and (B1,B2).  In that form every
-# term is a product state across the Alice:Bob cut, which is the explicit
-# separability witness for the two-copy mixture.
-
-def smolin_flipped_terms() -> list[Ket]:
-    """The four flipped product terms |Phi_i>_{A1A2} x |Phi_i>_{B1B2},
-    on the canonical A1,B1,A2,B2 register."""
-
-    terms = []
-    for phi in BELL_AMPLITUDES:
-        flipped = _kron([phi, phi]).reshape(2, 2, 2, 2)  # axes A1,A2,B1,B2
-        terms.append(Ket(flipped.transpose(0, 2, 1, 3).reshape(16)))
-    return terms

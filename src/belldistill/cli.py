@@ -73,29 +73,28 @@ def _check(name: str, computed: float, expected: float, tol: float, **extra) -> 
 
 
 def _reporting(*formats: str):
-    """Add `--format` (the first choice is the default) and `--out` to a
-    command.  The body returns its payload, whose "pass" entry sets the exit
-    code (0 or 1); a body with more than one format also receives `fmt` and
-    returns `(payload, text)`, where `text` is printed for a non-JSON format.
-    The wall time goes to stderr."""
+    """Add `--out` to a command, and `--format` where it has a choice of
+    formats (the first is the default; the body then receives `fmt`).  The
+    body returns `(payload, text)`: `text` is printed, or the payload as JSON
+    when `text` is None, and the payload's "pass" entry sets the exit code
+    (0 or 1).  The wall time goes to stderr."""
 
     def decorate(body):
-        @click.option("--format", "fmt", type=click.Choice(formats), default=formats[0])
         @click.option("--out", type=click.Path(), default=None)
         @functools.wraps(body)
-        def command(fmt, out, **options):
+        def command(out, **options):
             started = time.perf_counter()
-            if len(formats) > 1:
-                payload, text = body(fmt=fmt, **options)
-            else:
-                payload = body(**options)
-            if fmt == "json":
+            payload, text = body(**options)
+            if text is None:
                 text = json.dumps(payload, sort_keys=True) + "\n"
             with click.open_file(out or "-", "w") as fh:
                 click.echo(text, nl=False, file=fh)
             click.echo(f"# wall_time_s={time.perf_counter() - started:.3f}", err=True)
             click.get_current_context().exit(0 if payload["pass"] else 1)
 
+        if formats:
+            command = click.option("--format", "fmt", type=click.Choice(formats),
+                                   default=formats[0])(command)
         return command
 
     return decorate
@@ -142,7 +141,7 @@ def _verify(name: str, size: str, size_help: str, formula: str, closed_form):
                       default="structured")
         @click.option("--tol", type=click.FloatRange(min=0), default=None, callback=_finite,
                       help="override comparison tolerance")
-        @_reporting("json")
+        @_reporting()
         def command(k, method, tol):
             if tol is None:
                 tol = DENSE_TOL if method == "dense" else STRUCTURED_TOL
@@ -159,7 +158,7 @@ def _verify(name: str, size: str, size_help: str, formula: str, closed_form):
                            support_overlap=report.support_overlap,
                            raw_divergence_bits=_json_num(report.raw_divergence_bits))
             payload["pass"] = all(c["pass"] for c in checks)
-            return payload
+            return payload, None
 
         return compute
 
@@ -217,19 +216,13 @@ def distill_cmd(n, shots, seed, fmt):
 @click.option("--shots", type=click.IntRange(min=1), default=1000, show_default=True,
               help="echoed, as --seed is; the rate is exact from the 16 frame branches")
 @_SEED
-@_reporting("json")
+@_reporting()
 def discriminate_cmd(n, shots, seed):
     """Two-copy Bell discrimination, from the 16 frame branches; must be exact."""
 
-    rate = discrimination_rate(n, shots, seed)
-    return {
-        "command": "discriminate",
-        "n": n,
-        "shots": shots,
-        "seed": seed,
-        "success_rate": rate,
-        "pass": rate == 1.0,
-    }
+    rate = discrimination_rate(n)
+    return {"command": "discriminate", "n": n, "shots": shots, "seed": seed,
+            "success_rate": rate, "pass": rate == 1.0}, None
 
 
 # --- separability evidence -----------------------------------------------------
@@ -239,7 +232,7 @@ def discriminate_cmd(n, shots, seed):
 @click.option("--n", "n", type=click.Choice(["1", "2"]), required=True)
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense state in the JSON matrix format")
-@_reporting("json")
+@_reporting()
 def separability_cmd(n, dump):
     """Checkable separability evidence for the one- and two-copy mixtures."""
 
@@ -249,7 +242,7 @@ def separability_cmd(n, dump):
     if dump:
         with open(dump, "w") as fh:
             fh.write(dm_to_json(to_dense(rho_n(n))) + "\n")
-    return payload
+    return payload, None
 
 
 # --- permutations ----------------------------------------------------------------
@@ -289,13 +282,12 @@ def permutations_cmd(fmt):
 @main.command("sigma-equiv")
 @click.option("--perms", required=True,
               help="comma-separated one-line permutations, one per copy, e.g. 2134,1234")
-@click.option("--method", type=click.Choice(["structured", "dense", "both"]),
-              default="structured",
-              help="dense and both are the same: the structured check plus the dense one")
+@click.option("--method", type=click.Choice(["structured", "both"]), default="structured",
+              help="both adds the dense check to the structured one")
 @click.option("--tol", type=click.FloatRange(min=0), default=1e-9, callback=_finite)
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense permuted mixture in the JSON matrix format")
-@_reporting("json")
+@_reporting()
 def sigma_equiv_cmd(perms, method, tol, dump):
     """Map a per-copy permuted mixture back to the plain mixture by the local
     unitary pairs of the permutation table."""
@@ -313,7 +305,7 @@ def sigma_equiv_cmd(perms, method, tol, dump):
         "perms": ["".join(map(str, p)) for p in perm_list],
         "kl_sigma_vs_mixture_bits": _json_num(bell_diagonal_kl(sigma, rho_n(n))),
     }
-    if method in ("dense", "both"):
+    if method == "both":
         if dump:
             with open(dump, "w") as fh:
                 fh.write(dm_to_json(to_dense(sigma)) + "\n")
@@ -328,10 +320,10 @@ def sigma_equiv_cmd(perms, method, tol, dump):
         dist = trace_distance(mapped, to_dense(rho_n(n)))
         checks.append(_check("dense_trace_distance", dist, 0.0, tol))
     elif dump:
-        raise click.UsageError("--dump needs a dense method")
+        raise click.UsageError("--dump needs --method both")
     payload["checks"] = checks
     payload["pass"] = all(c["pass"] for c in checks)
-    return payload
+    return payload, None
 
 
 # --- exploration ----------------------------------------------------------------------
@@ -349,14 +341,14 @@ def explore():
 @click.option("--budget", type=click.IntRange(min=1), default=8000, show_default=True,
               help="alternation steps per restart")
 @_SEED
-@_reporting("json")
+@_reporting()
 def explore_er(n, restarts, budget, seed):
     """Relative entropy of entanglement from the largest product-state
     overlap (an attained upper bound, never below the floor n-2)."""
 
     report = er_search(n, restarts=restarts, budget=budget, seed=seed)
     # er_search raises on a floor breach
-    return {"command": "explore er", **report.to_dict(), "pass": True}
+    return {"command": "explore er", **report.to_dict(), "pass": True}, None
 
 
 if __name__ == "__main__":

@@ -226,6 +226,10 @@ def _draws(seed: int, start: int, shots: int) -> np.ndarray:
     hold fails there with numpy's MemoryError.
     """
 
+    try:
+        start = operator.index(start)
+    except TypeError:  # a float, even 2.0, as the counts reject it
+        raise ValueError(f"shot index must be an integer, got {start!r}") from None
     if start < 0:
         raise ValueError(f"shot index must be >= 0, got {start}")
     stop = start + _shot_count(shots)
@@ -280,12 +284,10 @@ def run_shot(n: int, shot_index: int, seed: int) -> Branch:
     return _frame_branches(n)[_draws(seed, shot_index, 1)[0]]
 
 
-def discrimination_rate(n: int, shots: int, seed: int = 0) -> float:
+def discrimination_rate(n: int) -> float:
     """Probability that the protocol on n copies announces the hidden index:
-    the exact sum over the 16 frame branches.  `shots` is checked and, with
-    `seed`, only echoed by the `discriminate` command; nothing is drawn."""
+    the exact sum over the 16 frame branches; nothing is drawn."""
 
-    _shot_count(shots)
     return sum(b.probability for b in _frame_branches(n) if b.guess == b.hidden)
 
 
@@ -304,7 +306,7 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
         n=n,
         shots=shots,
         seed=seed,
-        success_rate=discrimination_rate(n, shots),
+        success_rate=discrimination_rate(n),
         ebits_per_shot=n - 2,
         mean_fidelity=sum(b.probability * b.output_fidelity for b in frame),
         min_fidelity=min(b.output_fidelity for b in frame),

@@ -24,7 +24,6 @@ from .bell import (
     is_pair_constant,
     rho2_power,
     rho_n,
-    smolin_flipped_terms,
     to_dense,
 )
 from .entropies import (
@@ -35,8 +34,7 @@ from .entropies import (
     shannon_bits,
     trace_distance,
 )
-from .states import (DensityOperator, _kron, check_dense_size, dm_from_ensemble,
-                     partial_transpose_matrix)
+from .states import DensityOperator, _kron, check_dense_size, partial_transpose_matrix, reorder
 
 
 @dataclass(frozen=True)
@@ -180,8 +178,7 @@ def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
     odd axes, solved once per state and kept on it as `_pt_spectrum`."""
 
     if rho._pt_spectrum is None:
-        pt = partial_transpose_matrix(rho.matrix, rho.n_qubits, range(1, rho.n_qubits, 2),
-                                      rho._entries)
+        pt = partial_transpose_matrix(rho.matrix, range(1, rho.n_qubits, 2), rho._entries)
         object.__setattr__(rho, "_pt_spectrum", _spectrum(*pt))
     return rho._pt_spectrum
 
@@ -203,10 +200,13 @@ def log_negativity(rho: DensityOperator) -> float:
 
 
 def smolin_flip_check() -> float:
-    """Trace distance between the two-copy mixture and its flipped form."""
+    """Trace distance between the two-copy mixture and its flip, the same
+    state with qubits A2 and B1 swapped.  The flip re-forms the Bell pairs
+    across (A1, A2) and (B1, B2), so its every term is a product across the
+    Alice:Bob cut; a residual of 0 shows that the mixture is separable."""
 
-    flipped = dm_from_ensemble([(0.25, t) for t in smolin_flipped_terms()])
-    return trace_distance(to_dense(rho_n(2)), flipped)
+    rho = to_dense(rho_n(2))
+    return trace_distance(rho, reorder(rho, [0, 2, 1, 3]))
 
 
 def distill_trivial(n: int) -> dict:
@@ -238,18 +238,15 @@ def _random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def sample_separable(n: int, terms: int, seed: int | None = 0,
-                     rng: np.random.Generator | None = None) -> DensityOperator:
+def sample_separable(n: int, terms: int, seed=0) -> DensityOperator:
     """Random mixture of `terms` product states across the Alice:Bob cut,
-    with uniform-simplex weights.  Reproducible from the seed."""
+    with uniform-simplex weights.  Reproducible from the seed, which is
+    anything `np.random.default_rng` takes (an int or a list of ints)."""
 
-    if terms < 1:
-        raise ValueError("need at least one product term")
-    if n < 1:
-        raise ValueError(f"need at least one copy, got n={n}")
+    n = _count(n, "copy count")
+    terms = _count(terms, "term count")
     check_dense_size(2 * n)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = 2 ** n
     copy_major = [ax for j in range(n) for ax in (j, n + j)]  # A1..An,B1..Bn -> A1,B1,...
     weights = rng.dirichlet(np.ones(terms))
@@ -351,11 +348,10 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
     within 1e-9 below it is rounding and is reported as the floor.
     """
 
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if not 1 <= n <= 6:
+    n = _count(n, "copy count")
+    restarts = _count(restarts, "restart count")
+    budget = _count(budget, "budget")
+    if n > 6:
         raise ValueError(f"the product-overlap bound is dense; needs 1 <= n <= 6 "
                          f"(12 qubits), got n={n}")
     d = 2 ** n

@@ -303,20 +303,19 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator._trusted(reduced.reshape(d, d))
 
 
-def partial_transpose_matrix(matrix: np.ndarray, n_qubits: int, axes: Sequence[int],
+def partial_transpose_matrix(matrix: np.ndarray, axes: Sequence[int],
                              entries) -> tuple[np.ndarray, tuple]:
     """Transpose the given qubit axes only, permuting the nonzero `entries`:
-    axis k is bit q - 1 - k of an index, and an entry swaps its row's and
-    column's bits on those axes.  Returns the result and its entries."""
+    with q = log2(len(matrix)), axis k is bit q - 1 - k of an index, and an
+    entry swaps its row's and column's bits on those axes.  Returns the
+    result and its entries."""
 
-    d = 2 ** n_qubits
-    if matrix.shape != (d, d):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {n_qubits} qubits")
-    mask = sum(1 << (n_qubits - 1 - ax) for ax in _check_axes(axes, n_qubits))
+    q = len(matrix).bit_length() - 1
+    mask = sum(1 << (q - 1 - ax) for ax in _check_axes(axes, q))
     r, c = entries
     swap = (r ^ c) & mask  # the masked bits where row and column differ
     moved = r ^ swap, c ^ swap  # the row's and column's bits traded on the axes
-    out = _sparse_zeros(d)
+    out = _sparse_zeros(len(matrix))
     out[moved] = matrix[r, c]
     return out, moved
 
@@ -325,7 +324,7 @@ def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
     """Partial transpose over the given qubit axes.  Result is Hermitian and
     unit-trace but generally not positive, so a raw matrix is returned."""
 
-    return partial_transpose_matrix(rho.matrix, rho.n_qubits, axes, rho._entries)[0]
+    return partial_transpose_matrix(rho.matrix, axes, rho._entries)[0]
 
 
 def reorder(state: Ket | DensityOperator, new_order: Sequence[int]):

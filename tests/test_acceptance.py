@@ -210,7 +210,7 @@ def test_acceptance_property_suite():
     r2 = to_dense(rho_n(2))
     min_dense = math.inf
     for k in range(1000):
-        sigma = sample_separable(2, terms=16, rng=np.random.default_rng([555, k]))
+        sigma = sample_separable(2, terms=16, seed=[555, k])
         min_dense = min(min_dense, relative_entropy(r2, sigma))
     dense_floor_ok = min_dense > 1e-6
 

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 
 from belldistill import (
     BellDiagonalState,
-    Ket,
     bell_diagonal_kl,
     bell_product_ket,
     dm_from_ensemble,
@@ -26,6 +27,7 @@ from belldistill import (
     rho2_power,
     rho_n,
     sample_pairwise_separable,
+    sample_separable,
     sigma_n,
     smolin_flip_check,
     to_dense,
@@ -33,10 +35,9 @@ from belldistill import (
 )
 from belldistill import bell
 from belldistill.bell import (BELL_AMPLITUDES, bell_bits, bell_index,
-                              check_bell_index, check_permutation, is_pair_constant,
-                              smolin_flipped_terms)
+                              check_bell_index, check_permutation, is_pair_constant)
 
-from conftest import kron_state, random_bell_diagonal
+from conftest import SRC, kron_state, random_bell_diagonal
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -265,20 +266,26 @@ def test_copy_count_is_an_integer():
 
 
 def test_every_count_follows_the_copy_count_rule():
-    # the bounds, the sampler and the protocol read their counts through the
-    # rule above, so a message names the value the caller passed (the bounds
-    # once reported er_bound_even(2.0) as "got 4.0", and distill(3.0, 4) ran)
+    # the bounds, the samplers, the search and the protocol read their counts
+    # through the rule above, so a message names the value the caller passed
+    # (the bounds once reported er_bound_even(2.0) as "got 4.0", distill(3.0, 4)
+    # ran, and er_search(3, restarts=1.5) raised a TypeError)
     from belldistill.locc import _draws, discrimination_rate, distill
-    from belldistill.measures import er_bound_even, er_bound_odd_doubled, er_bound_pair
+    from belldistill.measures import (er_bound_even, er_bound_odd_doubled, er_bound_pair,
+                                      er_search)
 
     rng = np.random.default_rng(0)
     counted = [(er_bound_even, "block count"), (er_bound_pair, "copy count"),
                (er_bound_odd_doubled, "block count"),
                (lambda m: sample_pairwise_separable(m, rng), "block count"),
                (lambda n: distill(n, 4), "copy count"), (lambda s: distill(3, s), "shot count"),
-               (lambda n: discrimination_rate(n, 4), "copy count"),
-               (lambda s: discrimination_rate(2, s), "shot count"),
-               (lambda s: _draws(0, 0, s), "shot count")]
+               (discrimination_rate, "copy count"),
+               (lambda s: _draws(0, 0, s), "shot count"),
+               (lambda n: er_search(n, restarts=1, budget=10), "copy count"),
+               (lambda r: er_search(3, restarts=r), "restart count"),
+               (lambda b: er_search(3, budget=b), "budget"),
+               (lambda n: sample_separable(n, 1), "copy count"),
+               (lambda t: sample_separable(2, t), "term count")]
     for value in (2.0, 1.5, 2.5, "2", None, 0, -1):
         for call, what in counted:
             message = f"^{what} must be an integer >= 1, got {re.escape(repr(value))}$"
@@ -401,16 +408,6 @@ def test_smolin_flip_residual_zero():
     assert smolin_flip_check() <= 1e-10
 
 
-def test_smolin_flipped_terms_match_relabeled_reference():
-    # the terms as first built: Bell pairs on (A1,A2) and (B1,B2), joined and
-    # relabeled into the copy-major order
-    for term, phi in zip(smolin_flipped_terms(), BELL_AMPLITUDES):
-        flipped = kron_state(Ket(phi), Ket(phi))  # axes A1,A2,B1,B2
-        reference = reorder(flipped, [0, 2, 1, 3])
-        assert term.n_qubits == 4
-        assert np.array_equal(term.amplitudes, reference.amplitudes)
-
-
 def test_bell_product_ket_matches_joined_pair_kets(rng):
     # the product as first built: one ket per pair, joined left to right
     for n in range(1, 7):
@@ -466,7 +463,9 @@ def test_bell_product_ket_checks_the_cap_before_building():
 
 
 def test_smolin_flipped_terms_are_products_across_cut():
-    for term in smolin_flipped_terms():
+    # the flip swaps the middle qubits, so its terms are the relabelled kets
+    for i in (1, 2, 3, 4):
+        term = reorder(bell_product_ket((i, i)), [0, 2, 1, 3])
         alice_part = partial_trace(term.to_dm(), [0, 2]).matrix
         # a pure reduced state (Tr rho_A^2 = 1) means a product across the cut
         purity = float(np.real(np.trace(alice_part @ alice_part)))
@@ -708,6 +707,26 @@ def test_tensor_drops_underflowed_products():
     product = tiny.tensor(tiny)
     assert "22" not in product.weights
     assert len(product.weights) == 3
+
+
+def test_tensor_refuses_a_product_whose_every_weight_underflows():
+    # every weight of rho2_power(300) is 2^-600, so each product weight is
+    # 2^-1200, below the smallest subnormal: the map would be empty, and the
+    # fallback that drops underflowed weights would stream 4^600 strings.  The
+    # child runs under a 1.5 GiB address-space cap and a timeout, so a
+    # regression fails this test instead of exhausting the host's memory.
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2 ** 20,) * 2)\n"
+            "from belldistill import rho2_power\n"
+            "try:\n"
+            "    rho2_power(300).tensor(rho2_power(300))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
+                                           "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "every weight of the tensor product underflows to 0.0\n"
 
 
 def _chained_tensor(states):

@@ -416,10 +416,11 @@ def test_separability_n2_with_dump(runner, tmp_path):
 
 # sha256 of the files written by --dump, recorded while each qubit was a
 # labeled object; the register is now implied by the matrix and the bytes held.
+# The sigma-equiv digest was recorded under --method dense, an alias of both.
 RECORDED_DUMPS = {
     "separability --n 2":
         "6f14d040c54c8555463a6941e37e6fe581c631b9586047a387fcf1533ad6fb56",
-    "sigma-equiv --perms 2134,3412 --method dense":
+    "sigma-equiv --perms 2134,3412 --method both":
         "112d21cb873a72e76605ea148a8f5e35dfea3d6af7f81bfcb93ee199510826d1",
 }
 
@@ -463,19 +464,6 @@ def test_sigma_equiv_structured_and_dense(runner):
     assert checks["dense_trace_distance"]["computed"] <= 1e-9
 
 
-def test_sigma_equiv_dense_and_both_are_one_method(runner):
-    # both run the structured check and the dense one; the payload does not
-    # name the method, so the two print the same bytes
-    outputs = []
-    for method in ("dense", "both"):
-        result = invoke(runner, ["sigma-equiv", "--perms", "2134,3412,1234", "--method", method])
-        assert result.exit_code == 0
-        outputs.append(result.stdout)
-    assert outputs[0] == outputs[1]
-    names = [c["name"] for c in json.loads(outputs[0])["checks"]]
-    assert names == ["structured_weight_equality", "dense_trace_distance"]
-
-
 def test_sigma_equiv_structured_large_n(runner):
     perms = ",".join(["2134", "3412", "4321", "1234", "2413", "3142", "4231", "1324"])
     result = invoke(runner, ["sigma-equiv", "--perms", perms])
@@ -504,7 +492,7 @@ def test_sigma_equiv_six_copies_same_bytes_on_one_and_two_blas_threads():
     assert json.loads(outputs[0])["pass"] is True
 
 
-def test_sigma_equiv_usage_errors(runner):
+def test_sigma_equiv_usage_errors(runner, tmp_path):
     assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
     for perms in ("2134,,1234,", "2134,", ""):
         result = invoke(runner, ["sigma-equiv", "--perms", perms])
@@ -512,18 +500,37 @@ def test_sigma_equiv_usage_errors(runner):
         assert "got ''" in result.stderr
     # seven copies are 14 qubits: the library's dense cap applies
     result = invoke(runner, ["sigma-equiv", "--perms", ",".join(["2134"] * 7),
-                             "--method", "dense"])
+                             "--method", "both"])
     assert_usage_error(result)
     assert "capped at 12 qubits" in result.stderr
     for tol in ("-1", "nan", "inf"):
         assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", tol]))
+    # the dense matrix it would write is built only by the dense check
+    result = invoke(runner, ["sigma-equiv", "--perms", "2134",
+                             "--dump", str(tmp_path / "state.json")])
+    assert_usage_error(result)
+    assert result.stderr.splitlines()[-1] == "Error: --dump needs --method both"
+    assert not (tmp_path / "state.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "eq5", "--m", "1"], ["verify", "eq10", "--m", "1"],
+    ["verify", "er-pair", "--n", "2"], ["discriminate"], ["separability", "--n", "1"],
+    ["sigma-equiv", "--perms", "2134"], ["explore", "er", "--n", "1"],
+], ids=["verify eq5", "verify eq10", "verify er-pair", "discriminate", "separability",
+        "sigma-equiv", "explore er"])
+def test_json_only_commands_take_no_format_option(runner, args):
+    # these print JSON only, so there is no format to choose
+    result = invoke(runner, [*args, "--format", "json"])
+    assert_usage_error(result)
+    assert "No such option '--format'" in result.stderr
 
 
 def test_sigma_equiv_dense_checks_the_cap_before_building(runner):
     # 30 qubits: each Bell-product ket would be 16 GiB if it were built
     # before the cap applied
     perms = ",".join(["2134", "3412", "4321"] * 5)
-    result = invoke(runner, ["sigma-equiv", "--perms", perms, "--method", "dense"])
+    result = invoke(runner, ["sigma-equiv", "--perms", perms, "--method", "both"])
     assert_usage_error(result)
     assert "capped at 12 qubits (got 30)" in result.stderr
 

@@ -296,16 +296,19 @@ def test_distill_rejects_small_n():
 
 
 def test_protocol_needs_two_copies():
-    for sample in (lambda: run_shot(1, 0, 0), lambda: discrimination_rate(1, 10)):
+    for sample in (lambda: run_shot(1, 0, 0), lambda: discrimination_rate(1)):
         with pytest.raises(ValueError, match="need n >= 2, got n = 1"):
             sample()
 
 
 @pytest.mark.parametrize("sample, message", [
     (lambda: distill(3, shots=0), "shots must be >= 1, got 0"),
-    (lambda: discrimination_rate(2, 0), "shots must be >= 1, got 0"),
-    (lambda: discrimination_rate(2, -3), "shots must be >= 1, got -3"),
+    (lambda: _draws(0, 0, 0), "shots must be >= 1, got 0"),
+    (lambda: distill(3, shots=-3), "shots must be >= 1, got -3"),
     (lambda: run_shot(3, -1, 0), "shot index must be >= 0, got -1"),
+    (lambda: run_shot(3, 2.5, 0), "shot index must be an integer, got 2.5"),
+    (lambda: run_shot(3, 2.0, 0), "shot index must be an integer, got 2.0"),
+    (lambda: run_shot(3, "1", 0), "shot index must be an integer, got '1'"),
 ])
 def test_bad_shot_counts_are_value_errors(sample, message):
     with pytest.raises(ValueError, match=message):

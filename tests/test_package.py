@@ -9,7 +9,10 @@ import re
 import types
 from pathlib import Path
 
+import click
+
 import belldistill
+from belldistill.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(belldistill.__file__).resolve().parent
@@ -140,3 +143,19 @@ def test_dense_eigensolves_have_one_path():
                      (entropies._spectrum, "entries")):
         param = inspect.signature(fn).parameters[name]
         assert param.default is inspect.Parameter.empty, fn.__name__
+
+
+def _commands(group: click.Group, prefix: str = ""):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _commands(command, f"{prefix}{name} ")
+        else:
+            yield f"{prefix}{name}", command
+
+
+def test_every_choice_option_offers_a_choice():
+    # an option with one allowed value selects nothing
+    one_valued = [(name, p.name, p.type.choices) for name, command in _commands(main)
+                  for p in command.params
+                  if isinstance(p.type, click.Choice) and len(p.type.choices) < 2]
+    assert one_valued == []

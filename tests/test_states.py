@@ -162,7 +162,7 @@ def test_partial_transpose_involution_and_trace(seed, n):
     rho = random_density(2 * n, gen)
     bob = range(1, 2 * n, 2)
     once = partial_transpose(rho, bob)
-    twice, _ = partial_transpose_matrix(once, 2 * n, bob, _nonzero_entries(once))
+    twice, _ = partial_transpose_matrix(once, bob, _nonzero_entries(once))
     assert np.array_equal(twice, rho.matrix)  # bit-exact involution
     assert abs(np.trace(once).real - 1.0) < 1e-12
     assert np.max(np.abs(once - once.conj().T)) < 1e-12
@@ -488,7 +488,7 @@ def test_partial_transpose_matches_reference_on_bell_diagonal_states(name):
     rho = to_dense(BELL_DIAGONAL[name]())
     q = rho.n_qubits
     for axes in _axis_sets(q) if q < 12 else [range(1, q, 2)]:
-        out, _ = partial_transpose_matrix(rho.matrix, q, axes, rho._entries)
+        out, _ = partial_transpose_matrix(rho.matrix, axes, rho._entries)
         assert out.dtype == rho.matrix.dtype and out.shape == rho.matrix.shape
         assert np.array_equal(out.reshape((2,) * (2 * q)),
                               _reference_partial_transpose(rho.matrix, q, axes))
@@ -501,7 +501,7 @@ def test_partial_transpose_matches_reference_on_random_matrices(name):
     q = len(m).bit_length() - 1
     for a in (m, m.T):  # the transposed view is not C-contiguous
         for axes in _axis_sets(q):
-            assert np.array_equal(partial_transpose_matrix(a, q, axes, _nonzero_entries(a))[0],
+            assert np.array_equal(partial_transpose_matrix(a, axes, _nonzero_entries(a))[0],
                                   _reference_partial_transpose(a, q, axes).reshape(a.shape))
 
 
@@ -535,7 +535,7 @@ def test_recorded_entries_match_the_scan(name, monkeypatch):
         assert scans == []
     assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
     for axes in _axis_sets(q):
-        out, entries = partial_transpose_matrix(rho.matrix, q, axes, rho._entries)
+        out, entries = partial_transpose_matrix(rho.matrix, axes, rho._entries)
         assert _entry_set(entries, d) == _entry_set(_nonzero_entries(out), d)
 
 
