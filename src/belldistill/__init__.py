@@ -25,7 +25,6 @@ from .bell import (
     bell_diagonal_kl,
     bell_product_ket,
     invert_permutation,
-    parse_permutation,
     rho2_power,
     rho_n,
     sigma_n,
@@ -72,7 +71,7 @@ __all__ = [
     "fidelity_pure", "herm_eig", "relative_entropy", "trace_distance",
     "von_neumann_entropy",
     "BellDiagonalState", "bell_diagonal_kl", "bell_product_ket",
-    "invert_permutation", "parse_permutation", "rho2_power", "rho_n", "sigma_n",
+    "invert_permutation", "rho2_power", "rho_n", "sigma_n",
     "smolin_flip_check", "to_dense",
     "ALL_PERMUTATIONS", "LocalUnitaryPair", "PermutationAction",
     "local_permutation_search", "permutation_action", "permutation_table",

@@ -34,15 +34,11 @@ BELL_AMPLITUDES = np.array(
 BELL_AMPLITUDES.flags.writeable = False
 
 
-def check_bell_index(i: int) -> int:
-    return check_bell_string((i,), 1)[0]
-
-
 def bell_bits(i: int) -> tuple[int, int]:
     """(z, x) with i - 1 = 2z + x: Phi_i's <Z⊗Z> and <X⊗X> are (-1)^z and
     (-1)^x (the binary labels of Bennett et al., quant-ph/9604024)."""
 
-    return divmod(check_bell_index(i) - 1, 2)
+    return divmod(check_bell_string((i,), 1)[0] - 1, 2)
 
 
 def bell_index(z: int, x: int) -> int:
@@ -109,8 +105,6 @@ class _Product(Mapping):
             self.slices.append((start, start + f.n, f.weights))
             start += f.n
         self.n = start
-        # rounding is monotone, so every product is nonzero iff this one is
-        self.smallest = math.prod(min(f.weights.values()) for f in self.factors)
 
     def __getitem__(self, s):
         if not isinstance(s, str) or len(s) != self.n:
@@ -217,41 +211,39 @@ class BellDiagonalState:
         return self.weights.get("".join(map(str, _integers(s))), 0.0)
 
     def entropy_bits(self) -> float:
-        if len(self.factors) > 1:  # a product: its factors' entropies add
-            return math.fsum(f.entropy_bits() for f in self.factors)
-        return -sum(w * math.log2(w) for w in self.weights.values())  # every w > 0
+        # a product's factors' entropies add; every w > 0
+        return math.fsum(-sum(w * math.log2(w) for w in f.weights.values())
+                         for f in self.factors)
 
     def tensor(self, *others: "BellDiagonalState") -> "BellDiagonalState":
         """Tensor product; the others' copies are appended after ours, in
-        order.  The result keeps the factors and looks weights up in them."""
+        order.  The result keeps the factors and looks weights up in them; a
+        lone plain state is returned as it is."""
 
         factors = [f for state in (self, *others) for f in state.factors]
-        combined = _Product(factors)
-        if combined.smallest == 0.0:
-            # rounding is monotone, so every product underflows iff the largest does
-            if math.prod(max(f.weights.values()) for f in factors) == 0.0:
-                raise ValueError("every weight of the tensor product underflows to 0.0")
-            # a product that underflows to 0.0 is dropped, as the public constructor does
-            combined = {s: w for s, w in combined.items() if w}
-        return BellDiagonalState._trusted(sum(f.n for f in factors), combined)
+        if len(factors) == 1:
+            return factors[0]
+        # rounding is monotone, so some product underflows iff the smallest does
+        if math.prod(min(f.weights.values()) for f in factors) == 0.0:
+            raise ValueError("a weight of the tensor product underflows to 0.0")
+        return BellDiagonalState._trusted(sum(f.n for f in factors), _Product(factors))
 
     def permute_per_copy(self, perms: Sequence[tuple[int, int, int, int]]) -> "BellDiagonalState":
         """Relabel Bell indices copy-by-copy: s_j -> perms[j][s_j - 1]."""
 
         if len(perms) != self.n:
             raise ValueError(f"need {self.n} permutations, got {len(perms)}")
-        perms = [check_permutation(p) for p in perms]
-        if len(self.factors) > 1:
-            # permuting each factor keeps the product factored
-            factors = [f.permute_per_copy(perms[a:b])
-                       for f, (a, b, _) in zip(self.factors, self.weights.slices)]
-            return BellDiagonalState._trusted(self.n, _Product(factors))
-        # a bijection per copy maps distinct strings to distinct strings; the
-        # digit of code c on copy j maps to images[j][c - 49], written as code + 48
-        images = [bytes(p) for p in perms]
-        out = {bytes([t[c - 49] + 48 for t, c in zip(images, s.encode())]).decode(): w
-               for s, w in self.weights.items()}
-        return BellDiagonalState._trusted(self.n, out)
+        images = [bytes(check_permutation(p)) for p in perms]
+        # each factor is permuted on its own copies, so a product stays factored.  A
+        # bijection per copy maps distinct strings to distinct strings; the digit
+        # of code c on copy j maps to images[j][c - 49], written as code + 48
+        parts, start = [], 0
+        for f in self.factors:
+            own, start = images[start:start + f.n], start + f.n
+            parts.append(BellDiagonalState._trusted(f.n, {
+                bytes([t[c - 49] + 48 for t, c in zip(own, s.encode())]).decode(): w
+                for s, w in f.weights.items()}))
+        return parts[0].tensor(*parts[1:])
 
     def to_json(self) -> str:
         """The text of json.dumps({"n": n, "weights": ...}, sort_keys=True),
@@ -314,7 +306,7 @@ def rho2_power(m: int) -> BellDiagonalState:
     if m > 511:
         raise ValueError(f"block count {m} > 511: the weight 4^-m is not a normal float")
     block = BellDiagonalState._trusted(2, {k * 2: 0.25 for k in "1234"})
-    return BellDiagonalState._trusted(2 * m, _Product([block] * m))
+    return block.tensor(*[block] * (m - 1))
 
 
 def is_pair_constant(s: str | Sequence[int]) -> bool:
@@ -329,28 +321,22 @@ def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellD
     given in one-line notation strings like "2134".
     """
 
-    parsed = [parse_permutation(p) if isinstance(p, str) else p for p in perms]
-    if not parsed:
+    if len(perms) == 0:
         raise ValueError("need at least one permutation (one per copy)")
-    return rho_n(len(parsed)).permute_per_copy(parsed)
+    return rho_n(len(perms)).permute_per_copy(perms)
 
 
-def check_permutation(perm: Sequence[int]) -> tuple[int, int, int, int]:
+def check_permutation(perm: Sequence[int] | str) -> tuple[int, int, int, int]:
+    """perm's entries as a permutation of 1..4, each read as a Bell index is
+    (a digit character converts): one-line "2134" maps 1->2 and 2->1."""
+
     try:
         t = _integers(perm)
     except ValueError:  # a fractional, infinite or NaN entry
         t = ()
     if sorted(t) != [1, 2, 3, 4]:
-        raise ValueError(f"not a permutation of 1..4: {perm}")
+        raise ValueError(f"not a permutation of 1..4: {perm!r}")
     return t
-
-
-def parse_permutation(one_line: str) -> tuple[int, int, int, int]:
-    """Parse one-line notation, e.g. "2134" maps 1->2, 2->1, 3->3, 4->4."""
-
-    if len(one_line) != 4 or not one_line.isdigit():
-        raise ValueError(f"one-line permutation must be 4 digits, got {one_line!r}")
-    return check_permutation(tuple(int(c) for c in one_line))
 
 
 def invert_permutation(perm: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

@@ -24,8 +24,8 @@ import click
 from .bell import (
     bell_diagonal_kl,
     bell_product_ket,
+    check_permutation,
     invert_permutation,
-    parse_permutation,
     rho_n,
     sigma_n,
     to_dense,
@@ -49,16 +49,9 @@ from .states import apply_local, dm_from_ensemble, dm_to_json
 
 DENSE_TOL = 1e-8
 STRUCTURED_TOL = 1e-12
+SIGMA_TOL = 1e-9
 
 _SEED = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-
-
-def _finite(ctx, param, value):
-    """Reject a NaN or infinite option value, which strict JSON cannot hold."""
-
-    if value is not None and not math.isfinite(value):
-        raise click.BadParameter("must be finite")
-    return value
 
 
 def _json_num(x: float):
@@ -139,12 +132,9 @@ def _verify(name: str, size: str, size_help: str, formula: str, closed_form):
                       help=size_help)
         @click.option("--method", type=click.Choice(["structured", "dense"]),
                       default="structured")
-        @click.option("--tol", type=click.FloatRange(min=0), default=None, callback=_finite,
-                      help="override comparison tolerance")
         @_reporting()
-        def command(k, method, tol):
-            if tol is None:
-                tol = DENSE_TOL if method == "dense" else STRUCTURED_TOL
+        def command(k, method):
+            tol = DENSE_TOL if method == "dense" else STRUCTURED_TOL
             report = compute(k, method)
             payload = {"command": f"verify {name}", size: k}
             checks = [_check("divergence_bits", report.value_bits, closed_form(k), tol,
@@ -284,15 +274,14 @@ def permutations_cmd(fmt):
               help="comma-separated one-line permutations, one per copy, e.g. 2134,1234")
 @click.option("--method", type=click.Choice(["structured", "both"]), default="structured",
               help="both adds the dense check to the structured one")
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, callback=_finite)
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense permuted mixture in the JSON matrix format")
 @_reporting()
-def sigma_equiv_cmd(perms, method, tol, dump):
+def sigma_equiv_cmd(perms, method, dump):
     """Map a per-copy permuted mixture back to the plain mixture by the local
     unitary pairs of the permutation table."""
 
-    perm_list = [parse_permutation(p.strip()) for p in perms.split(",")]
+    perm_list = [check_permutation(p.strip()) for p in perms.split(",")]
     n = len(perm_list)
     sigma = sigma_n(perm_list)
     corrected = sigma.permute_per_copy([invert_permutation(p) for p in perm_list])
@@ -318,7 +307,7 @@ def sigma_equiv_cmd(perms, method, tol, dump):
         mapped = dm_from_ensemble((w, apply_local(bell_product_ket(s), gates))
                                   for s, w in sorted(sigma.weights.items()))
         dist = trace_distance(mapped, to_dense(rho_n(n)))
-        checks.append(_check("dense_trace_distance", dist, 0.0, tol))
+        checks.append(_check("dense_trace_distance", dist, 0.0, SIGMA_TOL))
     elif dump:
         raise click.UsageError("--dump needs --method both")
     payload["checks"] = checks

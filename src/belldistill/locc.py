@@ -332,6 +332,6 @@ def distill_exact_branches(n: int) -> BranchAnalysis:
     before 1.  Each branch has probability exactly 1/16 and leaves every
     remaining copy exactly Phi1, for any n >= 3."""
 
-    if n < 3:
+    if (n := _count(n, "copy count")) < 3:
         raise ValueError("branch analysis needs n >= 3")
     return BranchAnalysis(n=n, branches=list(_frame_branches(n)))

@@ -20,7 +20,6 @@ from belldistill import (
     dm_from_ensemble,
     invert_permutation,
     local_permutation_search,
-    parse_permutation,
     partial_trace,
     relative_entropy,
     reorder,
@@ -34,8 +33,8 @@ from belldistill import (
     von_neumann_entropy,
 )
 from belldistill import bell
-from belldistill.bell import (BELL_AMPLITUDES, bell_bits, bell_index,
-                              check_bell_index, check_permutation, is_pair_constant)
+from belldistill.bell import (BELL_AMPLITUDES, bell_bits, bell_index, check_permutation,
+                              is_pair_constant)
 
 from conftest import SRC, kron_state, random_bell_diagonal
 
@@ -141,8 +140,11 @@ def test_sigma_n_rejects_empty():
 
 
 def test_sigma_n_error_messages():
-    for perms, message in ((["1234", "2133"], "not a permutation of 1..4: (2, 1, 3, 3)"),
-                           (["1234", "213"], "one-line permutation must be 4 digits, got '213'"),
+    # permute_per_copy reads each permutation with check_permutation, which
+    # names the value as it was given
+    for perms, message in ((["1234", "2133"], "not a permutation of 1..4: '2133'"),
+                           (["1234", "213"], "not a permutation of 1..4: '213'"),
+                           (["1234", ""], "not a permutation of 1..4: ''"),
                            ([(1, 2, 3, 4), (1, 1, 2, 3)], "not a permutation of 1..4: (1, 1, 2, 3)")):
         with pytest.raises(ValueError) as info:
             sigma_n(perms)
@@ -270,7 +272,7 @@ def test_every_count_follows_the_copy_count_rule():
     # through the rule above, so a message names the value the caller passed
     # (the bounds once reported er_bound_even(2.0) as "got 4.0", distill(3.0, 4)
     # ran, and er_search(3, restarts=1.5) raised a TypeError)
-    from belldistill.locc import _draws, discrimination_rate, distill
+    from belldistill.locc import _draws, discrimination_rate, distill, distill_exact_branches
     from belldistill.measures import (er_bound_even, er_bound_odd_doubled, er_bound_pair,
                                       er_search)
 
@@ -279,7 +281,7 @@ def test_every_count_follows_the_copy_count_rule():
                (er_bound_odd_doubled, "block count"),
                (lambda m: sample_pairwise_separable(m, rng), "block count"),
                (lambda n: distill(n, 4), "copy count"), (lambda s: distill(3, s), "shot count"),
-               (discrimination_rate, "copy count"),
+               (discrimination_rate, "copy count"), (distill_exact_branches, "copy count"),
                (lambda s: _draws(0, 0, s), "shot count"),
                (lambda n: er_search(n, restarts=1, budget=10), "copy count"),
                (lambda r: er_search(3, restarts=r), "restart count"),
@@ -294,6 +296,15 @@ def test_every_count_follows_the_copy_count_rule():
                 message = f"^shots must be >= 1, got {value}$"
             with pytest.raises(ValueError, match=message):
                 call(value)
+    # a count that would pass the branch analysis's own bound but is no integer
+    for value in ("3", 3.0, 3.5):
+        with pytest.raises(ValueError, match=f"^copy count must be an integer >= 1, got "
+                                             f"{re.escape(repr(value))}$"):
+            distill_exact_branches(value)
+    for n in (1, 2, True):
+        with pytest.raises(ValueError, match=r"^branch analysis needs n >= 3$"):
+            distill_exact_branches(n)
+    assert type(distill_exact_branches(np.int64(3)).n) is int
     # an integer of another type is read as the plain int
     report = distill(np.int64(3), np.int64(4))
     assert (type(report.n), type(report.shots)) == (int, int)
@@ -323,10 +334,12 @@ def test_bell_string_messages():
 
 
 def test_permutation_parsing():
-    assert parse_permutation("2134") == (2, 1, 3, 4)
+    # one-line notation is read by the same rule as any other spelling
+    assert check_permutation("2134") == (2, 1, 3, 4)
     assert invert_permutation((2, 3, 4, 1)) == (4, 1, 2, 3)
-    with pytest.raises(ValueError, match="permutation"):
-        parse_permutation("2133")
+    for bad in ("2133", "213", "21345", "", "2 34"):
+        with pytest.raises(ValueError, match=f"^not a permutation of 1..4: {re.escape(repr(bad))}$"):
+            check_permutation(bad)
     # entries must be integral, as Bell indices must: none is truncated
     assert check_permutation((2.0, 1, "3", 4)) == (2, 1, 3, 4)
     assert invert_permutation((2.0, "3", 4, 1)) == (4, 1, 2, 3)
@@ -369,7 +382,7 @@ def test_bell_bits_are_the_parities_of_the_library_amplitudes():
 def test_one_rule_for_bell_indices(indices, expected):
     # every index-taking function accepts and rejects what check_bell_string
     # does, with the same one-line message
-    single = [check_bell_index, bell_bits] if len(indices) == 1 else []
+    single = [bell_bits] if len(indices) == 1 else []
     if isinstance(expected, str):
         for check in (lambda: bell.check_bell_string(indices, len(indices)),
                       lambda: bell_product_ket(indices),
@@ -382,7 +395,6 @@ def test_one_rule_for_bell_indices(indices, expected):
     assert np.array_equal(bell_product_ket(indices).amplitudes,
                           bell_product_ket(expected).amplitudes)
     if single:
-        assert check_bell_index(indices[0]) == expected[0]
         assert bell_bits(indices[0]) == bell_bits(expected[0])
 
 
@@ -701,18 +713,27 @@ def test_bell_strings_are_digit_text():
                                                       "242": 0.25, "134": 0.25}
 
 
-def test_tensor_drops_underflowed_products():
+def test_tensor_refuses_a_partial_underflow():
+    # 1e-200 squared underflows to 0.0 while the other three products do not.
+    # Dropping "22" would make the divergence below infinite instead of
+    # log2(10^400), about 1329 bits; tensor never expands a product to drop it
     tiny = BellDiagonalState(1, {(1,): 1.0 - 1e-200, (2,): 1e-200})
     assert tiny.weight((2,)) == 1e-200
-    product = tiny.tensor(tiny)
-    assert "22" not in product.weights
-    assert len(product.weights) == 3
+    for build in (lambda: tiny.tensor(tiny), lambda: rho_n(1).tensor(tiny, tiny),
+                  lambda: tiny.tensor(rho2_power(2)).tensor(tiny)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "a weight of the tensor product underflows to 0.0"
+    # a small product weight, even a subnormal one, is kept
+    for w in (1e-150, 1e-160):
+        small = BellDiagonalState(1, {(1,): 1.0 - w, (2,): w})
+        assert small.tensor(small).weight((2, 2)) == w * w > 0.0
 
 
 def test_tensor_refuses_a_product_whose_every_weight_underflows():
     # every weight of rho2_power(300) is 2^-600, so each product weight is
-    # 2^-1200, below the smallest subnormal: the map would be empty, and the
-    # fallback that drops underflowed weights would stream 4^600 strings.  The
+    # 2^-1200, below the smallest subnormal.  tensor refuses it from the
+    # factors' smallest weights; expanding the map would stream 4^600 strings.  The
     # child runs under a 1.5 GiB address-space cap and a timeout, so a
     # regression fails this test instead of exhausting the host's memory.
     code = ("import resource\n"
@@ -726,7 +747,7 @@ def test_tensor_refuses_a_product_whose_every_weight_underflows():
                           timeout=60, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
                                            "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "every weight of the tensor product underflows to 0.0\n"
+    assert proc.stdout == "a weight of the tensor product underflows to 0.0\n"
 
 
 def _chained_tensor(states):
@@ -754,7 +775,7 @@ def test_factored_maps_match_their_expansion(rng):
     tenths = BellDiagonalState(1, {(1,): 0.1, (2,): 0.2, (3,): 0.3, (4,): 0.4})
     cases = {
         "tensor": (rho_n(2).tensor(sigma), _chained_tensor([rho_n(2), sigma])),
-        **{f"rho2_power({m})": (rho2_power(m), _expanded_rho2_power(m)) for m in (1, 2, 3, 4, 7)},
+        **{f"rho2_power({m})": (rho2_power(m), _expanded_rho2_power(m)) for m in (2, 3, 4, 7)},
         "nested": (rho_n(2).tensor(rho2_power(2), sigma),
                    _chained_tensor([rho_n(2), rho2_power(2), sigma])),
         "tenths": (tenths.tensor(tenths, tenths, tenths), _chained_tensor([tenths] * 4)),
@@ -882,6 +903,6 @@ def test_product_entropy_is_the_sum_of_its_factors(rng):
         assert rho2_power(m).entropy_bits() == 2 * m
     for n in (1, 2, 7, 1000):
         assert rho_n(n).tensor(rho_n(n)).entropy_bits() == 4
-    # a one-factor product is its factor
+    # the tensor product of one plain state is that state
     tenths = BellDiagonalState(1, {(1,): 0.1, (2,): 0.2, (3,): 0.3, (4,): 0.4})
-    assert tenths.tensor().entropy_bits() == tenths.entropy_bits()
+    assert tenths.tensor() is tenths

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -84,13 +85,23 @@ def test_verify_er_pair(runner):
     assert data["checks"][0]["formula"] == "2n-4"
 
 
-def test_verify_tolerance_override_can_fail(runner):
-    # dense value differs from 0 by ~1e-15; an absurdly tight tolerance
-    # must flip the exit code to 1, not crash
-    result = invoke(runner, ["verify", "er-pair", "--n", "2", "--method", "dense",
-                             "--tol", "1e-18"])
+def test_verify_exits_1_when_a_check_fails(runner, monkeypatch):
+    # a value 1 bit off the closed form fails its check: exit 1 with the
+    # payload, not a crash or a usage error
+    import belldistill.cli as cli
+
+    original = cli.er_bound_pair
+
+    def off_by_one(n, method):
+        report = original(n, method=method)
+        return dataclasses.replace(report, value_bits=report.value_bits + 1.0)
+
+    monkeypatch.setattr(cli, "er_bound_pair", off_by_one)
+    result = invoke(runner, ["verify", "er-pair", "--n", "2"])
     assert result.exit_code == 1
-    assert payload_of(result)["pass"] is False
+    data = payload_of(result)
+    assert data["pass"] is False and data["checks"][0]["pass"] is False
+    assert data["checks"][0]["computed"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_eq5_dense_twelve_qubits(runner):
@@ -114,8 +125,11 @@ def test_verify_usage_errors(runner):
         result = invoke(runner, ["verify", *args, "--method", "dense"])
         assert_usage_error(result)
         assert "capped at 12 qubits" in result.stderr
-    for tol in ("-1", "nan", "inf"):
-        assert_usage_error(invoke(runner, ["verify", "eq5", "--m", "3", "--tol", tol]))
+    # the gates' tolerances are fixed
+    for command in (["eq5", "--m", "3"], ["eq10", "--m", "1"], ["er-pair", "--n", "2"]):
+        result = invoke(runner, ["verify", *command, "--tol", "1e-3"])
+        assert_usage_error(result)
+        assert "No such option '--tol'" in result.stderr
 
 
 @pytest.mark.parametrize("command, bound, option, size", [
@@ -493,18 +507,19 @@ def test_sigma_equiv_six_copies_same_bytes_on_one_and_two_blas_threads():
 
 
 def test_sigma_equiv_usage_errors(runner, tmp_path):
-    assert invoke(runner, ["sigma-equiv", "--perms", "1233"]).exit_code == 2
-    for perms in ("2134,,1234,", "2134,", ""):
+    for perms, bad in (("2134,,1234,", "''"), ("2134,", "''"), ("", "''"), ("1233", "'1233'"),
+                       ("2134,213", "'213'"), ("2134,21345", "'21345'")):
         result = invoke(runner, ["sigma-equiv", "--perms", perms])
         assert_usage_error(result)
-        assert "got ''" in result.stderr
+        assert result.stderr.splitlines()[-1] == f"Error: not a permutation of 1..4: {bad}"
     # seven copies are 14 qubits: the library's dense cap applies
     result = invoke(runner, ["sigma-equiv", "--perms", ",".join(["2134"] * 7),
                              "--method", "both"])
     assert_usage_error(result)
     assert "capped at 12 qubits" in result.stderr
-    for tol in ("-1", "nan", "inf"):
-        assert_usage_error(invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", tol]))
+    result = invoke(runner, ["sigma-equiv", "--perms", "2134", "--tol", "1e-3"])
+    assert_usage_error(result)
+    assert "No such option '--tol'" in result.stderr
     # the dense matrix it would write is built only by the dense check
     result = invoke(runner, ["sigma-equiv", "--perms", "2134",
                              "--dump", str(tmp_path / "state.json")])

@@ -145,6 +145,26 @@ def test_dense_eigensolves_have_one_path():
         assert param.default is inspect.Parameter.empty, fn.__name__
 
 
+def test_tensor_is_the_only_product_builder():
+    # every factored product is built by BellDiagonalState.tensor, which keeps
+    # products flat, returns a lone plain state as it is and refuses an
+    # underflowed weight; no other function builds a _Product itself
+    from belldistill import rho2_power, rho_n, sigma_n
+
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for inner in top.body if isinstance(top, ast.ClassDef) else [top]:
+                for node in ast.walk(inner):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "_Product"):
+                        calls.append((path.name, getattr(top, "name", None),
+                                      getattr(inner, "name", None)))
+    assert calls == [("bell.py", "BellDiagonalState", "tensor")]
+    for state in (rho2_power(1), rho_n(3).tensor(), sigma_n(["2134", "1234"])):
+        assert state.factors == (state,) and type(state.weights) is dict
+
+
 def _commands(group: click.Group, prefix: str = ""):
     for name, command in group.commands.items():
         if isinstance(command, click.Group):
