@@ -361,7 +361,8 @@ def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:
         qs = q.weights.get(s, 0.0)  # p's keys are digit text, as q's are
         if qs <= 0.0:
             return math.inf
-        total += w * math.log2(w / qs)
+        ratio = w / qs  # overflows only for a subnormal qs; its log is finite
+        total += w * (math.log2(ratio) if ratio < math.inf else math.log2(w) - math.log2(qs))
     return total
 
 

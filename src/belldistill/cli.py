@@ -45,7 +45,7 @@ from .permutations import (
     permutation_action,
     permutation_table,
 )
-from .states import apply_local, dm_from_ensemble, dm_to_json
+from .states import _dm_json_chunks, apply_local, dm_from_ensemble
 
 DENSE_TOL = 1e-8
 STRUCTURED_TOL = 1e-12
@@ -215,6 +215,14 @@ def discriminate_cmd(n, shots, seed):
             "success_rate": rate, "pass": rate == 1.0}, None
 
 
+def _dump(path: str, rho) -> None:
+    """Write `dm_to_json(rho)` and a newline to `path`, one matrix row at a time."""
+
+    with open(path, "w") as fh:
+        fh.writelines(_dm_json_chunks(rho))
+        fh.write("\n")
+
+
 # --- separability evidence -----------------------------------------------------
 
 
@@ -230,8 +238,7 @@ def separability_cmd(n, dump):
     payload = distill_trivial(n)
     payload["command"] = "separability"
     if dump:
-        with open(dump, "w") as fh:
-            fh.write(dm_to_json(to_dense(rho_n(n))) + "\n")
+        _dump(dump, to_dense(rho_n(n)))
     return payload, None
 
 
@@ -296,8 +303,7 @@ def sigma_equiv_cmd(perms, method, dump):
     }
     if method == "both":
         if dump:
-            with open(dump, "w") as fh:
-                fh.write(dm_to_json(to_dense(sigma)) + "\n")
+            _dump(dump, to_dense(sigma))
         gates = {}
         for j, perm in enumerate(perm_list):
             pair = local_permutation_search(invert_permutation(perm))

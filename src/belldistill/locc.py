@@ -17,10 +17,10 @@ each weighs the dyadic 1/16, so every sum is exact.  A seeded run is drawn
 only where a shot is shown: shot k is one nibble of a standard-library
 `random.Random(seed)` stream (`run_shot`), a report's sample transcript is
 shot 0's, and `DistillationReport.to_csv` draws one row per shot.
-`measure_local` and `discriminate_two_copies` keep the stepwise ket
-simulation (n <= 6) as the reference the frame is tested against; it never
-chooses an outcome whose Born probability was pruned (below 1e-14).  Both
-record a measurement as a `(party, copy, basis, outcome)` tuple.
+`measure_local` and `discriminate_two_copies` are the ket reference the frame
+is tested against (n <= 6): one exact walk of the branch tree, each outcome
+forced, nothing sampled; an outcome of Born probability below 1e-14 is pruned.
+Both record a measurement as a `(party, copy, basis, outcome)` tuple.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -45,12 +45,11 @@ PLAN = ((ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X"))
 
 @dataclass(frozen=True)
 class ShotState:
-    """One protocol run: the hidden Bell index, the current pure state of the
-    whole n-copy register, and which copies have been measured out."""
+    """One protocol branch: the hidden Bell index and the current pure state
+    of the whole n-copy register."""
 
     hidden: int
     ket: Ket
-    consumed: frozenset[int] = frozenset()
 
     @property
     def n(self) -> int:
@@ -61,60 +60,37 @@ class ShotState:
         return cls(hidden=hidden, ket=bell_product_ket((hidden,) * n))
 
 
-def _measured_axis(state: ShotState, party: str, copy: int) -> int:
-    """Axis of `party`'s qubit of `copy`: 2 * (copy - 1), plus 1 for Bob."""
+def measure_local(state: ShotState, party: str, copy: int, basis: str,
+                  outcome: int) -> tuple[float, ShotState | None]:
+    """Projective measurement of one party's qubit of one copy, with the
+    outcome forced: its Born probability and the collapsed state, which is
+    None when the probability is below 1e-14 (pruned).  The qubit is axis
+    2 * (copy - 1), plus 1 for Bob."""
 
     if party not in (ALICE, BOB):
         raise ValueError(f"party must be {ALICE!r} or {BOB!r}, got {party!r}")
     if copy not in range(1, state.n + 1):
         raise ValueError(f"copy must be in 1..{state.n}, got {copy}")
-    if copy in state.consumed:
-        raise ValueError(f"copy {copy} has already been consumed")
-    return 2 * (copy - 1) + (party == BOB)
-
-
-def _project(ket: Ket, axis: int, basis: str, outcome: int) -> tuple[float, Ket | None]:
-    """Born probability of `outcome` and the renormalized post-measurement
-    state (None for a probability below 1e-14, which is returned as is)."""
-
     if basis not in ("Z", "X"):
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    t = ket.tensor_view()
-    moved = np.moveaxis(t, axis, 0).reshape(2, -1)  # rows: the measured qubit
-    if basis == "X":
-        moved = np.dot(H, moved)
-    branch = moved[outcome]
-    prob = float(np.real(np.vdot(branch, branch)))
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    axis = 2 * (copy - 1) + (party == BOB)
+    t = state.ket.tensor_view()
+    bra = (H if basis == "X" else np.eye(2))[int(outcome)]  # real, so also the ket
+    branch = bra @ np.moveaxis(t, axis, 0).reshape(2, -1)  # the other qubits' amplitudes
+    prob = float(np.vdot(branch, branch).real)
     if prob < 1e-14:
         return prob, None
-    post = np.zeros_like(moved)
-    post[outcome] = branch / math.sqrt(prob)
-    if basis == "X":
-        post = np.dot(H, post)
-    post = np.moveaxis(post.reshape(t.shape), 0, axis)
-    return prob, Ket(post.reshape(-1))
-
-
-def measure_local(state: ShotState, party: str, copy: int, basis: str,
-                  rng: np.random.Generator) -> tuple[int, ShotState]:
-    """Projective measurement of one party's qubit of one copy: outcome 0
-    when one uniform draw falls below its Born probability, never an outcome
-    whose probability was pruned, and the state collapses accordingly."""
-
-    axis = _measured_axis(state, party, copy)
-    p0, post = _project(state.ket, axis, basis, 0)
-    if rng.random() >= p0 or post is None:
-        _, post1 = _project(state.ket, axis, basis, 1)
-        if post1 is not None:  # a pruned outcome 1 falls back to outcome 0
-            return 1, replace(state, ket=post1)
-    return 0, replace(state, ket=post)
+    post = np.moveaxis(np.outer(bra, branch / math.sqrt(prob)).reshape(t.shape), 0, axis)
+    return prob, ShotState(state.hidden, Ket(post.reshape(-1)))
 
 
 def _decode(a_z: int, b_z: int, a_x: int, b_x: int) -> tuple[int, int, int]:
-    """Parities and announced Bell index from the four outcomes in PLAN order."""
+    """Announced Bell index and parities from the four outcomes in PLAN order."""
 
     parity_z, parity_x = a_z ^ b_z, a_x ^ b_x
-    return parity_z, parity_x, bell_index(parity_z, parity_x)
+    return bell_index(parity_z, parity_x), parity_z, parity_x
 
 
 @dataclass(frozen=True)
@@ -124,30 +100,28 @@ class DiscriminationResult:
     parity_x: int
     outcomes: tuple[tuple[str, int, str, int], ...]  # (party, copy, basis, outcome)
     state: ShotState
+    probability: float  # of this branch, given the hidden index
 
 
-def discriminate_two_copies(state: ShotState,
-                            rng: np.random.Generator) -> DiscriminationResult:
-    """Identify the hidden Bell index with certainty from two copies.
+def discriminate_two_copies(state: ShotState) -> list[DiscriminationResult]:
+    """Every branch of PLAN on copies 1 and 2 that is not pruned, outcome 0
+    before 1 at each step, with its Born probability and collapsed state.
 
-    PLAN runs on the first two unconsumed copies: the first is measured in Z
-    on both sides, the second in X; Bob communicates his outcomes and the
-    parity pair maps to the index.  Both copies are marked consumed.
-    Alice's guess uses only her own outcomes and Bob's communicated bits.
+    Copy 1 is measured in Z on both sides, copy 2 in X; Bob communicates his
+    outcomes and the parity pair maps to the index.  Alice's guess uses only
+    her own outcomes and Bob's communicated bits.
     """
 
-    available = [c for c in range(1, state.n + 1) if c not in state.consumed]
-    if len(available) < 2:
-        raise ValueError("discrimination needs two unconsumed copies")
-    outcomes = []
-    for party, slot, basis in PLAN:
-        copy = available[slot - 1]
-        outcome, state = measure_local(state, party, copy, basis, rng)
-        outcomes.append((party, copy, basis, outcome))
-    parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
-    state = replace(state, consumed=state.consumed | set(available[:2]))
-    return DiscriminationResult(guess=guess, parity_z=parity_z, parity_x=parity_x,
-                                outcomes=tuple(outcomes), state=state)
+    if state.n < 2:
+        raise ValueError("discrimination needs two copies")
+    branches = [(1.0, state, ())]
+    for party, copy, basis in PLAN:
+        branches = [(prob * p, post, outcomes + ((party, copy, basis, outcome),))
+                    for prob, before, outcomes in branches for outcome in (0, 1)
+                    for p, post in [measure_local(before, party, copy, basis, outcome)]
+                    if post is not None]
+    return [DiscriminationResult(*_decode(*(o[3] for o in outcomes)), outcomes, post, prob)
+            for prob, post, outcomes in branches]
 
 
 @dataclass(frozen=True)
@@ -183,7 +157,7 @@ def _frame(copies_left: bool) -> tuple[Branch, ...]:
         for a_z in (0, 1):
             for a_x in (0, 1):
                 bits = (a_z, a_z ^ parity_z, a_x, a_x ^ parity_x)  # PLAN order
-                z, x, guess = _decode(*bits)
+                guess, z, x = _decode(*bits)
                 frame.append(Branch(
                     hidden=hidden, probability=1 / 16,
                     outcomes=tuple(step + (bit,) for step, bit in zip(PLAN, bits)),

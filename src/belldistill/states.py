@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -378,16 +378,18 @@ def apply_local(state: Ket | DensityOperator,
 # (label, owner and copy of each axis) is written out so a dump is
 # self-describing.
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _dm_json_chunks(rho: DensityOperator) -> Iterator[str]:
+    """The text of `dm_to_json(rho)` one matrix row at a time, so a writer
+    holds one row's pairs, not a list of the whole matrix.  The keys are
+    written in `json.dumps(..., sort_keys=True)` order."""
+
+    qubits = [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
+               "copy": ax // 2 + 1} for ax in range(rho.n_qubits)]
+    yield '{"kind": "density_operator", "matrix": ['
+    for i, row in enumerate(rho.matrix):
+        yield (", " if i else "") + json.dumps(np.stack((row.real, row.imag), axis=-1).tolist())
+    yield '], "qubits": ' + json.dumps(qubits, sort_keys=True) + "}"
 
 
 def dm_to_json(rho: DensityOperator) -> str:
-    qubits = [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
-               "copy": ax // 2 + 1} for ax in range(rho.n_qubits)]
-    payload = {
-        "kind": "density_operator",
-        "qubits": qubits,
-        "matrix": [[_complex_out(z) for z in row] for row in rho.matrix],
-    }
-    return json.dumps(payload, sort_keys=True)
+    return "".join(_dm_json_chunks(rho))

@@ -189,6 +189,16 @@ def test_bell_diagonal_kl_infinite_off_support():
     assert math.isinf(bell_diagonal_kl(p, q))
 
 
+def test_bell_diagonal_kl_is_finite_against_a_subnormal_weight():
+    # w / qs overflows for the subnormal q weight 1e-160 * 1e-160, while the
+    # divergence is log2(1 / qs), about 1063.017 bits
+    s = BellDiagonalState(1, {"1": 1 - 1e-160, "2": 1e-160})
+    q = s.tensor(s)
+    assert 0.0 < q.weight("22") < sys.float_info.min
+    value = bell_diagonal_kl(BellDiagonalState(2, {"22": 1.0}), q)
+    assert value == -math.log2(q.weight("22")) == pytest.approx(1063.017, abs=1e-3)
+
+
 def test_bell_diagonal_kl_rejects_length_mismatch():
     with pytest.raises(ValueError, match="copy count"):
         bell_diagonal_kl(rho_n(2), rho_n(3))

@@ -2,13 +2,11 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from belldistill import (
     Ket,
@@ -26,12 +24,9 @@ from belldistill.bell import BELL_AMPLITUDES, bell_index
 from belldistill.locc import (
     PLAN,
     Branch,
-    _decode,
     _draws,
     _frame,
     _frame_branches,
-    _measured_axis,
-    _project,
     discrimination_rate,
     run_shot,
 )
@@ -54,14 +49,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 # --- the dense ket tree: the reference the Bell frame is checked against -----
-
-
-def measure_local_exact(state, party, copy, basis, outcome):
-    """Forced-outcome measurement: the exact Born probability and the
-    collapsed state (None for a pruned outcome)."""
-
-    prob, post = _project(state.ket, _measured_axis(state, party, copy), basis, outcome)
-    return prob, None if post is None else replace(state, ket=post)
 
 
 def _corrected(ket, guess, copies):
@@ -89,31 +76,24 @@ class _Leaf:
     ket: Ket  # corrected
 
 
-def _grow(state, prob, outcomes):
-    """Every leaf below `state`, outcome 0 before 1; a pruned outcome has none."""
+def _grow(state):
+    """Every leaf of the exact tree below a prepared state, corrected, with
+    its branch; the hidden index weighs 1/4."""
 
-    if len(outcomes) == len(PLAN):
-        parity_z, parity_x, guess = _decode(*(o[3] for o in outcomes))
-        remaining = range(3, state.n + 1)
-        ket = _corrected(state.ket, guess, remaining)
+    remaining = range(3, state.n + 1)
+    for r in discriminate_two_copies(state):
+        ket = _corrected(r.state.ket, r.guess, remaining)
         fid = min((_remaining_copy_fidelity(ket, c) for c in remaining), default=None)
-        yield _Leaf(Branch(hidden=state.hidden, probability=prob, outcomes=outcomes,
-                           guess=guess, output_fidelity=fid, parity_z=parity_z,
-                           parity_x=parity_x), ket)
-        return
-    party, copy, basis = PLAN[len(outcomes)]
-    for outcome in (0, 1):
-        p, post = measure_local_exact(state, party, copy, basis, outcome)
-        if post is not None:
-            yield from _grow(post, prob * p, outcomes + ((party, copy, basis, outcome),))
+        yield _Leaf(Branch(hidden=state.hidden, probability=0.25 * r.probability,
+                           outcomes=r.outcomes, guess=r.guess, output_fidelity=fid,
+                           parity_z=r.parity_z, parity_x=r.parity_x), ket)
 
 
 @cache
 def _protocol_tree(n):
     """Every leaf of the protocol on n copies, hidden index 1 before 4."""
 
-    return [leaf for hidden in (1, 2, 3, 4)
-            for leaf in _grow(ShotState.prepared(hidden, n), 0.25, ())]
+    return [leaf for hidden in (1, 2, 3, 4) for leaf in _grow(ShotState.prepared(hidden, n))]
 
 
 def _shots(n, shots, seed):
@@ -123,71 +103,70 @@ def _shots(n, shots, seed):
     return [frame[i] for i in _draws(seed, 0, shots).tolist()]
 
 
-def _frame_index(hidden, a_z, a_x):
-    """Position in the frame of the branch where Alice sees a_z and a_x."""
+def _assert_parity_is_forced(i, basis, op):
+    """On Bell state i, Alice's outcome in `basis` is a fair coin and Bob's
+    only unpruned outcome is hers XOR the parity the 4x4 oracle gives."""
 
-    return 4 * (hidden - 1) + 2 * a_z + a_x
-
-
-@pytest.mark.parametrize("i", [1, 2, 3, 4])
-def test_z_parity_matches_born_oracle(i, rng):
-    corr = _pauli_correlation(i, Z)
-    expected_parity = 0 if corr > 0.99 else 1
+    corr = _pauli_correlation(i, op)
     assert abs(abs(corr) - 1.0) < 1e-12  # parity is deterministic
-    for _ in range(40):
-        state = ShotState.prepared(i, 2)
-        a, state = measure_local(state, "alice", 1, "Z", rng)
-        b, state = measure_local(state, "bob", 1, "Z", rng)
-        assert (a ^ b) == expected_parity
+    parity = 0 if corr > 0.99 else 1
+    for a in (0, 1):
+        p_a, after = measure_local(ShotState.prepared(i, 2), "alice", 1, basis, a)
+        assert p_a == pytest.approx(0.5, abs=1e-12)
+        p_b, _ = measure_local(after, "bob", 1, basis, a ^ parity)
+        assert p_b == pytest.approx(1.0, abs=1e-12)
+        p_pruned, pruned = measure_local(after, "bob", 1, basis, 1 - (a ^ parity))
+        assert pruned is None and p_pruned < 1e-14
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
-def test_x_parity_matches_born_oracle(i, rng):
-    corr = _pauli_correlation(i, X)
-    expected_parity = 0 if corr > 0.99 else 1
-    assert abs(abs(corr) - 1.0) < 1e-12
-    for _ in range(40):
-        state = ShotState.prepared(i, 2)
-        a, state = measure_local(state, "alice", 1, "X", rng)
-        b, state = measure_local(state, "bob", 1, "X", rng)
-        assert (a ^ b) == expected_parity
+def test_z_parity_matches_born_oracle(i):
+    _assert_parity_is_forced(i, "Z", Z)
 
 
-def test_single_outcomes_unbiased(rng):
-    # each side's marginal outcome is a fair coin on every Bell state
-    counts = Counter()
-    for _ in range(400):
-        state = ShotState.prepared(1, 2)
-        a, _ = measure_local(state, "alice", 1, "Z", rng)
-        counts[a] += 1
-    assert 130 < counts[0] < 270
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_x_parity_matches_born_oracle(i):
+    _assert_parity_is_forced(i, "X", X)
 
 
-def test_measure_consumed_copy_rejected(rng):
-    state = ShotState.prepared(1, 2)
-    result = discriminate_two_copies(state, rng)
-    with pytest.raises(ValueError, match="consumed"):
-        measure_local(result.state, "alice", 1, "Z", rng)
+def test_single_outcomes_unbiased():
+    # each side's marginal outcome is a fair coin on every Bell state, exactly
+    # up to rounding, whichever side measures first
+    for i, party, basis, outcome in itertools.product(
+            (1, 2, 3, 4), ("alice", "bob"), ("Z", "X"), (0, 1)):
+        p, post = measure_local(ShotState.prepared(i, 2), party, 1, basis, outcome)
+        assert p == pytest.approx(0.5, abs=1e-12)
+        assert post.hidden == i
 
 
-def test_measured_axis_is_copy_major(rng):
-    state = ShotState.prepared(1, 3)
-    axes = [_measured_axis(state, party, c) for c in (1, 2, 3) for party in ("alice", "bob")]
+def test_measured_axis_is_copy_major():
+    # on the computational-basis ket with only axis k set, the Z outcome 1
+    # has probability 1 for the qubit on axis k and probability 0 elsewhere
+    def hit(k, party, copy):
+        ket = Ket(np.eye(64)[1 << (5 - k)])  # axis 0 is the most significant bit
+        return measure_local(ShotState(hidden=1, ket=ket), party, copy, "Z", 1)[0] == 1.0
+
+    axes = [k for c in (1, 2, 3) for party in ("alice", "bob") for k in range(6)
+            if hit(k, party, c)]
     assert axes == list(range(6))
-    for party, copy, message in (("carol", 1, "party must be 'alice' or 'bob'"),
-                                 ("alice", 0, r"copy must be in 1\.\.3, got 0"),
-                                 ("bob", 4, r"copy must be in 1\.\.3, got 4")):
+    state = ShotState.prepared(1, 3)
+    for args, message in ((("carol", 1, "Z", 0), "party must be 'alice' or 'bob'"),
+                          (("alice", 0, "Z", 0), r"copy must be in 1\.\.3, got 0"),
+                          (("bob", 4, "Z", 0), r"copy must be in 1\.\.3, got 4"),
+                          (("bob", 1, "Y", 0), "basis must be 'Z' or 'X', got 'Y'"),
+                          (("bob", 1, "Z", 2), "outcome must be 0 or 1, got 2")):
         with pytest.raises(ValueError, match=message):
-            measure_local(state, party, copy, "Z", rng)
+            measure_local(state, *args)
 
 
 def test_measure_exact_probabilities():
     state = ShotState.prepared(1, 2)
-    p0, post = measure_local_exact(state, "alice", 1, "Z", 0)
+    p0, post = measure_local(state, "alice", 1, "Z", 0)
     assert p0 == pytest.approx(0.5, abs=1e-12)
-    p_b, _ = measure_local_exact(post, "bob", 1, "Z", 1)
+    p_b, pruned = measure_local(post, "bob", 1, "Z", 1)
     assert p_b == pytest.approx(0.0, abs=1e-12)
-    p_b0, _ = measure_local_exact(post, "bob", 1, "Z", 0)
+    assert pruned is None
+    p_b0, _ = measure_local(post, "bob", 1, "Z", 0)
     assert p_b0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -196,38 +175,20 @@ def test_parity_map_is_the_documented_table():
         (0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_discrimination_zero_error_any_seed(seed):
-    gen = np.random.default_rng(seed)
-    state = ShotState.prepared(int(gen.integers(1, 5)), 2)
-    result = discriminate_two_copies(state, gen)
-    assert result.guess == state.hidden
-
-
-def test_discrimination_large_seeded_run():
-    correct = 0
-    shots = 10_000
-    for k in range(shots):
-        gen = np.random.default_rng([1234, k])
-        state = ShotState.prepared(int(gen.integers(1, 5)), 2)
-        correct += int(discriminate_two_copies(state, gen).guess == state.hidden)
-    assert correct == shots
-
-
-def test_discrimination_needs_two_copies(rng):
-    with pytest.raises(ValueError, match="two unconsumed"):
-        discriminate_two_copies(ShotState.prepared(1, 1), rng)
+def test_discrimination_needs_two_copies():
+    with pytest.raises(ValueError, match="^discrimination needs two copies$"):
+        discriminate_two_copies(ShotState.prepared(1, 1))
 
 
 def test_transcript_structure():
-    # a report's transcript is shot 0's, and the stepwise ket simulation
-    # driven by Alice's two outcomes of that shot records the same steps
+    # a report's transcript is shot 0's, and the ket tree's leaf where Alice
+    # sees that shot's two outcomes records the same steps
     for seed in (0, 3, 11):
         shot = run_shot(4, 0, seed)
         a_z, a_x = shot.outcomes[0][3], shot.outcomes[2][3]
-        result = discriminate_two_copies(ShotState.prepared(shot.hidden, 4), _ScriptedGenerator(
-            (a_z * LARGEST_DRAW, 0.5, a_x * LARGEST_DRAW, 0.5)))
+        leaves = discriminate_two_copies(ShotState.prepared(shot.hidden, 4))
+        assert len(leaves) == 4
+        result = leaves[2 * a_z + a_x]
         outcomes = result.outcomes
         assert len(outcomes) == 4
         assert [basis for _, _, basis, _ in outcomes] == ["Z", "Z", "X", "X"]
@@ -430,6 +391,7 @@ def test_frame_branches_match_ket_tree(n):
     for ref, got in zip(reference, frame):
         assert (got.hidden, got.outcomes, got.guess, got.parity_z, got.parity_x) == (
             ref.hidden, ref.outcomes, ref.guess, ref.parity_z, ref.parity_x)
+        assert all(type(bit) is int for *_, bit in got.outcomes)
         assert got.probability == 1 / 16
         assert abs(got.probability - ref.probability) <= 1e-15
         if n == 2:
@@ -441,66 +403,23 @@ def test_frame_branches_match_ket_tree(n):
         assert distill_exact_branches(n).branches == frame
 
 
-class _ScriptedGenerator:
-    """Stands in for a numpy Generator: the given uniform draws in order."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self):
-        return self.draws.pop(0)
-
-
-LARGEST_DRAW = 1 - 2 ** -53  # the largest value Generator.random() returns
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_tree_walk_matches_stepwise_protocol(n):
-    # the stepwise ket simulation, driven to each frame branch by Alice's
-    # draws (0 below 1/2), lands on that branch; Bob's outcomes are forced
-    remaining = range(3, n + 1)
-    table = _frame_branches(n)
-    frame = iter(table)
-    for hidden in (1, 2, 3, 4):
-        for a_z, a_x in itertools.product((0, 1), repeat=2):
-            branch = next(frame)
-            draws = (a_z * LARGEST_DRAW, 0.5, a_x * LARGEST_DRAW, 0.5)
-            result = discriminate_two_copies(ShotState.prepared(hidden, n),
-                                             _ScriptedGenerator(draws))
-            assert branch is _frame_branches(n)[_frame_index(hidden, a_z, a_x)]
-            assert _frame_branches(n) is table is _frame(n > 2)
-            assert branch.hidden == hidden
-            assert branch.outcomes == result.outcomes
-            assert all(type(bit) is int for *_, bit in branch.outcomes)
-            assert (branch.guess, branch.parity_z, branch.parity_x) == (
-                result.guess, result.parity_z, result.parity_x)
-            if remaining:
-                ket = _corrected(result.state.ket, result.guess, remaining)
-                fid = min(_remaining_copy_fidelity(ket, c) for c in remaining)
-                assert branch.output_fidelity == 1.0
-                assert abs(branch.output_fidelity - fid) <= 1e-15
-            else:
-                assert branch.output_fidelity is None
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pruned_outcomes_are_never_taken(n):
-    # next to a pruned outcome the stepwise Born probability of outcome 0 is
-    # raw (0.9999999999999996, or 5e-34), so the extreme draws 0.0 and
-    # 1 - 2^-53 fall on the pruned side unless the sibling is taken instead;
-    # the frame branch is the one Alice's two draws select
-    scripts = [(1, (0.1, 0.1, 0.1, LARGEST_DRAW))]
-    scripts += [(hidden, draws) for hidden in (1, 2, 3, 4)
-                for draws in itertools.product((0.0, LARGEST_DRAW), repeat=len(PLAN))]
-    for hidden, draws in scripts:
-        leaf = _frame_branches(n)[_frame_index(hidden, int(draws[0] >= 0.5),
-                                               int(draws[2] >= 0.5))]
-        assert leaf.guess == leaf.hidden == hidden
-        result = discriminate_two_copies(ShotState.prepared(hidden, n),
-                                         _ScriptedGenerator(draws))
-        assert result.guess == hidden
-        assert result.state.ket is not None
-        assert result.outcomes == leaf.outcomes
+    # Bob's outcome that contradicts the parity is pruned, so the tree has
+    # exactly 16 leaves: per hidden index Alice's four outcome pairs, 0 before
+    # 1, each of conditional probability 1/4, every one announcing the index
+    leaves = 0
+    for hidden in (1, 2, 3, 4):
+        results = discriminate_two_copies(ShotState.prepared(hidden, n))
+        alice = [(r.outcomes[0][3], r.outcomes[2][3]) for r in results]
+        assert alice == list(itertools.product((0, 1), repeat=2))
+        for r in results:
+            assert abs(r.probability - 0.25) <= 1e-15
+            assert r.guess == r.state.hidden == hidden
+            assert [step[:3] for step in r.outcomes] == list(PLAN)
+            assert all(type(bit) is int for *_, bit in r.outcomes)
+        leaves += len(results)
+    assert leaves == 16
 
 
 def test_output_copy_entropy_is_one_ebit():

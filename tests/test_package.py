@@ -179,3 +179,18 @@ def test_every_choice_option_offers_a_choice():
                   for p in command.params
                   if isinstance(p.type, click.Choice) and len(p.type.choices) < 2]
     assert one_valued == []
+
+
+def test_locc_draws_no_numpy_random():
+    # the protocol's ket reference forces every outcome, and a seeded shot
+    # comes only from _draws' standard-library random.Random
+    names = []
+    for node in ast.walk(ast.parse((PACKAGE / "locc.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            names.append((node.lineno, ast.unparse(node).replace("np.", "numpy.", 1)))
+        elif isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+    assert [(line, name) for line, name in names
+            if name == "numpy.random" or name.startswith("numpy.random.")] == []
