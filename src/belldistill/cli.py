@@ -2,14 +2,14 @@
 command with machine-readable output.
 
 Exit codes: 0 = all checks pass, 1 = a quantitative check failed,
-2 = usage error.  Payloads embed the seed and tolerances used; re-running
-with the same configuration reproduces stdout byte for byte (wall time goes
-to stderr, never into the payload).  Dense payloads print eigensolver
-rounding digits, which can move with the BLAS thread count, so for them
-this holds at a fixed thread count.  Non-finite values are serialized as
-the string "infinity" so payloads remain strict JSON.
-
-Default seed is 0 everywhere.
+2 = usage error.  The seeded commands (distill, discriminate, explore er)
+echo the seed, 0 by default, and each `checks` entry echoes its tolerance;
+the fixed gates of separability, distill --n 1|2 and permutations are not
+echoed.  Re-running with the same configuration reproduces stdout byte for
+byte (wall time goes to stderr, never into the payload).  Dense payloads
+print eigensolver rounding digits, which can move with the BLAS thread
+count, so for them this holds at a fixed thread count.  Non-finite values
+are serialized as the string "infinity" so payloads remain strict JSON.
 """
 
 from __future__ import annotations
@@ -280,13 +280,16 @@ def permutations_cmd(fmt):
 @click.option("--perms", required=True,
               help="comma-separated one-line permutations, one per copy, e.g. 2134,1234")
 @click.option("--method", type=click.Choice(["structured", "both"]), default="structured",
-              help="both adds the dense check to the structured one")
+              help="structured compares the relabelled weights; both also applies "
+                   "the table's local unitary pairs to the dense kets")
 @click.option("--dump", type=click.Path(), default=None,
               help="write the dense permuted mixture in the JSON matrix format")
 @_reporting()
 def sigma_equiv_cmd(perms, method, dump):
-    """Map a per-copy permuted mixture back to the plain mixture by the local
-    unitary pairs of the permutation table."""
+    """Check that a per-copy permuted mixture maps back to the plain
+    mixture: relabelled by each copy's inverse permutation, its Bell weights
+    equal the mixture's.  Only --method both uses the local unitary pairs of
+    the permutation table, applied to the dense Bell-product kets."""
 
     perm_list = [check_permutation(p.strip()) for p in perms.split(",")]
     n = len(perm_list)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .states import ALICE, BOB, Ket
 PLAN = ((ALICE, 1, "Z"), (BOB, 1, "Z"), (ALICE, 2, "X"), (BOB, 2, "X"))
 
 
-@dataclass(frozen=True)
-class ShotState:
+class ShotState(NamedTuple):
     """One protocol branch: the hidden Bell index and the current pure state
     of the whole n-copy register."""
 
@@ -93,8 +92,7 @@ def _decode(a_z: int, b_z: int, a_x: int, b_x: int) -> tuple[int, int, int]:
     return bell_index(parity_z, parity_x), parity_z, parity_x
 
 
-@dataclass(frozen=True)
-class DiscriminationResult:
+class DiscriminationResult(NamedTuple):
     guess: int
     parity_z: int
     parity_x: int
@@ -124,8 +122,7 @@ def discriminate_two_copies(state: ShotState) -> list[DiscriminationResult]:
             for prob, post, outcomes in branches]
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One branch of the protocol: its probability, the outcomes that lead
     to it, Alice's parities and guess, and the fidelity of the worst
     corrected copy."""
@@ -216,8 +213,7 @@ def _draws(seed: int, start: int, shots: int) -> np.ndarray:
     return draws[start:stop]
 
 
-@dataclass
-class DistillationReport:
+class DistillationReport(NamedTuple):
     """The protocol on n copies.  The rates and fidelities are exact sums
     over the 16 frame branches, so they do not depend on `shots` or `seed`;
     those two fix the seeded run, of which the report shows shot 0's
@@ -233,7 +229,7 @@ class DistillationReport:
     transcript_sample: list[dict]
 
     def to_dict(self) -> dict:
-        return {"command": "distill", **asdict(self)}
+        return {"command": "distill", **self._asdict()}
 
     CSV_HEADER = ["shot", "hidden", "guess", "parity_z", "parity_x",
                   "correct", "ebits", "fidelity"]
@@ -291,8 +287,7 @@ def distill(n: int, shots: int, seed: int = 0) -> DistillationReport:
     )
 
 
-@dataclass
-class BranchAnalysis:
+class BranchAnalysis(NamedTuple):
     n: int
     branches: list[Branch]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .entropies import (
 from .states import DensityOperator, _kron, check_dense_size, partial_transpose_matrix, reorder
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Closed-form divergence value plus the honest support diagnostics.
 
     `value_bits` is the flat-reference closed form log2(support size of the
@@ -161,14 +160,13 @@ def er_bound_odd_doubled(m: int, method: str = "structured") -> DivergenceReport
 
     m = _count(m, "block count")
     report = er_bound_pair(2 * m + 1, method=method)
-    return replace(report, halved_bits=report.value_bits / 2.0)
+    return report._replace(halved_bits=report.value_bits / 2.0)
 
 
 # --- PPT / negativity and the zero-yield evidence ------------------------------
 
 
-@dataclass(frozen=True)
-class PptReport:
+class PptReport(NamedTuple):
     min_eigenvalue: float
     is_ppt: bool
 
@@ -282,37 +280,28 @@ def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalS
 # --- Product-overlap bound ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErReport:
+class ErReport(NamedTuple):
     """Outcome of one bound computation; embeds everything needed to
-    reproduce it.  `alice_state` and `bob_state` are the best product state
-    found, on the A1..An and B1..Bn blocks."""
+    reproduce it.  Every field but the last two is a key of the E_R payload;
+    `alice_state` and `bob_state` are the best product state found, on the
+    A1..An and B1..Bn blocks."""
 
     target: str
     n: int
-    best_bits: float
+    value_bits: float
     floor_bits: float
     restarts: int
     budget: int
     seed: int
-    evaluations: int
+    samples: int  # alternations run
     restart_values: tuple[float, ...]
-    alice_state: np.ndarray = field(compare=False, repr=False)
-    bob_state: np.ndarray = field(compare=False, repr=False)
+    alice_state: np.ndarray
+    bob_state: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "n": self.n,
-            "method": "product-overlap",
-            "value_bits": self.best_bits,
-            "floor_bits": self.floor_bits,
-            "restarts": self.restarts,
-            "budget": self.budget,
-            "seed": self.seed,
-            "samples": self.evaluations,
-            "restart_values": list(self.restart_values),
-        }
+        fields = self._asdict()
+        del fields["alice_state"], fields["bob_state"]
+        return {"method": "product-overlap", **fields}
 
 
 def _top_vector(u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -387,12 +376,12 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
     return ErReport(
         target=f"rho_n({n})",
         n=n,
-        best_bits=max(best, floor),
+        value_bits=max(best, floor),
         floor_bits=floor,
         restarts=restarts,
         budget=budget,
         seed=seed,
-        evaluations=evaluations,
+        samples=evaluations,
         restart_values=tuple(max(v, floor) for v in restart_values),
         alice_state=best_state[0],
         bob_state=best_state[1],

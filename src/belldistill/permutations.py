@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class LocalUnitaryPair:
         return _kron([self.u_alice, self.u_bob])
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(NamedTuple):
     """Result of a Bell-aligned pair: the induced permutation and the unit
     phase picked up by each Bell state."""
 

@@ -12,7 +12,7 @@ construction (its builder's or one scan's); every check and solve reads them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -129,8 +129,7 @@ class DensityOperator:
     and their blocks, and copies only them if they are at most d^2 / 8."""
 
     matrix: np.ndarray
-    _entries: tuple = field(init=False, repr=False, compare=False)
-    _pt_spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _pt_spectrum = None  # not a field: set once by measures._pt_spectrum
 
     def __post_init__(self):
         view = _frozen_array(np.asarray(self.matrix, dtype=complex).view(), 2, copy=False)

@@ -229,7 +229,7 @@ def test_acceptance_property_suite():
 
 
 def test_acceptance_exploratory_search():
-    values = {n: er_search(n, restarts=1, seed=n).best_bits for n in range(1, 7)}
+    values = {n: er_search(n, restarts=1, seed=n).value_bits for n in range(1, 7)}
     exact = all(abs(v - (n - 2 if n % 2 == 0 else n - 1)) <= 1e-9
                 for n, v in values.items())
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from belldistill import DensityOperator, er_search, rho_n, to_dense
+from belldistill import DensityOperator, ErReport, er_search, rho_n, to_dense
 from belldistill.bell import MAX_COPIES
 from belldistill.cli import explore_er, main
 from belldistill.states import dm_to_json
@@ -94,7 +93,7 @@ def test_verify_exits_1_when_a_check_fails(runner, monkeypatch):
 
     def off_by_one(n, method):
         report = original(n, method=method)
-        return dataclasses.replace(report, value_bits=report.value_bits + 1.0)
+        return report._replace(value_bits=report.value_bits + 1.0)
 
     monkeypatch.setattr(cli, "er_bound_pair", off_by_one)
     result = invoke(runner, ["verify", "er-pair", "--n", "2"])
@@ -591,6 +590,14 @@ def test_explore_er_never_prints_below_the_floor(runner, n):
         assert data["value_bits"] >= data["floor_bits"], seed
         assert min(data["restart_values"]) >= data["floor_bits"], seed
         assert data["value_bits"] == pytest.approx(max(n - 2, 0), abs=1e-9)
+
+
+def test_explore_er_payload_keys_are_the_report_fields(runner):
+    # ErReport's fields are the payload's keys, the best product state aside
+    data = payload_of(invoke(runner, ["explore", "er", "--n", "2", "--restarts", "1"]))
+    states = {"alice_state", "bob_state"}
+    assert states <= set(ErReport._fields)
+    assert set(data) - {"command", "pass"} == set(ErReport._fields) - states | {"method"}
 
 
 def test_explore_er_budget_default_matches_library():

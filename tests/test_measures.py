@@ -276,7 +276,7 @@ def test_pairwise_separable_weight_sum_is_exact():
 def test_er_search_exact_values(n):
     # n - 2 for even n; n - 1 for odd n, where X^n and Z^n anticommute
     report = er_search(n, restarts=1, seed=n)
-    assert report.best_bits == pytest.approx(n - 2 if n % 2 == 0 else n - 1, abs=1e-9)
+    assert report.value_bits == pytest.approx(n - 2 if n % 2 == 0 else n - 1, abs=1e-9)
     assert report.floor_bits == max(n - 2, 0)
 
 
@@ -319,25 +319,25 @@ def test_er_search_dense_certificate(n):
     assert max(constant) - min(constant) <= 1e-12
     assert ppt_check(sigma).is_ppt
     assert relative_entropy(to_dense(rho_n(n)), sigma) == pytest.approx(
-        report.best_bits, abs=1e-12)
+        report.value_bits, abs=1e-12)
 
 
 def test_er_search_maximally_mixed_target():
     report = er_search(1, restarts=5, budget=1200, seed=2)
-    assert report.best_bits == pytest.approx(0.0, abs=1e-9)
+    assert report.value_bits == pytest.approx(0.0, abs=1e-9)
     assert report.floor_bits == 0.0
 
 
 def test_er_search_two_copy_target_converges():
     report = er_search(2, restarts=1, seed=0)
-    assert report.best_bits == pytest.approx(0.0, abs=1e-9)
-    assert report.evaluations <= 2  # one alternation reaches G, one confirms it
+    assert report.value_bits == pytest.approx(0.0, abs=1e-9)
+    assert report.samples <= 2  # one alternation reaches G, one confirms it
 
 
 def test_er_search_reproducible():
     a = er_search(3, restarts=2, budget=300, seed=9)
     b = er_search(3, restarts=2, budget=300, seed=9)
-    assert a.best_bits == b.best_bits
+    assert a.value_bits == b.value_bits
     assert a.to_dict() == b.to_dict()
     assert np.array_equal(a.alice_state, b.alice_state)
     assert a.to_dict()["method"] == "product-overlap"

@@ -111,6 +111,28 @@ def test_src_has_no_dead_private_names():
     assert _dead_private_names(modules) == []
 
 
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_dataclasses_validate_in_post_init():
+    # @dataclass generates and execs its methods at import; a value type that
+    # checks nothing is a NamedTuple instead
+    decorated, unchecked = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass_decorator, node.decorator_list))):
+                decorated.append(node.name)
+                if not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                           for item in node.body):
+                    unchecked.append(f"{path.name}:{node.lineno} {node.name}")
+    assert decorated
+    assert unchecked == []
+
+
 def test_kronecker_products_have_one_path():
     # every product goes through states._kron's outer-product chain, which
     # gives np.kron's bits without its per-call expand_dims and reshape
