@@ -7,6 +7,7 @@ describes it completely.  The dense path exists for cross-validation at small n.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -118,30 +119,34 @@ class _Product(Mapping):
         return math.prod(len(f.weights) for f in self.factors)
 
     def items(self):
-        return _expand(f.weights.items() for f in self.factors)
+        prefix, last = _blocks(f.weights.items() for f in self.factors)
+        return ((s + t, w * v) for s, w in prefix for t, v in last)
 
     def __eq__(self, other):
         if not isinstance(other, Mapping):
             return NotImplemented
+        if len(other) != len(self):
+            return False
         get = other.get
-        return len(other) == len(self) and all(get(s) == w for s, w in self.items())
+        prefix, last = _blocks(f.weights.items() for f in self.factors)
+        return all(get(s + t) == w * v for s, w in prefix for t, v in last)
 
     def __iter__(self):
         return (s for s, _ in self.items())
 
 
-def _expand(parts):
-    """Stream the product of weight maps given as re-iterable (string,
-    weight) pairs, the last varying fastest, holding only the product of all
-    but the last.  Strings concatenate; weights multiply left to right."""
+def _blocks(parts):
+    """The product of weight maps given as (string, weight) pairs, split in
+    two lists: the product of all but the last, and the last's own pairs.
+    Pairing each prefix with every last pair, in order, lists the product
+    with the last varying fastest.  Strings concatenate; weights multiply
+    left to right."""
 
     *lead, last = parts
     prefix = [("", 1.0)]
     for part in lead:
         prefix = [(s + t, w * v) for s, w in prefix for t, v in part]
-    for s, w in prefix:
-        for t, v in last:
-            yield s + t, w * v
+    return prefix, list(last)
 
 
 def _check_weight_sum(state: "BellDiagonalState") -> None:
@@ -247,15 +252,18 @@ class BellDiagonalState:
 
     def to_json(self) -> str:
         """The text of json.dumps({"n": n, "weights": ...}, sort_keys=True),
-        written directly.  A factor's strings share one length, so streaming
+        written directly.  A factor's strings share one length, so listing
         each factor's strings in sorted order (a plain map is one factor)
-        lists the map in sort_keys order; each distinct weight is formatted
-        once, by the float.__repr__ json calls."""
+        lists the map in sort_keys order.  The last factor's entries after
+        a prefix depend only on the prefix's weight, so each distinct prefix
+        weight's row is formatted once, by the float.__repr__ json calls."""
 
-        keyed = _expand(sorted(f.weights.items()) for f in self.factors)
-        reprs = {}
-        body = ", ".join([f'"{s}": {reprs.get(w) or reprs.setdefault(w, float.__repr__(w))}'
-                          for s, w in keyed])
+        prefix, last = _blocks(sorted(f.weights.items()) for f in self.factors)
+        rows = {}
+        for _, w in prefix:
+            if w not in rows:
+                rows[w] = [f'{t}": {float.__repr__(w * v)}' for t, v in last]
+        body = ", ".join(['"' + s + entry for s, w in prefix for entry in rows[w]])
         return f'{{"n": {self.n}, "weights": {{{body}}}}}'
 
     @classmethod
@@ -272,9 +280,11 @@ class BellDiagonalState:
         n = data.get("n")
         if type(n) is not int or n < 1:
             raise ValueError(f"copy count must be an integer >= 1, got {json.dumps(n)}")
+        values = raw.values()
         if (set(map(len, raw)) == {n} and (joined := "".join(raw)).isascii()
                 and not joined.encode().translate(None, b"1234")
-                and all(type(w) is float and w > 0 for w in raw.values())):
+                and set(map(type, values)) == {float} and min(values) > 0
+                and not math.isnan(sum(values))):  # min passes a NaN that is not first
             # every key is n of the characters 1234, so already canonical, and every
             # weight a positive float: the rules of check_bell_string and __post_init__,
             # which any other document goes through.  _trusted still checks the sum.
@@ -326,10 +336,21 @@ def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellD
     return rho_n(len(perms)).permute_per_copy(perms)
 
 
+# each of the 24 permutations of 1..4, as a tuple and as one-line text, to its tuple
+_PERMUTATIONS = {key: p for p in itertools.permutations((1, 2, 3, 4))
+                 for key in (p, "".join(map(str, p)))}
+
+
 def check_permutation(perm: Sequence[int] | str) -> tuple[int, int, int, int]:
     """perm's entries as a permutation of 1..4, each read as a Bell index is
-    (a digit character converts): one-line "2134" maps 1->2 and 2->1."""
+    (a digit character converts): one-line "2134" maps 1->2 and 2->1.  An
+    input equal to a tuple or one-line text in the table is read by one
+    lookup; any other goes through the rule."""
 
+    try:
+        return _PERMUTATIONS[perm]
+    except (KeyError, TypeError):  # not one of the 48 spellings, or unhashable
+        pass
     try:
         t = _integers(perm)
     except ValueError:  # a fractional, infinite or NaN entry

@@ -276,7 +276,6 @@ def test_copy_count_is_an_integer():
     assert BellDiagonalState.from_json(state.to_json()) == state
 
 
-
 def test_every_count_follows_the_copy_count_rule():
     # the bounds, the samplers, the search and the protocol read their counts
     # through the rule above, so a message names the value the caller passed
@@ -347,9 +346,21 @@ def test_permutation_parsing():
     # one-line notation is read by the same rule as any other spelling
     assert check_permutation("2134") == (2, 1, 3, 4)
     assert invert_permutation((2, 3, 4, 1)) == (4, 1, 2, 3)
-    for bad in ("2133", "213", "21345", "", "2 34"):
-        with pytest.raises(ValueError, match=f"^not a permutation of 1..4: {re.escape(repr(bad))}$"):
-            check_permutation(bad)
+    for bad in ("2133", "213", "21345", "", "2 34", "1123", (1, 2, 3), "12 34", (1, 2, 3, 4.5),
+                (1, 2, math.nan, 4)):
+        for read in (check_permutation, invert_permutation):
+            with pytest.raises(ValueError,
+                               match=f"^not a permutation of 1..4: {re.escape(repr(bad))}$"):
+                read(bad)
+    # the canonical tuples and strings are a table lookup; other spellings of
+    # the same permutation take the rule, and every one gives the same ints
+    for p in itertools.permutations((1, 2, 3, 4)):
+        inverse = tuple(p.index(i) + 1 for i in (1, 2, 3, 4))
+        for spelling in (p, "".join(map(str, p)), list(p), tuple(map(float, p)),
+                         tuple(True if i == 1 else i for i in p)):
+            t = check_permutation(spelling)
+            assert t == p and all(type(i) is int for i in t), spelling
+            assert invert_permutation(spelling) == inverse, spelling
     # entries must be integral, as Bell indices must: none is truncated
     assert check_permutation((2.0, 1, "3", 4)) == (2, 1, 3, 4)
     assert invert_permutation((2.0, "3", 4, 1)) == (4, 1, 2, 3)
@@ -359,6 +370,20 @@ def test_permutation_parsing():
                       invert_permutation):
             with pytest.raises(ValueError, match="not a permutation of 1..4"):
                 build(bad)
+
+
+def test_canonical_permutations_never_reach_the_general_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a canonical permutation went through _integers")
+
+    monkeypatch.setattr(bell, "_integers", refuse)
+    perms = ["2134", "3412", "4321", "1234"]
+    sigma = sigma_n(perms)
+    assert sigma.weights == {"2341": 0.25, "1432": 0.25, "3123": 0.25, "4214": 0.25}
+    back = sigma.permute_per_copy([invert_permutation(p) for p in perms])
+    assert back.weights == {i * 4: 0.25 for i in "1234"}
+    assert rho2_power(2).permute_per_copy(perms).weights == rho2_power(2).permute_per_copy(
+        [tuple(map(int, p)) for p in perms]).weights
 
 
 def test_bell_bits_are_the_parities_of_the_library_amplitudes():
@@ -540,6 +565,8 @@ def test_trusted_producers_pass_public_validation(rng):
 
 def test_to_json_matches_json_dumps_on_unsorted_and_varied_maps(rng):
     unsorted = {(4, 2): 0.125, (1, 3): 0.5, (3, 3): 0.25, (2, 4): 0.125}
+    tenths = BellDiagonalState(1, {(1,): 0.1, (2,): 0.2, (3,): 0.3, (4,): 0.4})
+    skewed = BellDiagonalState(1, {(1,): 0.05, (2,): 0.15, (3,): 0.35, (4,): 0.45})
     states = {
         "plain map out of order": BellDiagonalState(2, unsorted),
         "unsorted factor maps": rho2_power(3).permute_per_copy([(4, 3, 2, 1)] * 6),
@@ -552,10 +579,18 @@ def test_to_json_matches_json_dumps_on_unsorted_and_varied_maps(rng):
         "single copy": BellDiagonalState(1, {(3,): 0.75, (1,): 0.25}),
         "single-copy product": rho_n(1).tensor(rho_n(1)),
         "distinct weights": random_bell_diagonal(3, rng).tensor(random_bell_diagonal(2, rng)),
+        **{f"rho2_power({m})": rho2_power(m) for m in range(1, 8)},
+        "sample_pairwise_separable(3)": sample_pairwise_separable(3, rng),
+        "sigma_n between unequal weights": tenths.tensor(sigma_n(["2134", "3412"]), skewed,
+                                                         tenths),
     }
     assert list(states["unsorted factor maps"].weights)[0] == "4" * 6
     assert len(states["sample_pairwise_separable(4)"].weights) == 65_536
     assert len(set(states["distinct weights"].weights.values())) == 4 ** 5
+    # to_json formats a row per distinct prefix weight: one for rho2_power, many here
+    prefix, _ = bell._blocks(sorted(f.weights.items())
+                             for f in states["sigma_n between unequal weights"].factors)
+    assert len({w for _, w in prefix}) > 10
     for name, state in states.items():
         text = state.to_json()
         assert text == _reference_json(state), name
@@ -609,6 +644,14 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         ('{"n": 2, "weights": {"11": 1.0, "22": 0.0}}', False),  # zero dropped
         ('{"n": 1, "weights": {"1": 1.5, "2": -0.5}}', False),
         ('{"n": 2, "weights": {"11": NaN, "22": 0.5}}', False),
+        ('{"n": 2, "weights": {"11": 0.5, "22": 0.5, "33": NaN}}', False),  # min() passes it
+        ('{"n": 2, "weights": {"11": 0.5, "22": NaN, "33": 0.5}}', False),
+        ('{"n": 2, "weights": {"11": Infinity, "22": NaN}}', False),
+        ('{"n": 2, "weights": {"11": 0.5, "22": 0.5, "33": -0.0}}', False),
+        ('{"n": 2, "weights": {"11": -0.0, "22": 0.5, "33": 0.5}}', False),
+        ('{"n": 2, "weights": {"11": 0.5, "22": Infinity, "33": -Infinity}}', False),
+        ('{"n": 2, "weights": {"11": 1, "22": 0}}', False),
+        ('{"n": 2, "weights": {"11": 0.5, "22": 1}}', False),
         ('{"n": 4, "weights": {"12a4": 1.0}}', False),
         ('{"n": 4, "weights": {"1234": 0.5, "123": 0.5}}', False),  # wrong length
         ('{"n": 2, "weights": {"15": 1.0}}', False),
@@ -647,6 +690,8 @@ def test_from_json_bulk_matches_per_entry_parsing(monkeypatch):
         checked.clear()
         outcome = _outcome(BellDiagonalState.from_json, text)
         assert checked == [] or not bulk, text
+        if "NaN" in text:  # a NaN anywhere goes through the constructor
+            assert checked, text
         assert outcome == _outcome(_per_entry_from_json, text), text
         if not isinstance(outcome[0], int):  # every rejection is a one-line ValueError
             assert issubclass(outcome[0], ValueError) and "\n" not in outcome[1], text
@@ -857,7 +902,7 @@ def test_product_equality_with_another_size_does_not_expand(monkeypatch):
     def refuse(*args):
         raise AssertionError("equality expanded a product of another size")
 
-    monkeypatch.setattr(bell, "_expand", refuse)
+    monkeypatch.setattr(bell, "_blocks", refuse)
     assert rho2_power(9) != rho_n(18) and rho_n(18) != rho2_power(9)
     assert rho2_power(9).weights != rho2_power(8).weights
     assert rho2_power(2).weights != _expanded_rho2_power(3)
@@ -879,7 +924,7 @@ def test_factored_hot_paths_never_expand(monkeypatch, rng):
 
     monkeypatch.setattr(bell._Product, "__iter__", refuse)
     monkeypatch.setattr(bell._Product, "items", refuse)
-    monkeypatch.setattr(bell, "_expand", refuse)
+    monkeypatch.setattr(bell, "_blocks", refuse)
     separable = sample_pairwise_separable(5, rng)
     assert len(separable.weights) == 16 ** 5
     assert bell_diagonal_kl(rho_n(10), separable) >= 8 - 1e-12
@@ -897,7 +942,7 @@ def test_entropy_of_a_product_never_looks_strings_up(monkeypatch):
     state = rho2_power(4)
     assert isinstance(state.weights, bell._Product)
     monkeypatch.setattr(bell._Product, "__getitem__", refuse)
-    monkeypatch.setattr(bell, "_expand", refuse)
+    monkeypatch.setattr(bell, "_blocks", refuse)
     assert state.entropy_bits() == 8.0
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -498,6 +499,16 @@ def test_sigma_equiv_structured_large_n(runner):
     result = invoke(runner, ["sigma-equiv", "--perms", perms])
     assert result.exit_code == 0
     assert payload_of(result)["n"] == 8
+    rng = random.Random(10_000)
+    perms = ",".join("".join(map(str, rng.sample((1, 2, 3, 4), 4))) for _ in range(10_000))
+    result = invoke(runner, ["sigma-equiv", "--perms", perms])
+    assert result.exit_code == 0
+    data = payload_of(result)
+    assert data["n"] == 10_000 and data["perms"] == perms.split(",") and data["pass"] is True
+    assert {c["name"]: c["computed"] for c in data["checks"]} == {
+        "structured_weight_equality": True}
+    # the copies' four strings are not all constant, so sigma leaves rho_n's support
+    assert data["kl_sigma_vs_mixture_bits"] == "infinity"
 
 
 def test_sigma_equiv_dense_four_copies(runner):

@@ -92,6 +92,12 @@ def test_dm_from_ensemble_matches_full_outer_products(rng):
     ]
     ensembles += [[(w, psi) for w, psi in zip(rng.dirichlet(np.ones(4)),
                                               (bell_product_ket((i,)) for i in (4, 2, 1, 3)))]]
+    # 8 qubits: a full-support ket is added by row blocks, the others on their support
+    wide = [rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2)]
+    kets = [Ket(a / np.linalg.norm(a))
+            for a in (wide[0], np.where(np.arange(256) % 5 == 0, wide[0], 0), wide[1])]
+    ensembles += [list(zip([0.4, 0.1, 0.3, 0.2], kets + [bell_product_ket((2, 4, 1, 3))]))]
+    assert [np.count_nonzero(psi.amplitudes) for _, psi in ensembles[-1]] == [256, 52, 256, 16]
     for members in ensembles:
         naive = np.zeros((len(members[0][1].amplitudes),) * 2, dtype=complex)
         for w, psi in members:
