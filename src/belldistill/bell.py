@@ -256,13 +256,15 @@ class BellDiagonalState:
         each factor's strings in sorted order (a plain map is one factor)
         lists the map in sort_keys order.  The last factor's entries after
         a prefix depend only on the prefix's weight, so each distinct prefix
-        weight's row is formatted once, by the float.__repr__ json calls."""
+        weight's row is built once, and each distinct weight in it formatted
+        once, by the float.__repr__ json calls."""
 
         prefix, last = _blocks(sorted(f.weights.items()) for f in self.factors)
-        rows = {}
+        rows, reprs, fmt = {}, {}, float.__repr__
         for _, w in prefix:
-            if w not in rows:
-                rows[w] = [f'{t}": {float.__repr__(w * v)}' for t, v in last]
+            if w not in rows:  # a plain map's one row repeats weights: format each once
+                rows[w] = [f'{t}": {reprs.get(x := w * v) or reprs.setdefault(x, fmt(x))}'
+                           for t, v in last]
         body = ", ".join(['"' + s + entry for s, w in prefix for entry in rows[w]])
         return f'{{"n": {self.n}, "weights": {{{body}}}}}'
 
@@ -343,14 +345,15 @@ _PERMUTATIONS = {key: p for p in itertools.permutations((1, 2, 3, 4))
 
 def check_permutation(perm: Sequence[int] | str) -> tuple[int, int, int, int]:
     """perm's entries as a permutation of 1..4, each read as a Bell index is
-    (a digit character converts): one-line "2134" maps 1->2 and 2->1.  An
-    input equal to a tuple or one-line text in the table is read by one
-    lookup; any other goes through the rule."""
+    (a digit character converts): one-line "2134" maps 1->2 and 2->1.  A
+    str, or a tuple of ints, in the table is read by one lookup; any other
+    input goes through the rule."""
 
-    try:
-        return _PERMUTATIONS[perm]
-    except (KeyError, TypeError):  # not one of the 48 spellings, or unhashable
-        pass
+    # only those two types: under == the table would also match (1.0, 2, 3, 4)
+    # or (1 + 0j, 2, 3, 4), which the rule must read
+    if type(perm) is str or type(perm) is tuple and set(map(type, perm)) == {int}:
+        if (t := _PERMUTATIONS.get(perm)) is not None:
+            return t
     try:
         t = _integers(perm)
     except ValueError:  # a fractional, infinite or NaN entry

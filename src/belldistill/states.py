@@ -163,9 +163,6 @@ class DensityOperator:
         return rho
 
 
-_ROW_BLOCK = 64  # rows of a full-support term added at once: 4 MiB at 12 qubits
-
-
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
     """Mixture sum(w_k |psi_k><psi_k|) of kets on one register.  Its entries
     are recorded from the kets' supports, less exact cancellations, unless
@@ -188,12 +185,7 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         # would add exact zeros, so every entry gets the same arithmetic
         a = psi.amplitudes
         on = np.flatnonzero(a)
-        if on.size == d:  # a whole row block at a time, not a d x d gather and scatter
-            ac = a.conj()
-            for i in range(0, d, _ROW_BLOCK):
-                rho[i:i + _ROW_BLOCK] += w * np.outer(a[i:i + _ROW_BLOCK], ac)
-        else:
-            rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
+        rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
         supports[on.tobytes()] = on
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")

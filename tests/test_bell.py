@@ -361,6 +361,12 @@ def test_permutation_parsing():
             t = check_permutation(spelling)
             assert t == p and all(type(i) is int for i in t), spelling
             assert invert_permutation(spelling) == inverse, spelling
+    # only a str or a tuple of ints is looked up: a complex entry equal to 1
+    # reaches int() whatever the other entries are, as it did before the table
+    for bad in ((1 + 0j, 2, 3, 4), (1 + 0j, "2", 3, 4)):
+        for read in (check_permutation, invert_permutation):
+            with pytest.raises(TypeError, match="not 'complex'$"):
+                read(bad)
     # entries must be integral, as Bell indices must: none is truncated
     assert check_permutation((2.0, 1, "3", 4)) == (2, 1, 3, 4)
     assert invert_permutation((2.0, "3", 4, 1)) == (4, 1, 2, 3)

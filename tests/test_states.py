@@ -92,7 +92,7 @@ def test_dm_from_ensemble_matches_full_outer_products(rng):
     ]
     ensembles += [[(w, psi) for w, psi in zip(rng.dirichlet(np.ones(4)),
                                               (bell_product_ket((i,)) for i in (4, 2, 1, 3)))]]
-    # 8 qubits: a full-support ket is added by row blocks, the others on their support
+    # 8 qubits: two full-support kets, a sparse one and a Bell product, each added on its support
     wide = [rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2)]
     kets = [Ket(a / np.linalg.norm(a))
             for a in (wide[0], np.where(np.arange(256) % 5 == 0, wide[0], 0), wide[1])]
