@@ -341,6 +341,7 @@ def sigma_n(perms: Sequence[tuple[int, int, int, int]] | Sequence[str]) -> BellD
 # each of the 24 permutations of 1..4, as a tuple and as one-line text, to its tuple
 _PERMUTATIONS = {key: p for p in itertools.permutations((1, 2, 3, 4))
                  for key in (p, "".join(map(str, p)))}
+_INVERSES = {p: tuple(p.index(i) + 1 for i in (1, 2, 3, 4)) for p in _PERMUTATIONS.values()}
 
 
 def check_permutation(perm: Sequence[int] | str) -> tuple[int, int, int, int]:
@@ -364,10 +365,7 @@ def check_permutation(perm: Sequence[int] | str) -> tuple[int, int, int, int]:
 
 
 def invert_permutation(perm: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    inv = [0, 0, 0, 0]
-    for i, image in enumerate(check_permutation(perm), start=1):
-        inv[image - 1] = i
-    return tuple(inv)
+    return _INVERSES[check_permutation(perm)]
 
 
 def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .states import (DensityOperator, Ket, _eigh_blocks, _hermitian_entries, _kept_entries,
-                     _real_diagonal, _sparse_zeros)
+from .states import (DensityOperator, Ket, _eigh_blocks, _hermitian_entries, _nonzero_among,
+                     _real_diagonal)
 
 # Eigenvalues at or below this are treated as exact zeros for entropy and
 # support purposes; dimensions are <= 4096 so eigensolver noise stays well
@@ -49,15 +49,15 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     return vals[order], vecs[:, order]
 
 
-def _spectrum(m: np.ndarray, entries, weigh: DensityOperator | None = None):
+def _spectrum(m, entries, weigh: DensityOperator | None = None, values=None):
     """Eigenvalues of a Hermitian matrix in ascending order, solved block by
     block over its `entries` (the stable sort keeps the order of a one-block
-    solve).  With the state `weigh`, also the weight <v|weigh|v> on each
-    eigenvector v, in the same order, from `weigh` on m's diagonal blocks
-    only (a 1x1 block's weight from `weigh`'s recorded diagonal)."""
+    solve; `values` as in `_eigh_blocks`).  With the state `weigh`, also the
+    weight <v|weigh|v> on each eigenvector v, in the same order, from `weigh`
+    on the diagonal blocks only (a 1x1 block's weight from `weigh`'s recorded diagonal)."""
 
-    groups = _eigh_blocks(m, entries, vectors=weigh is not None)
-    vals = np.concatenate([values.ravel() for _, values, _ in groups])
+    groups = _eigh_blocks(m, entries, vectors=weigh is not None, values=values)
+    vals = np.concatenate([v.ravel() for _, v, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
         return vals[order]
@@ -124,12 +124,17 @@ def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
 
 
 def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
-    """(1/2) ||rho - tau||_1 from the eigenvalues of the difference, at the entries only."""
+    """(1/2) ||rho - tau||_1 from the eigenvalues of the difference, solved from its entries."""
 
     if rho.matrix.shape != tau.matrix.shape:
         raise ValueError("states must have the same number of qubits")
     d = len(rho.matrix)
-    k = np.concatenate([r * d + c for r, c in (rho._entries, tau._entries)])
-    diff = _sparse_zeros(d)
-    np.put(diff, k, np.take(rho.matrix, k) - np.take(tau.matrix, k))
-    return float(0.5 * np.sum(np.abs(_spectrum(diff, _kept_entries(diff, k)))))
+
+    def diff(r, c):  # tau is read a slice at a time: one full gather is held, not two
+        v = rho.matrix[r, c]
+        for s in range(0, v.size, 1 << 14):
+            v[s:s + (1 << 14)] -= tau.matrix[r[s:s + (1 << 14)], c[s:s + (1 << 14)]]
+        return v
+
+    r, c = _nonzero_among([r * d + c for r, c in (rho._entries, tau._entries)], d, diff)
+    return float(0.5 * np.sum(np.abs(_spectrum(d, (r, c), values=lambda: diff(r, c)))))

@@ -34,7 +34,7 @@ from .entropies import (
     shannon_bits,
     trace_distance,
 )
-from .states import DensityOperator, _kron, check_dense_size, partial_transpose_matrix, reorder
+from .states import DensityOperator, _kron, check_dense_size, partial_transpose_entries, reorder
 
 
 class DivergenceReport(NamedTuple):
@@ -172,12 +172,13 @@ class PptReport(NamedTuple):
 
 
 def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
-    """Ascending spectrum of the partial transpose over Bob's qubits, the
-    odd axes, solved once per state and kept on it as `_pt_spectrum`."""
+    """Ascending spectrum of the partial transpose over Bob's qubits, the odd
+    axes, solved once per state from its moved entries and kept on it as `_pt_spectrum`."""
 
     if rho._pt_spectrum is None:
-        pt = partial_transpose_matrix(rho.matrix, range(1, rho.n_qubits, 2), rho._entries)
-        object.__setattr__(rho, "_pt_spectrum", _spectrum(*pt))
+        moved = partial_transpose_entries(rho.n_qubits, range(1, rho.n_qubits, 2), rho._entries)
+        spectrum = _spectrum(len(rho.matrix), moved, values=lambda: rho.matrix[rho._entries])
+        object.__setattr__(rho, "_pt_spectrum", spectrum)
     return rho._pt_spectrum
 
 

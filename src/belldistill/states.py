@@ -6,7 +6,8 @@ partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
 sparse Bell-diagonal representation.  Builders fill matrices on private
 4 KiB pages.  A density operator holds its exact-nonzero entries from
-construction (its builder's or one scan's); every check and solve reads them.
+construction (its builder's or one scan's); every check and solve reads them,
+and the partial transpose and a difference of states are solved from entries.
 """
 
 from __future__ import annotations
@@ -191,17 +192,18 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
     if 8 * sum(on.size ** 2 for on in supports.values()) > d * d:
         return DensityOperator._trusted(rho)
-    k = np.concatenate([(on[:, None] * d + on).ravel() for on in supports.values()])
-    return DensityOperator._trusted(rho, _kept_entries(rho, k))
+    flat = [(on[:, None] * d + on).ravel() for on in supports.values()]
+    return DensityOperator._trusted(rho, _nonzero_among(flat, d, lambda r, c: rho[r, c]))
 
 
-def _kept_entries(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, in row-major order, of the nonzero entries at `k`."""
+def _nonzero_among(parts, d: int, value) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (row-major, once each) of the flat `parts` where value(rows, cols) != 0."""
 
-    k = np.sort(k)
-    keep = np.take(m, k) != 0  # an exact cancellation drops out
-    keep[1:] &= k[1:] != k[:-1]  # and so does a repeat (np.unique would import numpy.ma)
-    return np.divmod(k[keep], len(m))
+    k = np.sort(np.concatenate(parts))
+    r, c = np.divmod(k[np.append(True, k[1:] != k[:-1])], d)  # np.unique would import numpy.ma
+    del k  # not held while the values are made
+    on = value(r, c) != 0  # an exact cancellation drops out
+    return r[on], c[on]
 
 
 def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,9 +215,9 @@ def _nonzero_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(k, len(m))
 
 
-def _block_labels(m: np.ndarray, entries) -> np.ndarray:
-    """The smallest index of each index's connected component in the
-    symmetrised exact-nonzero pattern of a square matrix (its `entries`).
+def _block_labels(d: int, entries) -> np.ndarray:
+    """The smallest index of each of 0..d-1's connected component in the
+    symmetrised exact-nonzero pattern of a d x d operator (its `entries`).
 
     Each index takes the smallest label among its neighbours in either
     direction, over the nonzero entries, until nothing changes; pointer
@@ -223,7 +225,7 @@ def _block_labels(m: np.ndarray, entries) -> np.ndarray:
     so the peak stays near the int32 indices."""
 
     r, c = entries
-    label = np.arange(len(m))
+    label = np.arange(d)
     while True:
         new = label.copy()
         np.minimum.at(new, r, label[c])
@@ -241,7 +243,7 @@ def _real_diagonal(m: np.ndarray, entries) -> np.ndarray:
     return np.bincount(on, m[on, on].real, len(m))
 
 
-def _eigh_blocks(m: np.ndarray, entries, vectors: bool = True) -> list[tuple]:
+def _eigh_blocks(m, entries, vectors: bool = True, values=None) -> list[tuple]:
     """Eigensolve a Hermitian matrix block by block; the only dense solve.
 
     The blocks are the connected components of the matrix's exact-nonzero
@@ -249,6 +251,8 @@ def _eigh_blocks(m: np.ndarray, entries, vectors: bool = True) -> list[tuple]:
     that forms one block is solved whole by one `np.linalg.eigh` (or
     `eigvalsh` without `vectors`) with the same digits.  Blocks of one
     size go through one stacked call; 1x1 blocks are read off the diagonal.
+    With `values`, a function making the values at the `entries`, `m` is only d, and
+    each size's blocks are scattered into zeros from values made for that scatter alone.
     Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
     lists the k blocks of that size, `values` (k, s) their ascending
     eigenvalues and `vecs` (k, s, s) their eigenvectors, or None.
@@ -259,22 +263,33 @@ def _eigh_blocks(m: np.ndarray, entries, vectors: bool = True) -> list[tuple]:
             return np.linalg.eigh(a)
         return np.linalg.eigvalsh(a), None
 
-    label = _block_labels(m, entries)
+    d = len(m) if values is None else m
+    r, c = entries
+    label = _block_labels(d, entries)
     if not label.any():
-        values, vecs = solve(m)
-        return [(np.arange(len(m))[None], values[None], None if vecs is None else vecs[None])]
+        if values is not None:  # one (d, d) scatter, with no per-entry block indices
+            m = np.zeros((d, d), dtype=complex)
+            m[r, c] = values()
+        vals, vecs = solve(m)
+        return [(np.arange(d)[None], vals[None], None if vecs is None else vecs[None])]
     order = np.argsort(label, kind="stable")
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
     groups = []
     # a bare np.unique imports numpy.ma, which a set of a few ints does not need
     for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
-        if s == 1:
-            values = _real_diagonal(m, entries)[rows]
-            vecs = np.ones((len(rows), 1, 1), dtype=m.dtype) if vectors else None
+        if values is not None:  # at[i] numbers index i among these blocks' rows, in order
+            at = np.full(d, -1)
+            at[rows] = np.arange(rows.size).reshape(rows.shape)
+            on = at[r] >= 0
+            a = np.zeros((len(rows), s, s), dtype=complex)
+            a.reshape(-1)[at[r[on]] * s + at[c[on]] % s] = values()[on]
+        if s == 1:  # read off the diagonal
+            vals = _real_diagonal(m, entries)[rows] if values is None else a.real[:, :, 0]
+            vecs = np.ones((len(rows), 1, 1), dtype=complex) if vectors else None
         else:
-            values, vecs = solve(m[rows[:, :, None], rows[:, None, :]])
-        groups.append((rows, values, vecs))
+            vals, vecs = solve(a if values is not None else m[rows[:, :, None], rows[:, None, :]])
+        groups.append((rows, vals, vecs))
     return groups
 
 
@@ -302,28 +317,24 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator._trusted(reduced.reshape(d, d))
 
 
-def partial_transpose_matrix(matrix: np.ndarray, axes: Sequence[int],
-                             entries) -> tuple[np.ndarray, tuple]:
-    """Transpose the given qubit axes only, permuting the nonzero `entries`:
-    with q = log2(len(matrix)), axis k is bit q - 1 - k of an index, and an
-    entry swaps its row's and column's bits on those axes.  Returns the
-    result and its entries."""
+def partial_transpose_entries(n_qubits: int, axes: Sequence[int], entries) -> tuple:
+    """Where the partial transpose over the given qubit axes moves the nonzero `entries`
+    of an operator on n_qubits, in order: axis k is bit n_qubits - 1 - k of an index,
+    and an entry's row and column trade their bits on those axes (its value goes along)."""
 
-    q = len(matrix).bit_length() - 1
-    mask = sum(1 << (q - 1 - ax) for ax in _check_axes(axes, q))
+    mask = sum(1 << (n_qubits - 1 - ax) for ax in _check_axes(axes, n_qubits))
     r, c = entries
     swap = (r ^ c) & mask  # the masked bits where row and column differ
-    moved = r ^ swap, c ^ swap  # the row's and column's bits traded on the axes
-    out = _sparse_zeros(len(matrix))
-    out[moved] = matrix[r, c]
-    return out, moved
+    return r ^ swap, c ^ swap
 
 
 def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
-    """Partial transpose over the given qubit axes.  Result is Hermitian and
-    unit-trace but generally not positive, so a raw matrix is returned."""
+    """Partial transpose over the given qubit axes, filled at the moved entries.
+    Result is Hermitian and unit-trace but generally not positive, so a raw matrix is returned."""
 
-    return partial_transpose_matrix(rho.matrix, axes, rho._entries)[0]
+    out = _sparse_zeros(len(rho.matrix))
+    out[partial_transpose_entries(rho.n_qubits, axes, rho._entries)] = rho.matrix[rho._entries]
+    return out
 
 
 def reorder(state: Ket | DensityOperator, new_order: Sequence[int]):

@@ -390,6 +390,11 @@ def test_canonical_permutations_never_reach_the_general_rule(monkeypatch):
     assert back.weights == {i * 4: 0.25 for i in "1234"}
     assert rho2_power(2).permute_per_copy(perms).weights == rho2_power(2).permute_per_copy(
         [tuple(map(int, p)) for p in perms]).weights
+    # every inverse is one lookup, and composes with its permutation to the identity
+    for p in itertools.permutations((1, 2, 3, 4)):
+        for spelling in (p, "".join(map(str, p))):
+            inv = invert_permutation(spelling)
+            assert tuple(p[i - 1] for i in inv) == tuple(inv[i - 1] for i in p) == (1, 2, 3, 4)
 
 
 def test_bell_bits_are_the_parities_of_the_library_amplitudes():

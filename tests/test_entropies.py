@@ -13,17 +13,21 @@ from belldistill import (
     bell_product_ket,
     fidelity_pure,
     herm_eig,
+    partial_transpose,
     relative_entropy,
     rho_n,
+    sigma_n,
     to_dense,
     trace_distance,
     von_neumann_entropy,
 )
 
+from belldistill import measures
 from belldistill.entropies import _spectrum
 from belldistill.states import _nonzero_entries
 
-from conftest import kron_state, planted_blocks, random_density, resident_growth_kib
+from conftest import (kron_state, planted_blocks, random_bell_diagonal, random_density,
+                      resident_growth_kib)
 
 
 def test_herm_eig_examples():
@@ -236,3 +240,105 @@ def test_twelve_qubit_state_makes_only_its_written_pages_resident():
         "for i in (1, 2, 3, 4):\n"
         "    assert abs(bd.fidelity_pure(rho, bd.bell_product_ket((i,) * 6)) - 0.25) < 1e-12")
     assert grown < 16 * 1024  # KiB
+
+
+# --- solving from entries ---------------------------------------------------------
+#
+# The partial transpose and the trace-distance difference are solved from their
+# entries and values without filling a d x d matrix.  The reference fills the
+# matrix (the public partial_transpose, or a dense difference), scans it and
+# solves it; every eigenvalue must agree bit for bit.
+
+
+def _filled_spectrum(m: np.ndarray) -> np.ndarray:
+    return _spectrum(m, _nonzero_entries(m))
+
+
+def _dense_difference(rho, tau) -> np.ndarray:
+    """rho - tau as one matrix, written at the two states' entries (elsewhere
+    both are zero), so a 12-qubit difference makes only those pages resident."""
+
+    out = np.zeros(rho.matrix.shape, dtype=complex)
+    for r, c in (rho._entries, tau._entries):
+        out[r, c] = rho.matrix[r, c] - tau.matrix[r, c]
+    return out
+
+
+def _planted_state(sizes, seed):
+    g = planted_blocks(np.random.default_rng(seed), sizes)
+    m = g @ g.conj().T  # keeps the planted blocks, exact zeros off them
+    return DensityOperator(m / np.trace(m).real)
+
+
+SOLVED_STATES = {
+    **{f"rho_n({n})": lambda n=n: to_dense(rho_n(n)) for n in range(1, 7)},
+    **{f"bell-diagonal-{n}": lambda n=n: to_dense(random_bell_diagonal(
+        n, np.random.default_rng(n))) for n in (1, 2, 3)},
+    **{f"bell-diagonal-{n}-partial": lambda n=n: to_dense(random_bell_diagonal(
+        n, np.random.default_rng(10 + n), support=4 ** n // 3 + 1)) for n in (1, 2, 3)},
+    "planted-16": lambda: _planted_state((8, 1, 0, 4, 2), 16),
+    "planted-64": lambda: _planted_state((16, 8, 8, 4, 4, 2, 1, 0, 0, 19), 64),
+    "random-4": lambda: random_density(4, np.random.default_rng(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_STATES))
+def test_pt_spectrum_from_entries_matches_the_filled_matrix(name):
+    rho = SOLVED_STATES[name]()
+    filled = _filled_spectrum(partial_transpose(rho, range(1, rho.n_qubits, 2)))
+    assert np.array_equal(measures._pt_spectrum(rho), filled)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_STATES))
+def test_trace_distance_from_entries_matches_the_dense_difference(name):
+    rho = SOLVED_STATES[name]()
+    q = rho.n_qubits
+    others = [to_dense(rho_n(q // 2)), to_dense(sigma_n(["2134"] * (q // 2 - 1) + ["3412"]))]
+    if q <= 8:  # full matrices
+        others += [DensityOperator(np.eye(2 ** q) / 2 ** q),
+                   random_density(q, np.random.default_rng(q))]
+    for tau in others:
+        for a, b in ((rho, tau), (tau, rho)):
+            filled = 0.5 * np.sum(np.abs(_filled_spectrum(_dense_difference(a, b))))
+            assert trace_distance(a, b) == float(filled)
+
+
+@pytest.mark.parametrize("perms, other, kept", [
+    (["2134", "3412"], ["3412", "2134"], 8),  # of 16 entries
+    (["2134", "3412", "4321", "1234"], ["3412", "2134", "1234", "4321"], 128),  # of 256
+    (["1234"] * 3, ["2143"] * 3, 0),  # of 64: the same state
+    (None, ["2134"] * 6, 0),  # rho_n(6) against itself relabelled, 4,096 entries
+])
+def test_trace_distance_drops_the_entries_that_cancel(perms, other, kept):
+    rho = to_dense(rho_n(len(other)) if perms is None else sigma_n(perms))
+    tau = to_dense(sigma_n(other))
+    diff = _dense_difference(rho, tau)
+    assert np.count_nonzero(diff) == kept
+    assert trace_distance(rho, tau) == float(0.5 * np.sum(np.abs(_filled_spectrum(diff))))
+    assert trace_distance(rho, tau) == (0.0 if kept == 0 else pytest.approx(1.0, abs=1e-12))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_trace_distance_fills_no_matrix_for_sparse_states():
+    # the difference has no nonzero entry; filling its 256 MiB matrix on a
+    # private mapping made 2.4 MiB resident
+    grown = resident_growth_kib(
+        "import belldistill as bd\nrho = bd.to_dense(bd.rho_n(6))\n"
+        "tau = bd.to_dense(bd.sigma_n(['2134'] * 6))",
+        "assert bd.trace_distance(rho, tau) == 0.0")
+    assert grown < 1024  # KiB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_trace_distance_of_a_full_state_costs_one_filled_matrix():
+    # one block: the 4 MiB difference is scattered into one (d, d) array and
+    # tau is read a slice at a time (about 5.0 MiB resident); a scatter through
+    # per-entry block indices made 14.1 MiB resident, and two whole gathers of
+    # the difference 11.1 MiB
+    grown = resident_growth_kib(
+        "import numpy as np\nimport belldistill as bd\n"
+        "g = np.random.default_rng(9).standard_normal((512, 1024)).view(complex)\n"
+        "m = g @ g.conj().T\nrho = bd.DensityOperator(m / np.trace(m).real)\n"
+        "mixed = bd.DensityOperator(np.eye(512) / 512)",
+        "assert 0 < bd.trace_distance(rho, mixed) < 1")
+    assert grown < 10 * 1024  # KiB

@@ -102,6 +102,32 @@ def test_large_pair_bound_streams_its_strings():
     assert grown < 10 * 1024  # KiB
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ppt_and_log_negativity_fill_no_matrix_for_sparse_states():
+    # rho_n(6) has 4,096 entries of 16.8 million: the spectrum is solved from
+    # the moved entries; filling the partial transpose on a private mapping
+    # made 17.6 MiB resident
+    grown = resident_growth_kib(
+        "import belldistill as bd\nrho = bd.to_dense(bd.rho_n(6))",
+        "assert not bd.ppt_check(rho).is_ppt\n"
+        "assert abs(bd.log_negativity(rho) - 4.0) < 1e-9")
+    assert grown < 4 * 1024  # KiB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ppt_of_a_full_state_costs_one_filled_matrix():
+    # one block: the moved entries are scattered into one (d, d) array from
+    # values made for the scatter (about 1.5 MiB resident); a scatter through
+    # per-entry block indices made 9.8 MiB resident, just under this bound, so
+    # the full-state trace-distance guard is the one that catches that case
+    grown = resident_growth_kib(
+        "import numpy as np\nimport belldistill as bd\n"
+        "g = np.random.default_rng(9).standard_normal((512, 1024)).view(complex)\n"
+        "m = g @ g.conj().T\nrho = bd.DensityOperator(m / np.trace(m).real)",
+        "assert -1 < bd.ppt_check(rho).min_eigenvalue < 1")
+    assert grown < 10 * 1024  # KiB
+
+
 def test_pair_bound_n2_coincides_dense():
     report = er_bound_pair(2, method="dense")
     assert report.value_bits == pytest.approx(0.0, abs=1e-8)
@@ -145,13 +171,13 @@ def test_log_negativity_is_never_below_zero():
 
 def test_ppt_and_log_negativity_share_one_partial_transpose(monkeypatch):
     calls = []
-    real = measures.partial_transpose_matrix
+    real = measures.partial_transpose_entries
 
     def counting(*args):
-        calls.append(len(args[0]).bit_length() - 1)  # the qubit count
+        calls.append(args[0])  # the qubit count
         return real(*args)
 
-    monkeypatch.setattr(measures, "partial_transpose_matrix", counting)
+    monkeypatch.setattr(measures, "partial_transpose_entries", counting)
     rho = to_dense(rho_n(3))
     report = ppt_check(rho)
     value = log_negativity(rho)

@@ -161,7 +161,7 @@ def test_dense_eigensolves_have_one_path():
     from belldistill import entropies, states
 
     for fn, name in ((states._check_trace, "entries"), (states._block_labels, "entries"),
-                     (states._eigh_blocks, "entries"), (states.partial_transpose_matrix, "entries"),
+                     (states._eigh_blocks, "entries"), (states.partial_transpose_entries, "entries"),
                      (entropies._spectrum, "entries")):
         param = inspect.signature(fn).parameters[name]
         assert param.default is inspect.Parameter.empty, fn.__name__

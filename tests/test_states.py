@@ -27,7 +27,7 @@ from belldistill.permutations import H, S
 from belldistill.bell import BELL_AMPLITUDES
 from belldistill import states
 from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
-                                 partial_transpose_matrix)
+                                 partial_transpose_entries)
 
 from conftest import dump_matrix, kron_state, planted_blocks, random_density, resident_growth_kib
 
@@ -168,7 +168,7 @@ def test_partial_transpose_involution_and_trace(seed, n):
     rho = random_density(2 * n, gen)
     bob = range(1, 2 * n, 2)
     once = partial_transpose(rho, bob)
-    twice, _ = partial_transpose_matrix(once, bob, _nonzero_entries(once))
+    twice = _transposed(once, bob)
     assert np.array_equal(twice, rho.matrix)  # bit-exact involution
     assert abs(np.trace(once).real - 1.0) < 1e-12
     assert np.max(np.abs(once - once.conj().T)) < 1e-12
@@ -427,6 +427,16 @@ def _reference_partial_transpose(matrix: np.ndarray, n_qubits: int, axes) -> np.
     return matrix.reshape((2,) * (2 * n_qubits)).transpose(perm)
 
 
+def _transposed(a: np.ndarray, axes) -> np.ndarray:
+    """A matrix holding a's values where `partial_transpose_entries` moves
+    a's nonzero entries, and zeros elsewhere."""
+
+    entries = _nonzero_entries(a)
+    out = np.zeros(a.shape, dtype=a.dtype)
+    out[partial_transpose_entries(len(a).bit_length() - 1, axes, entries)] = a[entries]
+    return out
+
+
 def _chain(gen, d):
     """Entries only at (p[i], p[i+1]) for a random order p: one component
     whose every link is nonzero on one side of the diagonal only."""
@@ -475,14 +485,14 @@ def _random_matrix(name):
 @pytest.mark.parametrize("name", sorted(BELL_DIAGONAL))
 def test_block_labels_match_reference_on_bell_diagonal_states(name):
     m = to_dense(BELL_DIAGONAL[name]()).matrix
-    assert np.array_equal(_block_labels(m, _nonzero_entries(m)), _reference_labels(m))
+    assert np.array_equal(_block_labels(len(m), _nonzero_entries(m)), _reference_labels(m))
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_MATRICES))
 def test_block_labels_match_reference_on_random_matrices(name):
     m = _random_matrix(name)
     for a in (m, m.T, m.conj().T):
-        assert np.array_equal(_block_labels(a, _nonzero_entries(a)), _reference_labels(a))
+        assert np.array_equal(_block_labels(len(a), _nonzero_entries(a)), _reference_labels(a))
 
 
 def _axis_sets(q):
@@ -494,7 +504,7 @@ def test_partial_transpose_matches_reference_on_bell_diagonal_states(name):
     rho = to_dense(BELL_DIAGONAL[name]())
     q = rho.n_qubits
     for axes in _axis_sets(q) if q < 12 else [range(1, q, 2)]:
-        out, _ = partial_transpose_matrix(rho.matrix, axes, rho._entries)
+        out = partial_transpose(rho, axes)
         assert out.dtype == rho.matrix.dtype and out.shape == rho.matrix.shape
         assert np.array_equal(out.reshape((2,) * (2 * q)),
                               _reference_partial_transpose(rho.matrix, q, axes))
@@ -507,7 +517,7 @@ def test_partial_transpose_matches_reference_on_random_matrices(name):
     q = len(m).bit_length() - 1
     for a in (m, m.T):  # the transposed view is not C-contiguous
         for axes in _axis_sets(q):
-            assert np.array_equal(partial_transpose_matrix(a, axes, _nonzero_entries(a))[0],
+            assert np.array_equal(_transposed(a, axes),
                                   _reference_partial_transpose(a, q, axes).reshape(a.shape))
 
 
@@ -541,8 +551,8 @@ def test_recorded_entries_match_the_scan(name, monkeypatch):
         assert scans == []
     assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
     for axes in _axis_sets(q):
-        out, entries = partial_transpose_matrix(rho.matrix, axes, rho._entries)
-        assert _entry_set(entries, d) == _entry_set(_nonzero_entries(out), d)
+        moved = partial_transpose_entries(q, axes, rho._entries)
+        assert _entry_set(moved, d) == _entry_set(_nonzero_entries(partial_transpose(rho, axes)), d)
 
 
 def test_recorded_entries_of_to_dm_match_the_scan(rng, monkeypatch):
