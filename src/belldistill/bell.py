@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _kron, check_dense_size, dm_from_ensemble
+from .states import DensityOperator, Ket, _kron, _mixture, _sparse_zeros, check_dense_size
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_COPIES = 10 ** 6  # er-pair streams 16 strings of 2n digits: 39 MB peak at n = 10^6
@@ -33,6 +33,9 @@ BELL_AMPLITUDES = np.array(
     dtype=complex,
 )
 BELL_AMPLITUDES.flags.writeable = False
+# each index's support (|00>, |11> for z = 0; |01>, |10> for z = 1) and its amplitudes there
+_SUPPORTS = {str(i): (np.flatnonzero(a), a[a != 0]) for i, a in enumerate(BELL_AMPLITUDES, 1)}
+_Z_BITS = str.maketrans("1234", "0011")
 
 
 def bell_bits(i: int) -> tuple[int, int]:
@@ -390,8 +393,25 @@ def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:
 
 def to_dense(b: BellDiagonalState) -> DensityOperator:
     """Dense density operator sum_s w(s) |Phi_s><Phi_s| on the canonical
-    copy-major register (capped at 12 qubits)."""
+    copy-major register (capped at 12 qubits).  The strings of one z pattern
+    share a support, disjoint from the others': each pattern's block adds its
+    strings' outer products in sorted order, from `_kron`'s amplitudes there,
+    with no ket, so every entry gets `dm_from_ensemble`'s terms in its order."""
 
     check_dense_size(2 * b.n)
-    members = [(w, bell_product_ket(s)) for s, w in sorted(b.weights.items())]
-    return dm_from_ensemble(members)
+    groups, total = {}, 0.0
+    for s, w in sorted(b.weights.items()):
+        groups.setdefault(s.translate(_Z_BITS), []).append((s, w))
+        total += w  # dm_from_ensemble's sum, in its order
+    rho, supports = _sparse_zeros(4 ** b.n), []
+    for members in groups.values():
+        on = np.zeros(1, dtype=np.intp)
+        for c in members[0][0]:
+            on = (4 * on[:, None] + _SUPPORTS[c][0]).ravel()
+        block = np.zeros((len(on), len(on)), dtype=complex)
+        for s, w in members:
+            a = _kron([_SUPPORTS[c][1] for c in s])
+            block += w * np.outer(a, a.conj())
+        rho[np.ix_(on, on)] = block
+        supports.append(on)
+    return _mixture(rho, total, supports)

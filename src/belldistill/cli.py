@@ -39,12 +39,7 @@ from .measures import (
     er_bound_pair,
     er_search,
 )
-from .permutations import (
-    ALL_PERMUTATIONS,
-    local_permutation_search,
-    permutation_action,
-    permutation_table,
-)
+from .permutations import ALL_PERMUTATIONS, _realizations, local_permutation_search
 from .states import _dm_json_chunks, apply_local, dm_from_ensemble
 
 DENSE_TOL = 1e-8
@@ -250,11 +245,10 @@ def separability_cmd(n, dump):
 def permutations_cmd(fmt):
     """Realize all 24 Bell-basis permutations by local unitary pairs."""
 
-    table = permutation_table()
+    table = _realizations()  # the actions the table was checked by
     rows = []
     for perm in sorted(ALL_PERMUTATIONS):
-        pair = table[perm]
-        action = permutation_action(pair)
+        pair, action = table[perm]
         rows.append({
             "perm": "".join(map(str, perm)),
             "realized": action.perm == perm,

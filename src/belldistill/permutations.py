@@ -102,13 +102,9 @@ def permutation_action(pair: LocalUnitaryPair) -> PermutationAction | None:
 
 
 @lru_cache(maxsize=1)
-def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
-    """The 24 pairs (P C) x C*, keyed by the permutation each induces.
-
-    Every pair is checked by `permutation_action`; one that does not align,
-    or two that induce the same permutation, raise, so a returned table
-    certifies that all 24 permutations are realized.
-    """
+def _realizations() -> dict[tuple[int, int, int, int],
+                            tuple[LocalUnitaryPair, PermutationAction]]:
+    """`permutation_table`'s pairs, each with the action it was checked by."""
 
     table = {}
     for (p_name, p), (c_name, c) in itertools.product(PAULIS, CLIFFORDS):
@@ -118,8 +114,19 @@ def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
         action = permutation_action(pair)
         if action is None or action.perm in table:
             raise RuntimeError(f"{pair.name} does not realize a new Bell permutation")
-        table[action.perm] = pair
+        table[action.perm] = pair, action
     return table
+
+
+def permutation_table() -> dict[tuple[int, int, int, int], LocalUnitaryPair]:
+    """The 24 pairs (P C) x C*, keyed by the permutation each induces.
+
+    Every pair is checked by `permutation_action`, once per process; one
+    that does not align, or two that induce the same permutation, raise, so
+    a returned table certifies that all 24 permutations are realized.
+    """
+
+    return {perm: pair for perm, (pair, _) in _realizations().items()}
 
 
 def local_permutation_search(target) -> LocalUnitaryPair:

@@ -188,11 +188,19 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         on = np.flatnonzero(a)
         rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
         supports[on.tobytes()] = on
+    return _mixture(rho, total, list(supports.values()))
+
+
+def _mixture(rho: np.ndarray, total: float, supports: list) -> DensityOperator:
+    """The mixture filled on `rho` from terms of weights summing to `total`,
+    each on the square of one of the distinct index arrays `supports`."""
+
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    if 8 * sum(on.size ** 2 for on in supports.values()) > d * d:
+    d = len(rho)
+    if 8 * sum(on.size ** 2 for on in supports) > d * d:
         return DensityOperator._trusted(rho)
-    flat = [(on[:, None] * d + on).ravel() for on in supports.values()]
+    flat = [(on[:, None] * d + on).ravel() for on in supports]
     return DensityOperator._trusted(rho, _nonzero_among(flat, d, lambda r, c: rho[r, c]))
 
 

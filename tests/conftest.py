@@ -11,21 +11,38 @@ from belldistill import DensityOperator, Ket
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def resident_growth_kib(setup: str, measured: str) -> int:
-    """How far a fresh interpreter's peak resident set (VmHWM, in KiB) grows
-    while it runs `measured` after `setup`.  ru_maxrss would not do: a child
-    starts with its parent's, so a large test process hides the growth."""
+def _fresh_count(code: str) -> int:
+    """The integer a fresh interpreter prints running `code` on the checkout's
+    `src/`, with one BLAS thread."""
 
-    code = (f"{setup}\n"
-            "def peak():\n"
-            "    with open('/proc/self/status') as f:\n"
-            "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
-            f"before = peak()\n{measured}\nprint(peak() - before)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
                                "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout)
+
+
+def resident_growth_kib(setup: str, measured: str) -> int:
+    """How far a fresh interpreter's peak resident set (VmHWM, in KiB) grows
+    while it runs `measured` after `setup`.  ru_maxrss would not do: a child
+    starts with its parent's, so a large test process hides the growth."""
+
+    return _fresh_count(
+        f"{setup}\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        f"before = peak()\n{measured}\nprint(peak() - before)\n")
+
+
+def traced_peak_kib(setup: str, measured: str) -> int:
+    """The peak of the memory traced by tracemalloc (numpy's arrays included,
+    mapped buffers not), in KiB, while a fresh interpreter runs `measured`
+    after `setup`; tracing starts after `setup`, so nothing it allocated or
+    freed counts."""
+
+    return _fresh_count(f"{setup}\nimport tracemalloc\ntracemalloc.start()\n{measured}\n"
+                        "print(tracemalloc.get_traced_memory()[1] // 1024)\n")
 
 
 @pytest.fixture

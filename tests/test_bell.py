@@ -36,7 +36,7 @@ from belldistill import bell
 from belldistill.bell import (BELL_AMPLITUDES, bell_bits, bell_index, check_permutation,
                               is_pair_constant)
 
-from conftest import SRC, kron_state, random_bell_diagonal
+from conftest import SRC, kron_state, random_bell_diagonal, traced_peak_kib
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -207,8 +207,8 @@ def test_bell_diagonal_kl_rejects_length_mismatch():
 def test_to_dense_matches_direct_ensemble():
     direct = dm_from_ensemble(
         [(0.25, bell_product_ket((i, i))) for i in (1, 2, 3, 4)])
-    assert np.max(np.abs(to_dense(rho_n(2)).matrix - direct.matrix)) < 1e-12
-    assert np.max(np.abs(to_dense(rho2_power(1)).matrix - direct.matrix)) < 1e-12
+    assert to_dense(rho_n(2)).matrix.tobytes() == direct.matrix.tobytes()
+    assert to_dense(rho2_power(1)).matrix.tobytes() == direct.matrix.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -505,6 +505,37 @@ def test_dense_builders_keep_their_bytes(name):
     build, size = name.rstrip(")").split("(")
     matrix = to_dense({"rho_n": rho_n, "rho2_power": rho2_power}[build](int(size))).matrix
     assert hashlib.sha256(matrix.tobytes()).hexdigest() == RECORDED_DENSE_BYTES[name]
+
+
+_GEN = np.random.default_rng(3607)
+ORACLE_STATES = {
+    **{f"rho_n({n})": rho_n(n) for n in range(1, 7)},
+    **{f"rho2_power({m})": rho2_power(m) for m in range(1, 4)},
+    "rho_n(2).tensor(rho_n(2))": rho_n(2).tensor(rho_n(2)),
+    "sigma_n(2134,3412,4321)": sigma_n(["2134", "3412", "4321"]),
+    # full support, and half the strings
+    **{f"random(n={n}, support={k or 4 ** n})": random_bell_diagonal(n, _GEN, k)
+       for n in (1, 2, 3) for k in (None, 4 ** n // 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_to_dense_matches_the_ket_ensemble_byte_for_byte(name):
+    # dm_from_ensemble over the Bell-product kets is the reference: each
+    # support block holds the same terms, added in the same order
+    state = ORACLE_STATES[name]
+    dense = to_dense(state)
+    direct = dm_from_ensemble([(w, bell_product_ket(s)) for s, w in sorted(state.weights.items())])
+    assert dense.matrix.tobytes() == direct.matrix.tobytes()
+    for got, want in zip(dense._entries, direct._entries, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_to_dense_makes_no_ket_per_string():
+    # 64 strings of 12 qubits: a 64 KiB ket each took the traced peak to
+    # 5.3 MiB; the eight 64 x 64 blocks and the entries take 1.4 MiB
+    peak = traced_peak_kib("import belldistill as bd", "bd.to_dense(bd.rho2_power(3))")
+    assert peak < 2 * 1024  # KiB
 
 
 def test_bell_product_ket_checks_the_cap_before_building():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from belldistill import (
     ALL_PERMUTATIONS,
@@ -11,6 +12,7 @@ from belldistill import (
     permutation_table,
 )
 from belldistill import permutations
+from belldistill.cli import main
 from belldistill.permutations import H, I2, S, X, Z
 
 
@@ -83,7 +85,8 @@ def test_search_identity_is_identity_pair():
 
 
 def test_cold_build_checks_exactly_24_pairs(monkeypatch):
-    # the table is built from its 4 x 6 group factors, one checked pair each
+    # the table is built from its 4 x 6 group factors, one checked pair each,
+    # and the permutations command reads the actions of that check
     calls = []
     action = permutations.permutation_action
 
@@ -92,11 +95,13 @@ def test_cold_build_checks_exactly_24_pairs(monkeypatch):
         return action(pair)
 
     monkeypatch.setattr(permutations, "permutation_action", counted)
-    permutation_table.cache_clear()
+    permutations._realizations.cache_clear()
     try:
         table = permutation_table()
+        for fmt in ("table", "json"):
+            assert CliRunner().invoke(main, ["permutations", "--format", fmt]).exit_code == 0
     finally:
-        permutation_table.cache_clear()
+        permutations._realizations.cache_clear()
     assert len(calls) == 24 and len(set(calls)) == 24
     assert set(table) == set(ALL_PERMUTATIONS)
 
