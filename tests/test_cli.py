@@ -384,6 +384,15 @@ RECORDED_DENSE_STDOUT = {
         "ce2075796f9aa199099db56a2c86912d019e369410c6c99b45c437989a2b631f",
     "explore er --n 3 --restarts 2 --seed 5":
         "1174a51306e611c2ac7e9d61e715adcea063e0431a440c5772f2363d99a49e33",
+    # the 12-qubit cap, recorded while to_dense filled every state's matrix
+    "verify eq5 --m 3 --method dense":
+        "8b4295e54f313c5163c71f815e1374ccf4f3208b835dba92cee5b4810edbc8e8",
+    "verify eq10 --m 1 --method dense":
+        "0ff49cf028f12001b7fcac2bc825cb5534ebf84c428fd4dce8394dccc23766d5",
+    "verify er-pair --n 3 --method dense":
+        "c441f24dad39e63664ed25a67beea12968d0619c8d83a127da2bcf369c3c3eea",
+    "sigma-equiv --perms 2134,3412,4321,1234,2143,3421 --method both":
+        "86b922f0ee6f08af748a435485d8b953a726186ae5163bfcbc14f371e8856922",
 }
 ONE_BLAS_THREAD = {name: "1" for name in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
