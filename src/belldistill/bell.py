@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _kron, _mixture, _sparse_zeros, check_dense_size
+from .states import DensityOperator, Ket, _check_total, _kron, check_dense_size
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_COPIES = 10 ** 6  # er-pair streams 16 strings of 2n digits: 39 MB peak at n = 10^6
@@ -393,25 +393,37 @@ def bell_diagonal_kl(p: BellDiagonalState, q: BellDiagonalState) -> float:
 
 def to_dense(b: BellDiagonalState) -> DensityOperator:
     """Dense density operator sum_s w(s) |Phi_s><Phi_s| on the canonical
-    copy-major register (capped at 12 qubits).  The strings of one z pattern
-    share a support, disjoint from the others': each pattern's block adds its
-    strings' outer products in sorted order, from `_kron`'s amplitudes there,
-    with no ket, so every entry gets `dm_from_ensemble`'s terms in its order."""
+    copy-major register (capped at 12 qubits), kept as its nonzero entries and
+    their values; its matrix is filled on first read.  The strings of one z
+    pattern share a support, disjoint from the others': each pattern's block
+    adds its strings' outer products in sorted order, from `_kron`'s amplitudes
+    there, with no ket, so every entry gets `dm_from_ensemble`'s terms in its
+    order.  Row i of the matrix is the row of i's block, on the block's support."""
 
     check_dense_size(2 * b.n)
     groups, total = {}, 0.0
     for s, w in sorted(b.weights.items()):
         groups.setdefault(s.translate(_Z_BITS), []).append((s, w))
         total += w  # dm_from_ensemble's sum, in its order
-    rho, supports = _sparse_zeros(4 ** b.n), []
+    _check_total(total)
+    size, supports = 2 ** b.n, []
     for members in groups.values():
         on = np.zeros(1, dtype=np.intp)
         for c in members[0][0]:
             on = (4 * on[:, None] + _SUPPORTS[c][0]).ravel()
-        block = np.zeros((len(on), len(on)), dtype=complex)
+        supports.append(on)
+    order = np.argsort(supports := np.array(supports), axis=None)  # all rows, ascending
+    values = np.zeros((order.size, size), dtype=complex)  # those rows, each on its support
+    for at, members in zip(np.argsort(order).reshape(-1, size), groups.values()):  # rows' places
+        block = np.zeros((size, size), dtype=complex)
         for s, w in members:
             a = _kron([_SUPPORTS[c][1] for c in s])
             block += w * np.outer(a, a.conj())
-        rho[np.ix_(on, on)] = block
-        supports.append(on)
-    return _mixture(rho, total, supports)
+        values[at] = block
+    on = values != 0
+    values = values[on]
+    r = np.repeat(supports.reshape(-1)[order], on.sum(axis=1))
+    c = supports[order // size][on]
+    if 8 * on.size > size ** 4:  # dm_from_ensemble would scan its matrix, as int32
+        r, c = r.astype(np.int32), c.astype(np.int32)
+    return DensityOperator._trusted(size * size, (r, c), values)

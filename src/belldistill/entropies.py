@@ -30,17 +30,16 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     """
 
     if isinstance(matrix, DensityOperator):
-        m, entries = matrix.matrix, matrix._entries
+        d, entries, at = matrix._d, matrix._entries, matrix._at
     else:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        entries = _hermitian_entries(m, 1e-10)
-    d = len(m)
+        d, entries, at = len(m), _hermitian_entries(m, 1e-10), lambda r, c: m[r, c]
     vals = np.empty(d)
     vecs = np.zeros((d, d), dtype=complex)
     start = 0
-    for rows, values, block_vecs in _eigh_blocks(m, entries):
+    for rows, values, block_vecs in _eigh_blocks(d, entries, at):
         cols = start + np.arange(rows.size).reshape(rows.shape)
         vals[cols] = values
         vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
@@ -49,22 +48,22 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     return vals[order], vecs[:, order]
 
 
-def _spectrum(m, entries, weigh: DensityOperator | None = None, values=None):
-    """Eigenvalues of a Hermitian matrix in ascending order, solved block by
-    block over its `entries` (the stable sort keeps the order of a one-block
-    solve; `values` as in `_eigh_blocks`).  With the state `weigh`, also the
-    weight <v|weigh|v> on each eigenvector v, in the same order, from `weigh`
+def _spectrum(d: int, entries, at=None, weigh: DensityOperator | None = None, values=None):
+    """Eigenvalues of a d x d Hermitian matrix in ascending order, solved block
+    by block over its `entries` (the stable sort keeps the order of a one-block
+    solve; `at` and `values` as in `_eigh_blocks`).  With the state `weigh`, also
+    the weight <v|weigh|v> on each eigenvector v, in the same order, from `weigh`
     on the diagonal blocks only (a 1x1 block's weight from `weigh`'s recorded diagonal)."""
 
-    groups = _eigh_blocks(m, entries, vectors=weigh is not None, values=values)
+    groups = _eigh_blocks(d, entries, at, vectors=weigh is not None, values=values)
     vals = np.concatenate([v.ravel() for _, v, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
         return vals[order]
-    x = weigh.matrix
+    x = weigh._at
     w = np.concatenate([
-        (_real_diagonal(x, weigh._entries)[rows] if rows.shape[1] == 1 else
-         np.real(np.sum(v.conj() * (x[rows[:, :, None], rows[:, None, :]] @ v), axis=1))).ravel()
+        (_real_diagonal(x, d, weigh._entries)[rows] if rows.shape[1] == 1 else
+         np.real(np.sum(v.conj() * (x(rows[:, :, None], rows[:, None, :]) @ v), axis=1))).ravel()
         for rows, _, v in groups])
     return vals[order], w[order]
 
@@ -78,7 +77,7 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    return shannon_bits(np.clip(_spectrum(rho.matrix, rho._entries)[::-1], 0.0, None))
+    return shannon_bits(np.clip(_spectrum(rho._d, rho._entries, rho._at)[::-1], 0.0, None))
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
@@ -105,10 +104,10 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     branch on math.isinf rather than compare against a large float.
     """
 
-    if rho.matrix.shape != sigma.matrix.shape:
+    if rho._d != sigma._d:
         raise ValueError("states must have the same number of qubits")
-    q, w = _spectrum(sigma.matrix, sigma._entries, weigh=rho)
-    return _divergence(_spectrum(rho.matrix, rho._entries)[::-1], q[::-1], w[::-1])
+    q, w = _spectrum(sigma._d, sigma._entries, sigma._at, weigh=rho)
+    return _divergence(_spectrum(rho._d, rho._entries, rho._at)[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
@@ -116,24 +115,24 @@ def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
     the ket's support only: the other terms are exact zeros, although the
     shorter sums may round differently in the last place."""
 
-    if len(rho.matrix) != len(psi.amplitudes):
+    if rho._d != len(psi.amplitudes):
         raise ValueError("states must have the same number of qubits")
     on = np.flatnonzero(psi.amplitudes)
     a = psi.amplitudes[on]
-    return float(np.real(np.vdot(a, rho.matrix[np.ix_(on, on)] @ a)))
+    return float(np.real(np.vdot(a, rho._at(on[:, None], on) @ a)))
 
 
 def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
     """(1/2) ||rho - tau||_1 from the eigenvalues of the difference, solved from its entries."""
 
-    if rho.matrix.shape != tau.matrix.shape:
+    if rho._d != tau._d:
         raise ValueError("states must have the same number of qubits")
-    d = len(rho.matrix)
+    d = rho._d
 
     def diff(r, c):  # tau is read a slice at a time: one full gather is held, not two
-        v = rho.matrix[r, c]
+        v = rho._at(r, c)
         for s in range(0, v.size, 1 << 14):
-            v[s:s + (1 << 14)] -= tau.matrix[r[s:s + (1 << 14)], c[s:s + (1 << 14)]]
+            v[s:s + (1 << 14)] -= tau._at(r[s:s + (1 << 14)], c[s:s + (1 << 14)])
         return v
 
     r, c = _nonzero_among([r * d + c for r, c in (rho._entries, tau._entries)], d, diff)

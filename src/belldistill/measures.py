@@ -86,7 +86,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
 
     # sigma's blocks give support, flatness, overlap and the raw divergence;
     # rho's spectrum gives its entropy (each matrix is solved once)
-    vals, w = _spectrum(q_dense.matrix, q_dense._entries, weigh=p_dense)
+    vals, w = _spectrum(q_dense._d, q_dense._entries, q_dense._at, weigh=p_dense)
     on_support = vals > SUPPORT_CUTOFF
     support_vals = vals[on_support]
     if support_vals.size == 0:
@@ -97,7 +97,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
     ref_bits = -math.log2(float(support_vals.mean()))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    p = _spectrum(p_dense.matrix, p_dense._entries)[::-1]
+    p = _spectrum(p_dense._d, p_dense._entries, p_dense._at)[::-1]
     raw = _divergence(p, vals[::-1], w[::-1])
     value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
@@ -177,7 +177,7 @@ def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
 
     if rho._pt_spectrum is None:
         moved = partial_transpose_entries(rho.n_qubits, range(1, rho.n_qubits, 2), rho._entries)
-        spectrum = _spectrum(len(rho.matrix), moved, values=lambda: rho.matrix[rho._entries])
+        spectrum = _spectrum(rho._d, moved, values=lambda: rho._at(*rho._entries))
         object.__setattr__(rho, "_pt_spectrum", spectrum)
     return rho._pt_spectrum
 
@@ -198,13 +198,13 @@ def log_negativity(rho: DensityOperator) -> float:
     return max(0.0, math.log2(norm))
 
 
-def smolin_flip_check() -> float:
-    """Trace distance between the two-copy mixture and its flip, the same
-    state with qubits A2 and B1 swapped.  The flip re-forms the Bell pairs
-    across (A1, A2) and (B1, B2), so its every term is a product across the
-    Alice:Bob cut; a residual of 0 shows that the mixture is separable."""
+def smolin_flip_check(rho: DensityOperator | None = None) -> float:
+    """Trace distance between the two-copy mixture `rho` (by default built here)
+    and its flip, the same state with qubits A2 and B1 swapped.  The flip re-forms
+    the Bell pairs across (A1, A2) and (B1, B2), so its every term is a product
+    across the Alice:Bob cut; a residual of 0 shows that the mixture is separable."""
 
-    rho = to_dense(rho_n(2))
+    rho = to_dense(rho_n(2)) if rho is None else rho
     return trace_distance(rho, reorder(rho, [0, 2, 1, 3]))
 
 
@@ -220,9 +220,9 @@ def distill_trivial(n: int) -> dict:
         out["distance_to_maximally_mixed"] = trace_distance(to_dense(rho_n(1)), mixed)
         out["pass"] = out["distance_to_maximally_mixed"] <= 1e-12
     elif n == 2:
-        ppt = ppt_check(to_dense(rho_n(2)))
+        ppt = ppt_check(rho := to_dense(rho_n(2)))
         out.update(ppt_min_eigenvalue=ppt.min_eigenvalue, is_ppt=ppt.is_ppt,
-                   smolin_residual=smolin_flip_check())
+                   smolin_residual=smolin_flip_check(rho))
         out["pass"] = ppt.is_ppt and out["smolin_residual"] <= 1e-10
     else:
         raise ValueError("trivial cases are n = 1 and n = 2; use distill for n >= 3")

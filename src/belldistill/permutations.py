@@ -46,7 +46,7 @@ CLIFFORDS = (("I", I2), ("H", H), ("S", S), ("HS", H @ S), ("SH", S @ H),
 ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalUnitaryPair:
     """A 2x2 unitary for Alice and one for Bob, acting per copy."""
 

@@ -4,10 +4,10 @@ A state's array fixes its register: q = log2(dim) qubits, big-endian, with
 axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
-sparse Bell-diagonal representation.  Builders fill matrices on private
-4 KiB pages.  A density operator holds its exact-nonzero entries from
-construction (its builder's or one scan's); every check and solve reads them,
-and the partial transpose and a difference of states are solved from entries.
+sparse Bell-diagonal representation.  Matrices are filled on private 4 KiB pages.
+A density operator holds its exact-nonzero entries and the matrix it was built
+from or, from `to_dense`, the values there, its matrix filled at first read.  Every
+check and solve reads values by `_at`; partial transposes and differences use entries.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def _sparse_zeros(d: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex).reshape(d, d)
 
 
-def _check_trace(m: np.ndarray, entries) -> None:
-    tr_err = abs(float(_real_diagonal(m, entries).sum()) - 1.0)
+def _check_trace(at, d: int, entries) -> None:
+    tr_err = abs(float(_real_diagonal(at, d, entries).sum()) - 1.0)
     if not tr_err <= TRACE_TOL:  # NaN fails too
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
@@ -87,7 +87,7 @@ def _check_axes(axes: Iterable[int], n_qubits: int) -> list[int]:
     return [int(ax) for ax in axes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """Normalized pure state on q qubits."""
 
@@ -122,15 +122,17 @@ def _hermitian_entries(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator on q qubits.  It
     holds the (rows, cols) of its exact-nonzero entries as `_entries`; the
     constructor scans the caller's array once, checks every property at them
-    and their blocks, and copies only them if they are at most d^2 / 8."""
+    and their blocks, and copies only them if they are at most d^2 / 8.  A
+    `to_dense` state holds only the values there; `matrix` is filled at first read."""
 
     matrix: np.ndarray
     _pt_spectrum = None  # not a field: set once by measures._pt_spectrum
+    _values = None  # not a field: the values at `_entries` of a state kept without its matrix
 
     def __post_init__(self):
         view = _frozen_array(np.asarray(self.matrix, dtype=complex).view(), 2, copy=False)
@@ -141,26 +143,53 @@ class DensityOperator:
             m = _sparse_zeros(len(view))
             m[r, c] = view[r, c]
         object.__setattr__(self, "matrix", _frozen_array(m, 2, copy=False))
+        object.__setattr__(self, "_d", d := len(m))
         object.__setattr__(self, "_entries", entries)
-        _check_trace(m, entries)
-        min_eig = min(float(v.min()) for _, v, _ in _eigh_blocks(m, self._entries, vectors=False))
+        _check_trace(self._at, d, entries)
+        blocks = _eigh_blocks(d, entries, self._at, vectors=False)
+        min_eig = min(float(v.min()) for _, v, _ in blocks)
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")
 
+    def __getattr__(self, name):  # the matrix of a state kept as its values, at first read
+        if name != "matrix" or self._values is None:
+            raise AttributeError(name)
+        m = _sparse_zeros(self._d)
+        m[self._entries] = self._values
+        object.__setattr__(self, "matrix", _frozen_array(m, 2, copy=False))
+        return self.matrix
+
     @property
     def n_qubits(self) -> int:
-        return len(self.matrix).bit_length() - 1
+        return self._d.bit_length() - 1
+
+    def _at(self, r, c) -> np.ndarray:
+        """The values at rows `r` and columns `c`, broadcast together: a gather from
+        the matrix the state was built from, else a lookup among its row-major
+        entries, 0 off them."""
+
+        if self._values is None:
+            return self.matrix[r, c]
+        keys = self._entries[0] * self._d + self._entries[1]  # ascending
+        k = np.asarray(r) * self._d + c
+        i = np.minimum(np.searchsorted(keys, k), keys.size - 1)
+        return np.where(keys[i] == k, self._values[i], 0)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, entries=None) -> "DensityOperator":
+    def _trusted(cls, matrix, entries=None, values=None) -> "DensityOperator":
         """Wrap a fresh matrix, built from valid states by an operation that
         keeps it Hermitian and PSD, frozen in place, with its builder's
-        `entries` or else one scan's: only the size, shape and trace are checked."""
+        `entries` or else one scan's: only the size, shape and trace are checked.
+        With `values` at the row-major `entries`, `matrix` is only d, and the
+        state is kept as the entries and values."""
 
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", m := _frozen_array(matrix, 2, copy=False))
-        object.__setattr__(rho, "_entries", _nonzero_entries(m) if entries is None else entries)
-        _check_trace(m, rho._entries)
+        rho, d = object.__new__(cls), matrix
+        if values is None:
+            object.__setattr__(rho, "matrix", m := _frozen_array(matrix, 2, copy=False))
+            d, entries = len(m), _nonzero_entries(m) if entries is None else entries
+        for name, x in (("_d", d), ("_entries", entries), ("_values", values)):
+            object.__setattr__(rho, name, x)
+        _check_trace(rho._at, d, entries)
         return rho
 
 
@@ -188,20 +217,17 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         on = np.flatnonzero(a)
         rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
         supports[on.tobytes()] = on
-    return _mixture(rho, total, list(supports.values()))
-
-
-def _mixture(rho: np.ndarray, total: float, supports: list) -> DensityOperator:
-    """The mixture filled on `rho` from terms of weights summing to `total`,
-    each on the square of one of the distinct index arrays `supports`."""
-
-    if not abs(total - 1.0) <= 1e-12:
-        raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    d = len(rho)
+    _check_total(total)
+    supports = list(supports.values())
     if 8 * sum(on.size ** 2 for on in supports) > d * d:
         return DensityOperator._trusted(rho)
     flat = [(on[:, None] * d + on).ravel() for on in supports]
     return DensityOperator._trusted(rho, _nonzero_among(flat, d, lambda r, c: rho[r, c]))
+
+
+def _check_total(total: float) -> None:
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"ensemble weights sum to {total}, expected 1")
 
 
 def _nonzero_among(parts, d: int, value) -> tuple[np.ndarray, np.ndarray]:
@@ -243,24 +269,25 @@ def _block_labels(d: int, entries) -> np.ndarray:
         label = new[new]
 
 
-def _real_diagonal(m: np.ndarray, entries) -> np.ndarray:
-    """Re m[i, i] for every i, read at the `entries` only (elsewhere it is 0)."""
+def _real_diagonal(at, d: int, entries) -> np.ndarray:
+    """Re m[i, i] for 0 <= i < d, read by at(rows, cols) at the `entries` (elsewhere 0)."""
 
     r, c = entries
     on = r[r == c]
-    return np.bincount(on, m[on, on].real, len(m))
+    return np.bincount(on, at(on, on).real, d)
 
 
-def _eigh_blocks(m, entries, vectors: bool = True, values=None) -> list[tuple]:
-    """Eigensolve a Hermitian matrix block by block; the only dense solve.
+def _eigh_blocks(d: int, entries, at=None, vectors: bool = True, values=None) -> list[tuple]:
+    """Eigensolve a d x d Hermitian matrix block by block; the only dense solve.
 
     The blocks are the connected components of the matrix's exact-nonzero
     `entries`, symmetrised, so no tolerance decides the split, and a matrix
     that forms one block is solved whole by one `np.linalg.eigh` (or
     `eigvalsh` without `vectors`) with the same digits.  Blocks of one
     size go through one stacked call; 1x1 blocks are read off the diagonal.
-    With `values`, a function making the values at the `entries`, `m` is only d, and
-    each size's blocks are scattered into zeros from values made for that scatter alone.
+    The blocks are gathered by at(rows, cols), which reads the matrix; or, with
+    `values`, a function making the values at the `entries`, each size's
+    blocks are scattered into zeros from values made for that scatter alone.
     Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
     lists the k blocks of that size, `values` (k, s) their ascending
     eigenvalues and `vecs` (k, s, s) their eigenvectors, or None.
@@ -271,11 +298,12 @@ def _eigh_blocks(m, entries, vectors: bool = True, values=None) -> list[tuple]:
             return np.linalg.eigh(a)
         return np.linalg.eigvalsh(a), None
 
-    d = len(m) if values is None else m
     r, c = entries
     label = _block_labels(d, entries)
     if not label.any():
-        if values is not None:  # one (d, d) scatter, with no per-entry block indices
+        if values is None:  # a held matrix itself; a to_dense state is never one block
+            m = at(slice(None), slice(None))
+        else:  # one (d, d) scatter, with no per-entry block indices
             m = np.zeros((d, d), dtype=complex)
             m[r, c] = values()
         vals, vecs = solve(m)
@@ -286,17 +314,17 @@ def _eigh_blocks(m, entries, vectors: bool = True, values=None) -> list[tuple]:
     # a bare np.unique imports numpy.ma, which a set of a few ints does not need
     for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
-        if values is not None:  # at[i] numbers index i among these blocks' rows, in order
-            at = np.full(d, -1)
-            at[rows] = np.arange(rows.size).reshape(rows.shape)
-            on = at[r] >= 0
+        if values is not None:  # pos[i] numbers index i among these blocks' rows, in order
+            pos = np.full(d, -1)
+            pos[rows] = np.arange(rows.size).reshape(rows.shape)
+            on = pos[r] >= 0
             a = np.zeros((len(rows), s, s), dtype=complex)
-            a.reshape(-1)[at[r[on]] * s + at[c[on]] % s] = values()[on]
+            a.reshape(-1)[pos[r[on]] * s + pos[c[on]] % s] = values()[on]
         if s == 1:  # read off the diagonal
-            vals = _real_diagonal(m, entries)[rows] if values is None else a.real[:, :, 0]
+            vals = _real_diagonal(at, d, entries)[rows] if values is None else a.real[:, :, 0]
             vecs = np.ones((len(rows), 1, 1), dtype=complex) if vectors else None
         else:
-            vals, vecs = solve(a if values is not None else m[rows[:, :, None], rows[:, None, :]])
+            vals, vecs = solve(a if values is not None else at(rows[:, :, None], rows[:, None, :]))
         groups.append((rows, vals, vecs))
     return groups
 
@@ -340,8 +368,8 @@ def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
     """Partial transpose over the given qubit axes, filled at the moved entries.
     Result is Hermitian and unit-trace but generally not positive, so a raw matrix is returned."""
 
-    out = _sparse_zeros(len(rho.matrix))
-    out[partial_transpose_entries(rho.n_qubits, axes, rho._entries)] = rho.matrix[rho._entries]
+    out = _sparse_zeros(rho._d)
+    out[partial_transpose_entries(rho.n_qubits, axes, rho._entries)] = rho._at(*rho._entries)
     return out
 
 

@@ -15,7 +15,7 @@ from belldistill.bell import MAX_COPIES
 from belldistill.cli import explore_er, main
 from belldistill.states import dm_to_json
 
-from conftest import dump_matrix, resident_growth_kib
+from conftest import dump_matrix, resident_growth_kib, traced_peak_kib
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -470,6 +470,19 @@ def test_dump_streams_the_matrix(tmp_path):
     assert grown < 32 * 1024  # KiB
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "768313165b86ac28d9ec62704d4a1e838ba279c61d793ffe9e27958f41e277e1")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_twelve_qubit_dense_verify_maps_no_matrix():
+    # to_dense keeps rho_n(6) and rho2_power(3) as their entries and values.
+    # Filling their matrices on private mappings took the peak resident set
+    # up by 13.3-13.9 MiB (3.4 MiB without), and tracemalloc read 1.48 MiB
+    # (0.94 MiB), sorting each state's candidate entries
+    setup = "from click.testing import CliRunner\nfrom belldistill.cli import main"
+    run = ("assert CliRunner().invoke(main, "
+           "['verify', 'eq5', '--m', '3', '--method', 'dense']).exit_code == 0")
+    assert resident_growth_kib(setup, run) < 8 * 1024  # KiB
+    assert traced_peak_kib(setup, run) < 1280  # KiB
 
 
 def test_separability_n1(runner):

@@ -221,7 +221,7 @@ def test_twelve_qubit_block_solve_scans_only_the_nonzero_entries():
     m = to_dense(rho_n(6)).matrix
     tracemalloc.start()
     try:
-        vals = _spectrum(m, _nonzero_entries(m))
+        vals = _spectrum(len(m), _nonzero_entries(m), lambda r, c: m[r, c])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -251,7 +251,7 @@ def test_twelve_qubit_state_makes_only_its_written_pages_resident():
 
 
 def _filled_spectrum(m: np.ndarray) -> np.ndarray:
-    return _spectrum(m, _nonzero_entries(m))
+    return _spectrum(len(m), _nonzero_entries(m), lambda r, c: m[r, c])
 
 
 def _dense_difference(rho, tau) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from belldistill import (
     BellDiagonalState,
@@ -15,6 +16,7 @@ from belldistill import (
     er_bound_even,
     er_bound_odd_doubled,
     er_bound_pair,
+    distill_trivial,
     er_search,
     fidelity_pure,
     local_permutation_search,
@@ -22,12 +24,18 @@ from belldistill import (
     ppt_check,
     relative_entropy,
     reorder,
+    rho2_power,
     rho_n,
     sample_pairwise_separable,
     sample_separable,
+    sigma_n,
+    smolin_flip_check,
     to_dense,
+    trace_distance,
+    von_neumann_entropy,
 )
-from belldistill import bell, measures
+from belldistill import bell, measures, states
+from belldistill.cli import main
 from belldistill.permutations import I2, X, Z
 
 from conftest import resident_growth_kib, traced_peak_kib
@@ -100,6 +108,37 @@ def test_large_pair_bound_streams_its_strings():
         "r = bd.er_bound_even(500000)\n"
         "assert r.value_bits == 2 * 500000 - 2 and r.support_contained")
     assert grown < 10 * 1024  # KiB
+
+
+def test_to_dense_states_map_no_matrix_until_it_is_read(monkeypatch):
+    # a to_dense state is kept as its entries and the values there, which every
+    # check, solve, fidelity and distance reads; its d x d matrix is mapped and
+    # filled only when a caller reads .matrix, and then once
+    mapped = []
+    fill = states._sparse_zeros
+    for module in (states, bell):  # bell's own binding, where it has one
+        monkeypatch.setattr(module, "_sparse_zeros",
+                            lambda d: mapped.append(d) or fill(d), raising=False)
+    rho, tau, sigma = map(to_dense, (rho_n(4), sigma_n(["2134"] + ["1234"] * 3), rho2_power(2)))
+    assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
+    assert not ppt_check(rho).is_ppt
+    assert log_negativity(rho) == pytest.approx(2.0, abs=1e-12)
+    assert fidelity_pure(rho, bell_product_ket((1,) * 4)) == pytest.approx(0.25, abs=1e-15)
+    assert trace_distance(rho, tau) == pytest.approx(0.5, abs=1e-12)
+    assert relative_entropy(rho, sigma) == pytest.approx(2.0, abs=1e-12)
+    for args in ("verify eq5 --m 3 --method dense", "verify er-pair --n 3 --method dense"):
+        assert CliRunner().invoke(main, args.split()).exit_code == 0
+    assert mapped == []
+    assert rho.matrix is rho.matrix and not rho.matrix.flags.writeable
+    assert mapped == [256]
+
+
+def test_distill_trivial_builds_the_two_copy_mixture_once(monkeypatch):
+    # ppt_check and the flip residual read one to_dense(rho_n(2))
+    built = []
+    monkeypatch.setattr(measures, "to_dense", lambda b: built.append(b) or to_dense(b))
+    assert distill_trivial(2)["pass"] and len(built) == 1
+    assert smolin_flip_check() == 0.0 and len(built) == 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -23,7 +23,7 @@ from belldistill import (
     sigma_n,
     to_dense,
 )
-from belldistill.permutations import H, S
+from belldistill.permutations import H, S, X, LocalUnitaryPair
 from belldistill.bell import BELL_AMPLITUDES
 from belldistill import states
 from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
@@ -349,6 +349,17 @@ def test_public_constructor_makes_only_the_entries_pages_resident():
         "rho = bd.DensityOperator(m)\nr, c = rho._entries\n"
         "assert r.size == 4096 and np.array_equal(rho.matrix[r, c], m[r, c])")
     assert grown < 32 * 1024  # KiB
+
+
+def test_equality_is_identity_and_fills_no_matrix():
+    # the generated __eq__ compared numpy arrays and raised ValueError, and it
+    # would have filled a to_dense state's matrix to compare it
+    a, b = to_dense(rho_n(1)), to_dense(rho_n(1))
+    psi = bell_product_ket((1,))
+    pair = LocalUnitaryPair(X, X)
+    for x, twin in ((a, b), (psi, bell_product_ket((1,))), (pair, LocalUnitaryPair(X, X))):
+        assert x == x and x != twin and len({x, twin}) == 2
+    assert "matrix" not in vars(a) and "matrix" not in vars(b)
 
 
 def test_nan_fails_every_sum_and_trace_check():
