@@ -4,10 +4,10 @@ A state's array fixes its register: q = log2(dim) qubits, big-endian, with
 axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
-sparse Bell-diagonal representation.  Matrices are filled on private 4 KiB pages.
-A density operator holds its exact-nonzero entries and the matrix it was built
-from or, from `to_dense`, the values there, its matrix filled at first read.  Every
-check and solve reads values by `_at`; partial transposes and differences use entries.
+sparse Bell-diagonal representation.  Matrices fill private 4 KiB pages.  A
+density operator holds its exact-nonzero entries and its matrix or, from
+`to_dense`, the values there (the matrix is filled at first read).  Checks and
+solves read values by `_at`; partial transposes and differences use entries.
 """
 
 from __future__ import annotations
