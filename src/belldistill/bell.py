@@ -426,4 +426,4 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     c = supports[order // size][on]
     if 8 * on.size > size ** 4:  # dm_from_ensemble would scan its matrix, as int32
         r, c = r.astype(np.int32), c.astype(np.int32)
-    return DensityOperator._trusted(size * size, (r, c), values)
+    return object.__new__(DensityOperator)._keep(size * size, (r, c), values)

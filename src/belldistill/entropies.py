@@ -30,39 +30,41 @@ def herm_eig(matrix: np.ndarray | DensityOperator):
     """
 
     if isinstance(matrix, DensityOperator):
-        d, entries, at = matrix._d, matrix._entries, matrix._at
+        d, entries, values = matrix._d, matrix._entries, matrix._values
     else:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        d, entries, at = len(m), _hermitian_entries(m, 1e-10), lambda r, c: m[r, c]
+        d, entries = len(m), _hermitian_entries(m, 1e-10)
+        values = m[entries]
     vals = np.empty(d)
     vecs = np.zeros((d, d), dtype=complex)
     start = 0
-    for rows, values, block_vecs in _eigh_blocks(d, entries, at):
+    for rows, block_vals, block_vecs in _eigh_blocks(d, entries, lambda: values):
         cols = start + np.arange(rows.size).reshape(rows.shape)
-        vals[cols] = values
+        vals[cols] = block_vals
         vecs[rows[:, :, None], cols[:, None, :]] = block_vecs
         start += rows.size
     order = np.argsort(vals, kind="stable")[::-1]
     return vals[order], vecs[:, order]
 
 
-def _spectrum(d: int, entries, at=None, weigh: DensityOperator | None = None, values=None):
+def _spectrum(d: int, entries, values, weigh: DensityOperator | None = None):
     """Eigenvalues of a d x d Hermitian matrix in ascending order, solved block
-    by block over its `entries` (the stable sort keeps the order of a one-block
-    solve; `at` and `values` as in `_eigh_blocks`).  With the state `weigh`, also
-    the weight <v|weigh|v> on each eigenvector v, in the same order, from `weigh`
-    on the diagonal blocks only (a 1x1 block's weight from `weigh`'s recorded diagonal)."""
+    by block over its `entries` from values() there, as in `_eigh_blocks` (the
+    stable sort keeps the order of a one-block solve).  With the state `weigh`,
+    also the weight <v|weigh|v> on each eigenvector v, in the same order, from
+    `weigh` on the diagonal blocks only (a 1x1 block's weight from `weigh`'s
+    diagonal values)."""
 
-    groups = _eigh_blocks(d, entries, at, vectors=weigh is not None, values=values)
+    groups = _eigh_blocks(d, entries, values, vectors=weigh is not None)
     vals = np.concatenate([v.ravel() for _, v, _ in groups])
     order = np.argsort(vals, kind="stable")
     if weigh is None:
         return vals[order]
     x = weigh._at
     w = np.concatenate([
-        (_real_diagonal(x, d, weigh._entries)[rows] if rows.shape[1] == 1 else
+        (_real_diagonal(d, weigh._entries, weigh._values)[rows] if rows.shape[1] == 1 else
          np.real(np.sum(v.conj() * (x(rows[:, :, None], rows[:, None, :]) @ v), axis=1))).ravel()
         for rows, _, v in groups])
     return vals[order], w[order]
@@ -77,7 +79,8 @@ def shannon_bits(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    return shannon_bits(np.clip(_spectrum(rho._d, rho._entries, rho._at)[::-1], 0.0, None))
+    p = _spectrum(rho._d, rho._entries, lambda: rho._values)
+    return shannon_bits(np.clip(p[::-1], 0.0, None))
 
 
 def _divergence(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
@@ -106,8 +109,9 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     if rho._d != sigma._d:
         raise ValueError("states must have the same number of qubits")
-    q, w = _spectrum(sigma._d, sigma._entries, sigma._at, weigh=rho)
-    return _divergence(_spectrum(rho._d, rho._entries, rho._at)[::-1], q[::-1], w[::-1])
+    q, w = _spectrum(sigma._d, sigma._entries, lambda: sigma._values, weigh=rho)
+    p = _spectrum(rho._d, rho._entries, lambda: rho._values)
+    return _divergence(p[::-1], q[::-1], w[::-1])
 
 
 def fidelity_pure(rho: DensityOperator, psi: Ket) -> float:
@@ -136,4 +140,4 @@ def trace_distance(rho: DensityOperator, tau: DensityOperator) -> float:
         return v
 
     r, c = _nonzero_among([r * d + c for r, c in (rho._entries, tau._entries)], d, diff)
-    return float(0.5 * np.sum(np.abs(_spectrum(d, (r, c), values=lambda: diff(r, c)))))
+    return float(0.5 * np.sum(np.abs(_spectrum(d, (r, c), lambda: diff(r, c)))))

@@ -86,7 +86,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
 
     # sigma's blocks give support, flatness, overlap and the raw divergence;
     # rho's spectrum gives its entropy (each matrix is solved once)
-    vals, w = _spectrum(q_dense._d, q_dense._entries, q_dense._at, weigh=p_dense)
+    vals, w = _spectrum(q_dense._d, q_dense._entries, lambda: q_dense._values, weigh=p_dense)
     on_support = vals > SUPPORT_CUTOFF
     support_vals = vals[on_support]
     if support_vals.size == 0:
@@ -97,7 +97,7 @@ def _dense_vs_reference(p_dense: DensityOperator, q_dense: DensityOperator) -> D
     ref_bits = -math.log2(float(support_vals.mean()))
     overlap = float(np.sum(np.clip(w[on_support], 0.0, None)))
     contained = (1.0 - overlap) <= SUPPORT_LEAK_TOL
-    p = _spectrum(p_dense._d, p_dense._entries, p_dense._at)[::-1]
+    p = _spectrum(p_dense._d, p_dense._entries, lambda: p_dense._values)[::-1]
     raw = _divergence(p, vals[::-1], w[::-1])
     value = ref_bits - shannon_bits(np.clip(p, 0.0, None))
     return DivergenceReport(
@@ -177,7 +177,7 @@ def _pt_spectrum(rho: DensityOperator) -> np.ndarray:
 
     if rho._pt_spectrum is None:
         moved = partial_transpose_entries(rho.n_qubits, range(1, rho.n_qubits, 2), rho._entries)
-        spectrum = _spectrum(rho._d, moved, values=lambda: rho._at(*rho._entries))
+        spectrum = _spectrum(rho._d, moved, lambda: rho._values)
         object.__setattr__(rho, "_pt_spectrum", spectrum)
     return rho._pt_spectrum
 

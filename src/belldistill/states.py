@@ -5,9 +5,9 @@ axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
 sparse Bell-diagonal representation.  Matrices fill private 4 KiB pages.  A
-density operator holds its exact-nonzero entries and its matrix or, from
-`to_dense`, the values there (the matrix is filled at first read).  Checks and
-solves read values by `_at`; partial transposes and differences use entries.
+density operator is its exact-nonzero entries and the values there; its matrix
+is filled at first read.  Checks and solves read the values, partial
+transposes and differences the entries.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def _sparse_zeros(d: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=complex).reshape(d, d)
 
 
-def _check_trace(at, d: int, entries) -> None:
-    tr_err = abs(float(_real_diagonal(at, d, entries).sum()) - 1.0)
+def _check_trace(d: int, entries, values) -> None:
+    tr_err = abs(float(_real_diagonal(d, entries, values).sum()) - 1.0)
     if not tr_err <= TRACE_TOL:  # NaN fails too
         raise ValueError(f"trace differs from 1 by {tr_err:.2e}")
 
@@ -124,35 +124,36 @@ def _hermitian_entries(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator on q qubits.  It
-    holds the (rows, cols) of its exact-nonzero entries as `_entries`; the
-    constructor scans the caller's array once, checks every property at them
-    and their blocks, and copies only them if they are at most d^2 / 8.  A
-    `to_dense` state holds only the values there; `matrix` is filled at first read."""
+    """Hermitian, positive semidefinite, unit-trace operator on q qubits.  It is
+    kept as the (rows, cols) of its exact-nonzero entries in row-major order,
+    `_entries`, and the values there, `_values`; `matrix` is filled from them
+    at first read.  The constructor scans the caller's array once, checks
+    every property at the entries and their blocks, and copies the values."""
 
     matrix: np.ndarray
     _pt_spectrum = None  # not a field: set once by measures._pt_spectrum
-    _values = None  # not a field: the values at `_entries` of a state kept without its matrix
 
     def __post_init__(self):
         view = _frozen_array(np.asarray(self.matrix, dtype=complex).view(), 2, copy=False)
-        r, c = entries = _hermitian_entries(view, HERM_TOL)
-        if 8 * r.size > view.size:  # dm_from_ensemble's rule
-            m = view.copy()
-        else:  # only the entries' pages become resident; -0.0 off them is 0.0
-            m = _sparse_zeros(len(view))
-            m[r, c] = view[r, c]
-        object.__setattr__(self, "matrix", _frozen_array(m, 2, copy=False))
-        object.__setattr__(self, "_d", d := len(m))
-        object.__setattr__(self, "_entries", entries)
-        _check_trace(self._at, d, entries)
-        blocks = _eigh_blocks(d, entries, self._at, vectors=False)
+        entries = _hermitian_entries(view, HERM_TOL)
+        object.__delattr__(self, "matrix")  # filled from the values at first read
+        self._keep(len(view), entries, view[entries])
+        blocks = _eigh_blocks(self._d, entries, lambda: self._values, vectors=False)
         min_eig = min(float(v.min()) for _, v, _ in blocks)
         if min_eig < -EIG_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.2e}")
 
-    def __getattr__(self, name):  # the matrix of a state kept as its values, at first read
-        if name != "matrix" or self._values is None:
+    def _keep(self, d: int, entries, values) -> "DensityOperator":
+        """Keep this state as its order `d`, row-major `entries` and the
+        `values` there, once the trace there is checked."""
+
+        for name, x in (("_d", d), ("_entries", entries), ("_values", values)):
+            object.__setattr__(self, name, x)
+        _check_trace(d, entries, values)
+        return self
+
+    def __getattr__(self, name):  # the matrix, at first read
+        if name != "matrix":
             raise AttributeError(name)
         m = _sparse_zeros(self._d)
         m[self._entries] = self._values
@@ -164,33 +165,27 @@ class DensityOperator:
         return self._d.bit_length() - 1
 
     def _at(self, r, c) -> np.ndarray:
-        """The values at rows `r` and columns `c`, broadcast together: a gather from
-        the matrix the state was built from, else a lookup among its row-major
-        entries, 0 off them."""
+        """The values at rows `r` and columns `c`, broadcast together: a lookup
+        among the row-major entries, 0 off them, or, when the entries are all
+        d^2 of them, a gather from the values read as the matrix."""
 
-        if self._values is None:
-            return self.matrix[r, c]
-        keys = self._entries[0] * self._d + self._entries[1]  # ascending
-        k = np.asarray(r) * self._d + c
+        d, values = self._d, self._values
+        if values.size == d * d:
+            return values.reshape(d, d)[r, c]
+        keys = self._entries[0] * d + self._entries[1]  # ascending
+        k = np.asarray(r) * d + c
         i = np.minimum(np.searchsorted(keys, k), keys.size - 1)
-        return np.where(keys[i] == k, self._values[i], 0)
+        return np.where(keys[i] == k, values[i], 0)
 
     @classmethod
-    def _trusted(cls, matrix, entries=None, values=None) -> "DensityOperator":
-        """Wrap a fresh matrix, built from valid states by an operation that
-        keeps it Hermitian and PSD, frozen in place, with its builder's
-        `entries` or else one scan's: only the size, shape and trace are checked.
-        With `values` at the row-major `entries`, `matrix` is only d, and the
-        state is kept as the entries and values."""
+    def _trusted(cls, matrix, entries=None) -> "DensityOperator":
+        """Keep a fresh matrix, built from valid states by an operation that
+        keeps it Hermitian and PSD, as its builder's `entries`, or else one
+        scan's, and the values there: only the size, shape and trace are checked."""
 
-        rho, d = object.__new__(cls), matrix
-        if values is None:
-            object.__setattr__(rho, "matrix", m := _frozen_array(matrix, 2, copy=False))
-            d, entries = len(m), _nonzero_entries(m) if entries is None else entries
-        for name, x in (("_d", d), ("_entries", entries), ("_values", values)):
-            object.__setattr__(rho, name, x)
-        _check_trace(rho._at, d, entries)
-        return rho
+        m = _frozen_array(matrix, 2, copy=False)
+        entries = _nonzero_entries(m) if entries is None else entries
+        return object.__new__(cls)._keep(len(m), entries, m[entries])
 
 
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
@@ -269,15 +264,15 @@ def _block_labels(d: int, entries) -> np.ndarray:
         label = new[new]
 
 
-def _real_diagonal(at, d: int, entries) -> np.ndarray:
-    """Re m[i, i] for 0 <= i < d, read by at(rows, cols) at the `entries` (elsewhere 0)."""
+def _real_diagonal(d: int, entries, values) -> np.ndarray:
+    """Re m[i, i] for 0 <= i < d, from the `values` at the `entries` (elsewhere 0)."""
 
     r, c = entries
-    on = r[r == c]
-    return np.bincount(on, at(on, on).real, d)
+    on = r == c
+    return np.bincount(r[on], values[on].real, d)
 
 
-def _eigh_blocks(d: int, entries, at=None, vectors: bool = True, values=None) -> list[tuple]:
+def _eigh_blocks(d: int, entries, values, vectors: bool = True) -> list[tuple]:
     """Eigensolve a d x d Hermitian matrix block by block; the only dense solve.
 
     The blocks are the connected components of the matrix's exact-nonzero
@@ -285,9 +280,9 @@ def _eigh_blocks(d: int, entries, at=None, vectors: bool = True, values=None) ->
     that forms one block is solved whole by one `np.linalg.eigh` (or
     `eigvalsh` without `vectors`) with the same digits.  Blocks of one
     size go through one stacked call; 1x1 blocks are read off the diagonal.
-    The blocks are gathered by at(rows, cols), which reads the matrix; or, with
-    `values`, a function making the values at the `entries`, each size's
-    blocks are scattered into zeros from values made for that scatter alone.
+    values() makes the values at the `entries`; each size's blocks are
+    scattered into zeros from values made for that scatter alone, and a
+    matrix of one block into one (d, d) array.
     Returns one `(rows, values, vecs)` triple per block size s: `rows` (k, s)
     lists the k blocks of that size, `values` (k, s) their ascending
     eigenvalues and `vecs` (k, s, s) their eigenvectors, or None.
@@ -300,12 +295,9 @@ def _eigh_blocks(d: int, entries, at=None, vectors: bool = True, values=None) ->
 
     r, c = entries
     label = _block_labels(d, entries)
-    if not label.any():
-        if values is None:  # a held matrix itself; a to_dense state is never one block
-            m = at(slice(None), slice(None))
-        else:  # one (d, d) scatter, with no per-entry block indices
-            m = np.zeros((d, d), dtype=complex)
-            m[r, c] = values()
+    if not label.any():  # one (d, d) scatter, with no per-entry block indices
+        m = np.zeros((d, d), dtype=complex)
+        m[r, c] = values()
         vals, vecs = solve(m)
         return [(np.arange(d)[None], vals[None], None if vecs is None else vecs[None])]
     order = np.argsort(label, kind="stable")
@@ -314,17 +306,16 @@ def _eigh_blocks(d: int, entries, at=None, vectors: bool = True, values=None) ->
     # a bare np.unique imports numpy.ma, which a set of a few ints does not need
     for s in sorted(set(sizes.tolist())):
         rows = order[starts[sizes == s][:, None] + np.arange(s)]
-        if values is not None:  # pos[i] numbers index i among these blocks' rows, in order
-            pos = np.full(d, -1)
-            pos[rows] = np.arange(rows.size).reshape(rows.shape)
-            on = pos[r] >= 0
-            a = np.zeros((len(rows), s, s), dtype=complex)
-            a.reshape(-1)[pos[r[on]] * s + pos[c[on]] % s] = values()[on]
+        pos = np.full(d, -1)  # pos[i] numbers index i among these blocks' rows, in order
+        pos[rows] = np.arange(rows.size).reshape(rows.shape)
+        on = pos[r] >= 0
+        a = np.zeros((len(rows), s, s), dtype=complex)
+        a.reshape(-1)[pos[r[on]] * s + pos[c[on]] % s] = values()[on]
         if s == 1:  # read off the diagonal
-            vals = _real_diagonal(at, d, entries)[rows] if values is None else a.real[:, :, 0]
+            vals = a.real[:, :, 0]
             vecs = np.ones((len(rows), 1, 1), dtype=complex) if vectors else None
         else:
-            vals, vecs = solve(a if values is not None else at(rows[:, :, None], rows[:, None, :]))
+            vals, vecs = solve(a)
         groups.append((rows, vals, vecs))
     return groups
 
@@ -369,7 +360,7 @@ def partial_transpose(rho: DensityOperator, axes: Iterable[int]) -> np.ndarray:
     Result is Hermitian and unit-trace but generally not positive, so a raw matrix is returned."""
 
     out = _sparse_zeros(rho._d)
-    out[partial_transpose_entries(rho.n_qubits, axes, rho._entries)] = rho._at(*rho._entries)
+    out[partial_transpose_entries(rho.n_qubits, axes, rho._entries)] = rho._values
     return out
 
 

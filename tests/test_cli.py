@@ -485,6 +485,18 @@ def test_twelve_qubit_dense_verify_maps_no_matrix():
     assert traced_peak_kib(setup, run) < 1280  # KiB
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_six_copy_sigma_equiv_keeps_its_mixture_as_entries():
+    # the one 12-qubit command whose compared state is mixed by dm_from_ensemble
+    # on a filled matrix; it keeps only the mixture's 4,096 entries and their
+    # values.  About 3.5 MiB resident growth and 0.75 MiB traced
+    setup = "from click.testing import CliRunner\nfrom belldistill.cli import main"
+    run = ("assert CliRunner().invoke(main, ['sigma-equiv', '--perms', "
+           "'2134,3412,4321,1234,2143,3421', '--method', 'both']).exit_code == 0")
+    assert resident_growth_kib(setup, run) < 8 * 1024  # KiB
+    assert traced_peak_kib(setup, run) < 1024  # KiB
+
+
 def test_separability_n1(runner):
     data = payload_of(invoke(runner, ["separability", "--n", "1"]))
     assert data["distance_to_maximally_mixed"] <= 1e-12

@@ -27,7 +27,13 @@ from belldistill.entropies import _spectrum
 from belldistill.states import _nonzero_entries
 
 from conftest import (kron_state, planted_blocks, random_bell_diagonal, random_density,
-                      resident_growth_kib)
+                      resident_growth_kib, traced_peak_kib)
+
+# a full-support 9-qubit state: one block of 262,144 entries (4 MiB of values)
+FULL_NINE_QUBITS = (
+    "import numpy as np\nimport belldistill as bd\n"
+    "g = np.random.default_rng(9).standard_normal((512, 1024)).view(complex)\n"
+    "m = g @ g.conj().T\nrho = bd.DensityOperator(m / np.trace(m).real)\n")
 
 
 def test_herm_eig_examples():
@@ -221,7 +227,7 @@ def test_twelve_qubit_block_solve_scans_only_the_nonzero_entries():
     m = to_dense(rho_n(6)).matrix
     tracemalloc.start()
     try:
-        vals = _spectrum(len(m), _nonzero_entries(m), lambda r, c: m[r, c])
+        vals = _spectrum(len(m), e := _nonzero_entries(m), lambda: m[e])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -234,12 +240,21 @@ def test_twelve_qubit_state_makes_only_its_written_pages_resident():
     # the 256 MiB matrix is filled on a private mapping of 4 KiB pages; with
     # numpy's 2 MiB huge pages the same 4,096 entries made 60-90 MB resident.
     # tracemalloc does not see a mapped buffer, so this reads the process's RSS
-    grown = resident_growth_kib(
-        "import belldistill as bd",
-        "rho = bd.to_dense(bd.rho_n(6))\n"
-        "for i in (1, 2, 3, 4):\n"
-        "    assert abs(bd.fidelity_pure(rho, bd.bell_product_ket((i,) * 6)) - 0.25) < 1e-12")
-    assert grown < 16 * 1024  # KiB
+    # too; it traces 0.42 MiB (the state's entries and values)
+    measured = ("rho = bd.to_dense(bd.rho_n(6))\n"
+                "for i in (1, 2, 3, 4):\n"
+                "    assert abs(bd.fidelity_pure(rho, bd.bell_product_ket((i,) * 6)) - 0.25) < 1e-12")
+    assert resident_growth_kib("import belldistill as bd", measured) < 16 * 1024  # KiB
+    assert traced_peak_kib("import belldistill as bd", measured) < 512  # KiB
+
+
+def test_fidelity_of_a_full_state_gathers_the_kets_block_once():
+    # the ket's support is all 512 indices: one 4 MiB gather of the values read
+    # as the matrix (4.1 MiB traced); a binary search of the 262,144 entries
+    # per element of that block traced 13.3 MiB
+    measured = ("a = np.random.default_rng(3).standard_normal(1024).view(complex)\n"
+                "assert 0 < bd.fidelity_pure(rho, bd.Ket(a / np.linalg.norm(a))) < 1")
+    assert traced_peak_kib(FULL_NINE_QUBITS, measured) < 6 * 1024  # KiB
 
 
 # --- solving from entries ---------------------------------------------------------
@@ -251,7 +266,7 @@ def test_twelve_qubit_state_makes_only_its_written_pages_resident():
 
 
 def _filled_spectrum(m: np.ndarray) -> np.ndarray:
-    return _spectrum(len(m), _nonzero_entries(m), lambda r, c: m[r, c])
+    return _spectrum(len(m), e := _nonzero_entries(m), lambda: m[e])
 
 
 def _dense_difference(rho, tau) -> np.ndarray:
@@ -321,24 +336,22 @@ def test_trace_distance_drops_the_entries_that_cancel(perms, other, kept):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_trace_distance_fills_no_matrix_for_sparse_states():
     # the difference has no nonzero entry; filling its 256 MiB matrix on a
-    # private mapping made 2.4 MiB resident
-    grown = resident_growth_kib(
-        "import belldistill as bd\nrho = bd.to_dense(bd.rho_n(6))\n"
-        "tau = bd.to_dense(bd.sigma_n(['2134'] * 6))",
-        "assert bd.trace_distance(rho, tau) == 0.0")
-    assert grown < 1024  # KiB
+    # private mapping made 2.4 MiB resident.  It traces 0.41 MiB
+    setup = ("import belldistill as bd\nrho = bd.to_dense(bd.rho_n(6))\n"
+             "tau = bd.to_dense(bd.sigma_n(['2134'] * 6))")
+    measured = "assert bd.trace_distance(rho, tau) == 0.0"
+    assert resident_growth_kib(setup, measured) < 1024  # KiB
+    assert traced_peak_kib(setup, measured) < 1024  # KiB
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_trace_distance_of_a_full_state_costs_one_filled_matrix():
     # one block: the 4 MiB difference is scattered into one (d, d) array and
-    # tau is read a slice at a time (about 5.0 MiB resident); a scatter through
-    # per-entry block indices made 14.1 MiB resident, and two whole gathers of
-    # the difference 11.1 MiB
-    grown = resident_growth_kib(
-        "import numpy as np\nimport belldistill as bd\n"
-        "g = np.random.default_rng(9).standard_normal((512, 1024)).view(complex)\n"
-        "m = g @ g.conj().T\nrho = bd.DensityOperator(m / np.trace(m).real)\n"
-        "mixed = bd.DensityOperator(np.eye(512) / 512)",
-        "assert 0 < bd.trace_distance(rho, mixed) < 1")
-    assert grown < 10 * 1024  # KiB
+    # tau is read a slice at a time (about 5.0 MiB resident, 10.7 MiB traced);
+    # a scatter through per-entry block indices made 14.1 MiB resident, two
+    # whole gathers of the difference 11.1 MiB, and a binary search of the
+    # full state's entries traced 18.3 MiB
+    setup = FULL_NINE_QUBITS + "mixed = bd.DensityOperator(np.eye(512) / 512)"
+    measured = "assert 0 < bd.trace_distance(rho, mixed) < 1"
+    assert resident_growth_kib(setup, measured) < 10 * 1024  # KiB
+    assert traced_peak_kib(setup, measured) < 12 * 1024  # KiB

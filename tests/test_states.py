@@ -281,7 +281,7 @@ def test_public_constructor_solves_blocks_only(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(rho.matrix, m)
-    # one bool scan (m.nbytes / 16); the entries' copy is on a private mapping too
+    # one bool scan (m.nbytes / 16) and the 16 KiB of values at the 1,024 entries
     assert peak < 0.125 * m.nbytes
 
     # a 64 x 64 matrix of 2 x 2 blocks: wide enough that a whole solve is refused
@@ -319,7 +319,7 @@ def test_kron_matches_np_kron_bit_for_bit(rng):
 
 
 def test_public_constructor_keeps_no_tie_to_the_callers_array(rng):
-    # a sparse matrix (at most d^2 / 8 entries) and a dense one
+    # a sparse matrix and a full one
     for m in (to_dense(rho_n(2)).matrix.copy(), random_density(2, rng).matrix.copy()):
         before = m.copy()
         rho = DensityOperator(m)
@@ -341,9 +341,10 @@ def test_public_constructor_stores_an_off_entry_negative_zero_as_zero():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_public_constructor_makes_only_the_entries_pages_resident():
-    # 4,096 entries of a 256 MiB matrix: the constructor copies them onto a
-    # private mapping; a whole copy made 272 MB resident.  About 16 MB of
-    # the allowance is the scan's one-byte mask
+    # 4,096 entries of a 256 MiB matrix: the constructor copies their values,
+    # and reading the matrix fills them into a private mapping; a whole copy
+    # made 272 MB resident.  About 16 MB of the allowance is the scan's
+    # one-byte mask
     grown = resident_growth_kib(
         "import numpy as np\nimport belldistill as bd\nm = bd.to_dense(bd.rho_n(6)).matrix",
         "rho = bd.DensityOperator(m)\nr, c = rho._entries\n"
@@ -596,8 +597,14 @@ def test_every_construction_path_holds_the_scans_entries(rng):
         "reorder": reorder(rho3, [5, 0, 3, 4, 1, 2]),
         "apply_local": apply_local(rho3, {0: H, 3: S}),
         "apply_local, full": apply_local(mixed, {1: S}),
+        "to_dense": to_dense(rho_n(3)),
     }
     for name, rho in built.items():
+        # one storage: the entries and the values there, the matrix filled from them
+        assert "matrix" not in vars(rho), name
+        values = rho._values
+        assert values.dtype == complex and values.shape == rho._entries[0].shape, name
+        assert rho.matrix[rho._entries].tobytes() == values.tobytes(), name
         d = len(rho.matrix)
         assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d), name
 
