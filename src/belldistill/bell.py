@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _check_total, _kron, check_dense_size
+from .states import DensityOperator, Ket, _check_total, _kron, _scanned, check_dense_size
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_COPIES = 10 ** 6  # er-pair streams 16 strings of 2n digits: 39 MB peak at n = 10^6
@@ -424,6 +424,6 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     values = values[on]
     r = np.repeat(supports.reshape(-1)[order], on.sum(axis=1))
     c = supports[order // size][on]
-    if 8 * on.size > size ** 4:  # dm_from_ensemble would scan its matrix, as int32
+    if _scanned(on.size, size * size):  # as dm_from_ensemble's entries
         r, c = r.astype(np.int32), c.astype(np.int32)
     return object.__new__(DensityOperator)._keep(size * size, (r, c), values)

@@ -4,12 +4,12 @@ command with machine-readable output.
 Exit codes: 0 = all checks pass, 1 = a quantitative check failed,
 2 = usage error.  The seeded commands (distill, discriminate, explore er)
 echo the seed, 0 by default, and each `checks` entry echoes its tolerance;
-the fixed gates of separability, distill --n 1|2 and permutations are not
-echoed.  Re-running with the same configuration reproduces stdout byte for
-byte (wall time goes to stderr, never into the payload).  Dense payloads
-print eigensolver rounding digits, which can move with the BLAS thread
-count, so for them this holds at a fixed thread count.  Non-finite values
-are serialized as the string "infinity" so payloads remain strict JSON.
+the fixed gates of separability and distill --n 1|2 are not echoed, and
+permutations is exact.  Re-running with the same configuration reproduces
+stdout byte for byte (wall time goes to stderr, never into the payload).
+Dense payloads print eigensolver rounding digits, which can move with the
+BLAS thread count, so for them this holds at a fixed thread count.
+Non-finite values are serialized as "infinity" so payloads stay strict JSON.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .measures import (
     er_bound_pair,
     er_search,
 )
-from .permutations import ALL_PERMUTATIONS, _realizations, local_permutation_search
+from .permutations import _realizations, local_permutation_search
 from .states import _dm_json_chunks, apply_local, dm_from_ensemble
 
 DENSE_TOL = 1e-8
@@ -245,16 +245,10 @@ def separability_cmd(n, dump):
 def permutations_cmd(fmt):
     """Realize all 24 Bell-basis permutations by local unitary pairs."""
 
-    table = _realizations()  # the actions the table was checked by
-    rows = []
-    for perm in sorted(ALL_PERMUTATIONS):
-        pair, action = table[perm]
-        rows.append({
-            "perm": "".join(map(str, perm)),
-            "realized": action.perm == perm,
-            "pair": pair.name,
-            "phases": [[round(p.real, 6), round(p.imag, 6)] for p in action.phases],
-        })
+    # the actions the table was checked by, one per permutation, in sorted order
+    rows = [{"perm": "".join(map(str, perm)), "realized": action.perm == perm,
+             "pair": pair.name, "phases": [[p.real, p.imag] for p in action.phases]}
+            for perm, (pair, action) in sorted(_realizations().items())]
     payload = {"command": "permutations", "count": len(rows), "rows": rows,
                "pass": all(r["realized"] for r in rows)}
     if fmt == "json":
@@ -268,6 +262,12 @@ def permutations_cmd(fmt):
 
 
 # --- sigma equivalence --------------------------------------------------------------
+
+
+def _gate(u, k: int) -> list[list[complex]]:
+    """A pair's complex gate u / sqrt(2)^k.  Dividing by the float sqrt(2)^k, not by
+    2^(k/2), rounds k = 2 entries to 0.4999999999999999, as the pinned digests were."""
+    return [[z / math.sqrt(2) ** k for z in row] for row in u]
 
 
 @main.command("sigma-equiv")
@@ -304,7 +304,8 @@ def sigma_equiv_cmd(perms, method, dump):
         gates = {}
         for j, perm in enumerate(perm_list):
             pair = local_permutation_search(invert_permutation(perm))
-            gates.update({2 * j: pair.u_alice, 2 * j + 1: pair.u_bob})
+            gates.update({2 * j: _gate(pair.u_alice, pair.k_alice),
+                          2 * j + 1: _gate(pair.u_bob, pair.k_bob)})
         # gating sigma's four Bell-product kets, not its 4^n x 4^n matrix, is far
         # cheaper and leaves no rounding entries that join the matrix's blocks
         mapped = dm_from_ensemble((w, apply_local(bell_product_ket(s), gates))

@@ -34,8 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import _count, bell_bits, bell_index, bell_product_ket
-from .permutations import H
 from .states import ALICE, BOB, Ket
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)  # rows: the X basis
 
 
 # (party, copy, basis) in protocol order on a fresh register; Bob's two

@@ -13,6 +13,7 @@ transposes and differences the entries.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -67,7 +68,6 @@ def _sparse_zeros(d: int) -> np.ndarray:
     """A zeroed d x d complex array on a private anonymous mapping of 4 KiB
     pages, so a scattered write makes 4 KiB resident, not a 2 MiB huge page."""
 
-    import mmap
     buf = mmap.mmap(-1, d * d * 16, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
@@ -191,7 +191,7 @@ class DensityOperator:
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
     """Mixture sum(w_k |psi_k><psi_k|) of kets on one register.  Its entries
     are recorded from the kets' supports, less exact cancellations, unless
-    the candidates pass d^2 / 8: sorting those costs more than one scan."""
+    `_scanned` finds one scan of the matrix cheaper."""
 
     members = list(members)
     if not members:
@@ -214,7 +214,7 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
         supports[on.tobytes()] = on
     _check_total(total)
     supports = list(supports.values())
-    if 8 * sum(on.size ** 2 for on in supports) > d * d:
+    if _scanned(sum(on.size ** 2 for on in supports), d):
         return DensityOperator._trusted(rho)
     flat = [(on[:, None] * d + on).ravel() for on in supports]
     return DensityOperator._trusted(rho, _nonzero_among(flat, d, lambda r, c: rho[r, c]))
@@ -223,6 +223,11 @@ def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
 def _check_total(total: float) -> None:
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
+
+
+def _scanned(candidates: int, d: int) -> bool:
+    """Whether a d x d state's entries come from one scan (int32), not sorting (intp)."""
+    return 8 * candidates > d * d  # past d^2 / 8 candidates the scan is cheaper
 
 
 def _nonzero_among(parts, d: int, value) -> tuple[np.ndarray, np.ndarray]:

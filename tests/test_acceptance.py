@@ -30,7 +30,7 @@ from belldistill import (
     to_dense,
     trace_distance,
 )
-from belldistill.cli import main
+from belldistill.cli import _gate, main
 from belldistill.permutations import ALL_PERMUTATIONS, LocalUnitaryPair, S
 from belldistill.states import apply_local
 
@@ -154,8 +154,8 @@ def test_acceptance_sigma_equivalence():
         gates = {}
         for j, perm in enumerate(perms):
             pair = local_permutation_search(invert_permutation(perm))
-            gates[2 * j] = pair.u_alice
-            gates[2 * j + 1] = pair.u_bob
+            gates[2 * j] = _gate(pair.u_alice, pair.k_alice)
+            gates[2 * j + 1] = _gate(pair.u_bob, pair.k_bob)
         mapped = apply_local(sigma, gates)
         worst_dense = max(worst_dense, trace_distance(mapped, rho3))
     dense_ok = worst_dense <= 1e-9

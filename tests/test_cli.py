@@ -460,14 +460,15 @@ def test_dump_matches_recorded_digest(runner, tmp_path, args):
 def test_dump_streams_the_matrix(tmp_path):
     # five copies: a 12.6 MB file of 2^20 entries.  The writer holds one
     # row's [re, im] pairs at a time; a list of the whole matrix grew the
-    # peak by about 180 MB.  The digest was recorded from that list's text
+    # peak by about 180 MB, and tracemalloc reads under 400 KiB without it.
+    # The digest was recorded from that list's text
     dump = tmp_path / "state.json"
     args = ["sigma-equiv", "--perms", "2134,3412,1234,4321,2143", "--method", "both",
             "--dump", str(dump)]
-    grown = resident_growth_kib(
-        "from click.testing import CliRunner\nfrom belldistill.cli import main",
-        f"assert CliRunner().invoke(main, {args!r}).exit_code == 0")
-    assert grown < 32 * 1024  # KiB
+    setup = "from click.testing import CliRunner\nfrom belldistill.cli import main"
+    run = f"assert CliRunner().invoke(main, {args!r}).exit_code == 0"
+    assert resident_growth_kib(setup, run) < 32 * 1024  # KiB
+    assert traced_peak_kib(setup, run) < 512  # KiB
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "768313165b86ac28d9ec62704d4a1e838ba279c61d793ffe9e27958f41e277e1")
 

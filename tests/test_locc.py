@@ -30,7 +30,7 @@ from belldistill.locc import (
     discrimination_rate,
     run_shot,
 )
-from belldistill.permutations import PAULIS
+from belldistill import permutations
 
 SQ2 = 1 / math.sqrt(2)
 BELL = np.array([[SQ2, 0, 0, SQ2], [SQ2, 0, 0, -SQ2],
@@ -46,6 +46,7 @@ def _pauli_correlation(i: int, op: np.ndarray) -> float:
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULIS = (np.eye(2, dtype=complex), Z, X, Z @ X)  # Phi_i = (P_i x I) Phi1
 
 
 # --- the dense ket tree: the reference the Bell frame is checked against -----
@@ -56,7 +57,7 @@ def _corrected(ket, guess, copies):
 
     if guess == 1 or not copies:
         return ket  # identity correction
-    u = PAULIS[guess - 1][1]
+    u = PAULIS[guess - 1]
     return apply_local(ket, {2 * (c - 1): u for c in copies})  # Alice's axes
 
 
@@ -208,13 +209,16 @@ def test_transcript_structure():
 def test_correction_pauli_maps_to_first_bell(i):
     # oracle: Alice's Pauli for index i, one-sided, by direct 4x4 application;
     # fidelity up to global phase
-    mapped = np.kron(PAULIS[i - 1][1], np.eye(2)) @ BELL[i - 1]
+    mapped = np.kron(PAULIS[i - 1], np.eye(2)) @ BELL[i - 1]
     assert abs(abs(np.vdot(BELL[0], mapped)) - 1.0) < 1e-12
+    # the permutation table's exact Paulis are these
+    assert np.array_equal(permutations.PAULIS[i - 1][1], PAULIS[i - 1])
 
 
 def test_correction_identity_for_first_index():
     # the ket tree skips the correction for index 1
-    assert np.array_equal(PAULIS[0][1], np.eye(2))
+    assert np.array_equal(PAULIS[0], np.eye(2))
+    assert np.array_equal(permutations.PAULIS[0][1], np.eye(2))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

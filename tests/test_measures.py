@@ -35,8 +35,7 @@ from belldistill import (
     von_neumann_entropy,
 )
 from belldistill import bell, measures, states
-from belldistill.cli import main
-from belldistill.permutations import I2, X, Z
+from belldistill.cli import _gate, main
 
 from conftest import resident_growth_kib, traced_peak_kib
 
@@ -96,18 +95,17 @@ def test_pair_bound_all_n(n):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_large_pair_bound_streams_its_strings():
     # rho_n(n) is held once and the 16 strings of 2n digits are made one at a
-    # time, a byte per digit: about 2 MB (17 MB as tuples of ints)
-    grown = resident_growth_kib(
-        "import belldistill as bd",
-        "r = bd.er_bound_pair(250000)\n"
-        "assert r.value_bits == 2 * 250000 - 4 and r.support_contained")
-    assert grown < 8 * 1024  # KiB
-    # rho_n(10^6) against the pair reference: about 5 MB (39 MB as tuples of ints)
-    grown = resident_growth_kib(
-        "import belldistill as bd",
-        "r = bd.er_bound_even(500000)\n"
-        "assert r.value_bits == 2 * 500000 - 2 and r.support_contained")
-    assert grown < 10 * 1024  # KiB
+    # time, a byte per digit: about 2 MB (17 MB as tuples of ints); traced, 1,956 KiB
+    pair = ("r = bd.er_bound_pair(250000)\n"
+            "assert r.value_bits == 2 * 250000 - 4 and r.support_contained")
+    assert resident_growth_kib("import belldistill as bd", pair) < 8 * 1024  # KiB
+    assert traced_peak_kib("import belldistill as bd", pair) < 3 * 1024  # KiB
+    # rho_n(10^6) against the pair reference: about 5 MB (39 MB as tuples of
+    # ints); traced, 4,884 KiB
+    even = ("r = bd.er_bound_even(500000)\n"
+            "assert r.value_bits == 2 * 500000 - 2 and r.support_contained")
+    assert resident_growth_kib("import belldistill as bd", even) < 10 * 1024  # KiB
+    assert traced_peak_kib("import belldistill as bd", even) < 6 * 1024  # KiB
 
 
 def test_to_dense_states_map_no_matrix_until_it_is_read(monkeypatch):
@@ -367,7 +365,8 @@ def _certificate(report) -> DensityOperator:
     n = report.n
     product = reorder(Ket(np.kron(report.alice_state, report.bob_state)),
                       _block_order(n)).to_dm()
-    paulis = (I2, X, Z, X @ Z)
+    x, z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex)
+    paulis = (np.eye(2, dtype=complex), x, z, x @ z)
     twirled = np.zeros_like(product.matrix)
     for string in itertools.product(paulis, repeat=n):
         gates = {}
@@ -380,7 +379,8 @@ def _certificate(report) -> DensityOperator:
         pair = local_permutation_search(perm)
         gates = {}
         for j in range(n):
-            gates[2 * j], gates[2 * j + 1] = pair.u_alice, pair.u_bob
+            gates[2 * j] = _gate(pair.u_alice, pair.k_alice)
+            gates[2 * j + 1] = _gate(pair.u_bob, pair.k_bob)
         sigma += apply_local(twirled, gates).matrix / 4
     return DensityOperator(sigma)
 

@@ -12,23 +12,28 @@ from belldistill import (
     permutation_table,
 )
 from belldistill import permutations
-from belldistill.cli import main
-from belldistill.permutations import H, I2, S, X, Z
+from belldistill.bell import BELL_AMPLITUDES
+from belldistill.cli import DENSE_TOL, _gate, main
+from belldistill.permutations import _mul
+
+# Gaussian-integer entries; H is sqrt(2) times the Hadamard gate
+I2 = ((1, 0), (0, 1))
+X = ((0, 1), (1, 0))
+Z = ((1, 0), (0, -1))
+S = ((1, 0), (0, 1j))
+H = ((1, 1), (1, -1))
 
 
 def test_identity_pair_action():
     action = permutation_action(LocalUnitaryPair(I2, I2))
-    assert action.perm == (1, 2, 3, 4)
-    assert np.allclose(action.phases, [1, 1, 1, 1])
+    assert action == ((1, 2, 3, 4), (1, 1, 1, 1))
 
 
 def test_phase_gate_pair_swaps_first_two():
     # S = diag(1, e^{i pi/2}) applied by both parties exchanges the first two
-    # Bell states and fixes the last two up to a phase
+    # Bell states and fixes the last two up to the phase i
     action = permutation_action(LocalUnitaryPair(S, S))
-    assert action.perm == (2, 1, 3, 4)
-    assert abs(abs(action.phases[2]) - 1) < 1e-12
-    assert abs(abs(action.phases[3]) - 1) < 1e-12
+    assert action == ((2, 1, 3, 4), (1, 1, 1j, 1j))
 
 
 def test_hadamard_one_sided_fails():
@@ -46,9 +51,39 @@ def test_non_unitary_rejected():
 def test_nan_operator_rejected(side, bad):
     # a comparison with NaN is False, so the check must fail unless it holds
     args = (bad, I2) if side == "alice" else (I2, bad)
-    with pytest.raises(ValueError, match=f"{side} operator is not unitary \\(error nan\\)"), \
-            np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match=f"^{side} operator entry \\((nan|inf)\\+0j\\) "
+                                         "is not a Gaussian integer$"):
         LocalUnitaryPair(*args)
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+     "entry (0.7071067811865475+0j) is not a Gaussian integer"),
+    (((1, 0.5j), (0, 1)), "entry 0.5j is not a Gaussian integer"),
+    (((1, 1), (1, 1)), "is not sqrt(2)^k times a unitary, k < 52"),
+    (((3, 0), (0, 3)), "is not sqrt(2)^k times a unitary, k < 52"),  # 9 I
+    (((2 ** 26, 0), (0, 2 ** 26)), "is not sqrt(2)^k times a unitary, k < 52"),
+    (((1, 0, 0), (0, 1, 0)), "must be 2x2"),
+    (((1, 0),), "must be 2x2"),
+])
+def test_exact_rejection(u, message):
+    # only Gaussian integers over sqrt(2)^k are kept, so a float unitary is refused
+    for args, side in (((u, I2), "alice"), ((I2, u), "bob")):
+        with pytest.raises(ValueError) as err:
+            LocalUnitaryPair(*args)
+        assert str(err.value).startswith(f"{side} operator ") and str(err.value).endswith(message)
+        assert "\n" not in str(err.value)
+
+
+def test_scale_exponent_is_read_from_the_entries():
+    pair = LocalUnitaryPair(((1 + 1j, 0), (0, 1 + 1j)), ((2 ** 25, 0), (0, -(2 ** 25))))
+    assert (pair.k_alice, pair.k_bob) == (1, 50)
+    assert pair.u_alice == ((1 + 1j, 0), (0, 1 + 1j))
+    assert all(type(z) is complex for row in pair.u_bob for z in row)
+    # (1 + i) / sqrt(2) is a unit phase, so the Bell states stay in place
+    action = permutation_action(LocalUnitaryPair(pair.u_alice, I2))
+    assert action.perm == (1, 2, 3, 4)
+    assert all(abs(p - (1 + 1j) / np.sqrt(2)) < 1e-15 for p in action.phases)
 
 
 def test_pauli_pairs_give_expected_permutations():
@@ -58,11 +93,23 @@ def test_pauli_pairs_give_expected_permutations():
     assert permutation_action(LocalUnitaryPair(H, H)).perm == (1, 3, 2, 4)
 
 
-def test_pair_tensors_match_np_kron_bit_for_bit():
-    table = permutation_table()
-    assert len(table) == 24
-    for pair in table.values():
-        assert pair.tensor().tobytes() == np.kron(pair.u_alice, pair.u_bob).tobytes()
+def test_every_table_phase_is_exactly_a_fourth_root_of_unity():
+    # each phase is complex(1, 0), complex(-1, 0), complex(0, 1) or complex(0, -1),
+    # with no -0.0 part: `-1j` has one, and the payloads would print it
+    phases = [p for _, action in permutations._realizations().values() for p in action.phases]
+    assert len(phases) == 96
+    assert {repr(p) for p in phases} == {"(1+0j)", "(-1+0j)", "1j", "-1j"}
+    assert all(type(p) is complex for p in phases)
+
+
+def test_dense_gates_realize_each_permutation_within_dense_tol():
+    # sigma-equiv's complex gates, made from each pair's exact entries
+    for perm, (pair, action) in permutations._realizations().items():
+        u = np.kron(_gate(pair.u_alice, pair.k_alice), _gate(pair.u_bob, pair.k_bob))
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= DENSE_TOL
+        for i, phase in enumerate(action.phases):
+            image = u @ BELL_AMPLITUDES[i]
+            assert np.max(np.abs(image - phase * BELL_AMPLITUDES[perm[i] - 1])) <= DENSE_TOL
 
 
 def test_closure_reaches_exactly_24_permutations():
@@ -81,7 +128,7 @@ def test_search_result_verified_by_action(perm):
 
 def test_search_identity_is_identity_pair():
     pair = local_permutation_search((1, 2, 3, 4))
-    assert np.allclose(pair.tensor(), np.eye(4))
+    assert pair.u_alice == pair.u_bob == I2 and pair.k_alice == pair.k_bob == 0
 
 
 def test_cold_build_checks_exactly_24_pairs(monkeypatch):
@@ -109,8 +156,8 @@ def test_cold_build_checks_exactly_24_pairs(monkeypatch):
 def test_group_property_composition():
     table = permutation_table()
     for a, b in itertools.islice(itertools.product(sorted(table), repeat=2), 0, 60):
-        pair = LocalUnitaryPair(table[a].u_alice @ table[b].u_alice,
-                                table[a].u_bob @ table[b].u_bob)
+        pair = LocalUnitaryPair(_mul(table[a].u_alice, table[b].u_alice),
+                                _mul(table[a].u_bob, table[b].u_bob))
         composed = permutation_action(pair)
         expected = tuple(a[b[i] - 1] for i in range(4))
         assert composed is not None and composed.perm == expected

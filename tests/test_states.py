@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import sys
 import tracemalloc
 
@@ -23,7 +24,7 @@ from belldistill import (
     sigma_n,
     to_dense,
 )
-from belldistill.permutations import H, S, X, LocalUnitaryPair
+from belldistill.permutations import LocalUnitaryPair
 from belldistill.bell import BELL_AMPLITUDES
 from belldistill import states
 from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
@@ -32,6 +33,9 @@ from belldistill.states import (_block_labels, _nonzero_entries, check_dense_siz
 from conftest import dump_matrix, kron_state, planted_blocks, random_density, resident_growth_kib
 
 SQ2 = 1 / np.sqrt(2)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+S = np.array([[1, 0], [0, 1j]], dtype=complex)
+X = ((0, 1), (1, 0))  # exact entries, as LocalUnitaryPair keeps them
 
 
 def test_ket_requires_normalization():
