@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, Ket, _check_total, _kron, _scanned, check_dense_size
+from .states import DensityOperator, Ket, _from_blocks, _kron, check_dense_size
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_COPIES = 10 ** 6  # er-pair streams 16 strings of 2n digits: 39 MB peak at n = 10^6
@@ -395,35 +395,18 @@ def to_dense(b: BellDiagonalState) -> DensityOperator:
     """Dense density operator sum_s w(s) |Phi_s><Phi_s| on the canonical
     copy-major register (capped at 12 qubits), kept as its nonzero entries and
     their values; its matrix is filled on first read.  The strings of one z
-    pattern share a support, disjoint from the others': each pattern's block
-    adds its strings' outer products in sorted order, from `_kron`'s amplitudes
-    there, with no ket, so every entry gets `dm_from_ensemble`'s terms in its
-    order.  Row i of the matrix is the row of i's block, on the block's support."""
+    pattern share a support, disjoint from the others', and form one
+    `_from_blocks` block in sorted order, with `_kron`'s amplitudes there and
+    no ket, so every entry gets `dm_from_ensemble`'s terms in its order."""
 
     check_dense_size(2 * b.n)
-    groups, total = {}, 0.0
+    groups = {}
     for s, w in sorted(b.weights.items()):
         groups.setdefault(s.translate(_Z_BITS), []).append((s, w))
-        total += w  # dm_from_ensemble's sum, in its order
-    _check_total(total)
-    size, supports = 2 ** b.n, []
+    blocks = []
     for members in groups.values():
         on = np.zeros(1, dtype=np.intp)
         for c in members[0][0]:
             on = (4 * on[:, None] + _SUPPORTS[c][0]).ravel()
-        supports.append(on)
-    order = np.argsort(supports := np.array(supports), axis=None)  # all rows, ascending
-    values = np.zeros((order.size, size), dtype=complex)  # those rows, each on its support
-    for at, members in zip(np.argsort(order).reshape(-1, size), groups.values()):  # rows' places
-        block = np.zeros((size, size), dtype=complex)
-        for s, w in members:
-            a = _kron([_SUPPORTS[c][1] for c in s])
-            block += w * np.outer(a, a.conj())
-        values[at] = block
-    on = values != 0
-    values = values[on]
-    r = np.repeat(supports.reshape(-1)[order], on.sum(axis=1))
-    c = supports[order // size][on]
-    if _scanned(on.size, size * size):  # as dm_from_ensemble's entries
-        r, c = r.astype(np.int32), c.astype(np.int32)
-    return object.__new__(DensityOperator)._keep(size * size, (r, c), values)
+        blocks.append((on, [(w, on, _kron([_SUPPORTS[c][1] for c in s])) for s, w in members]))
+    return _from_blocks(4 ** b.n, blocks)

@@ -72,7 +72,10 @@ def _reporting(*formats: str):
         @functools.wraps(body)
         def command(out, **options):
             started = time.perf_counter()
-            payload, text = body(**options)
+            try:
+                payload, text = body(**options)
+            except RuntimeError as exc:  # an internal check failed: one `Error:` line, exit 1
+                raise click.ClickException(str(exc)) from exc
             if text is None:
                 text = json.dumps(payload, sort_keys=True) + "\n"
             with click.open_file(out or "-", "w") as fh:

@@ -334,7 +334,7 @@ def er_search(n: int, restarts: int = 20, budget: int = 8000, seed: int = 0) -> 
 
     The result is n - 2 for even n and n - 1 for odd n (where X^n and Z^n
     anticommute, so G <= 2^-(n+1)).  Any value below the proven floor
-    E_R >= E_D = n - 2 raises, since it can only come from a bug; a value
+    E_R >= E_D >= n - 2 raises, since it can only come from a bug; a value
     within 1e-9 below it is rounding and is reported as the floor.
     """
 

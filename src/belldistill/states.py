@@ -4,10 +4,10 @@ A state's array fixes its register: q = log2(dim) qubits, big-endian, with
 axis 2j - 2 Alice's qubit of copy j and axis 2j - 1 Bob's.  Partial trace,
 partial transpose, reordering and local gates take qubit axes as ints.
 Dense states are capped at `MAX_DENSE_QUBITS`; larger instances must use the
-sparse Bell-diagonal representation.  Matrices fill private 4 KiB pages.  A
-density operator is its exact-nonzero entries and the values there; its matrix
-is filled at first read.  Checks and solves read the values, partial
-transposes and differences the entries.
+sparse Bell-diagonal representation.  A density operator is its exact-nonzero
+entries and the values there, which `_from_blocks` makes for a mixture of kets
+from its support blocks; its matrix fills private 4 KiB pages at first read.
+Checks and solves read the values, partial transposes and differences the entries.
 """
 
 from __future__ import annotations
@@ -178,56 +178,68 @@ class DensityOperator:
         return np.where(keys[i] == k, values[i], 0)
 
     @classmethod
-    def _trusted(cls, matrix, entries=None) -> "DensityOperator":
+    def _trusted(cls, matrix) -> "DensityOperator":
         """Keep a fresh matrix, built from valid states by an operation that
-        keeps it Hermitian and PSD, as its builder's `entries`, or else one
-        scan's, and the values there: only the size, shape and trace are checked."""
+        keeps it Hermitian and PSD, as one scan's entries and the values
+        there: only the size, shape and trace are checked."""
 
         m = _frozen_array(matrix, 2, copy=False)
-        entries = _nonzero_entries(m) if entries is None else entries
+        entries = _nonzero_entries(m)
         return object.__new__(cls)._keep(len(m), entries, m[entries])
 
 
 def dm_from_ensemble(members: Iterable[tuple[float, Ket]]) -> DensityOperator:
-    """Mixture sum(w_k |psi_k><psi_k|) of kets on one register.  Its entries
-    are recorded from the kets' supports, less exact cancellations, unless
-    `_scanned` finds one scan of the matrix cheaper."""
+    """Mixture sum(w_k |psi_k><psi_k|) of kets on one register, built by
+    `_from_blocks`: kets whose supports overlap, directly or through other
+    kets, share one block on the union of their supports, in member order."""
 
     members = list(members)
     if not members:
         raise ValueError("ensemble must not be empty")
     d = len(members[0][1].amplitudes)
-    total = 0.0
-    rho = _sparse_zeros(d)
-    supports = {}
+    total, terms = 0.0, []
     for w, psi in members:
         if w < 0:
             raise ValueError(f"negative ensemble weight {w}")
         if len(psi.amplitudes) != d:
             raise ValueError("all ensemble members must have the same number of qubits")
         total += w
-        # only the ket's support is touched; outside it the full outer product
-        # would add exact zeros, so every entry gets the same arithmetic
-        a = psi.amplitudes
-        on = np.flatnonzero(a)
-        rho[np.ix_(on, on)] += w * np.outer(a[on], a[on].conj())
-        supports[on.tobytes()] = on
-    _check_total(total)
-    supports = list(supports.values())
-    if _scanned(sum(on.size ** 2 for on in supports), d):
-        return DensityOperator._trusted(rho)
-    flat = [(on[:, None] * d + on).ravel() for on in supports]
-    return DensityOperator._trusted(rho, _nonzero_among(flat, d, lambda r, c: rho[r, c]))
-
-
-def _check_total(total: float) -> None:
+        on = np.flatnonzero(psi.amplitudes)
+        terms.append((w, on, psi.amplitudes[on]))
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
+    # each support links its indices to its first; a block is a linked set
+    first = np.concatenate([np.full(on.size, on[0]) for _, on, _ in terms])
+    label = _block_labels(d, (first, np.concatenate([on for _, on, _ in terms])))
+    blocks = {}
+    for w, on, a in terms:
+        blocks.setdefault(int(label[on[0]]), []).append((w, on, a))
+    return _from_blocks(d, [(np.flatnonzero(label == k), ts) for k, ts in blocks.items()])
 
 
-def _scanned(candidates: int, d: int) -> bool:
-    """Whether a d x d state's entries come from one scan (int32), not sorting (intp)."""
-    return 8 * candidates > d * d  # past d^2 / 8 candidates the scan is cheaper
+def _from_blocks(d: int, blocks) -> DensityOperator:
+    """The d x d mixture of the `blocks`, kept as its exact-nonzero entries
+    (intp rows and columns, row-major) and the values there.  A block is an
+    ascending support `u`, disjoint from the other blocks', and its terms
+    `(w, on, a)`, kets of weight w with amplitudes a on their support `on`
+    within `u`: it adds their outer products, in order, into a zeroed
+    u.size x u.size array, through np.ix_ only where `on` is not all of `u`."""
+
+    parts = []
+    for u, terms in blocks:
+        m = np.zeros((u.size, u.size), dtype=complex)
+        for w, on, a in terms:  # np.ix_ at on's places in u, unless on is all of u
+            at = ... if on.size == u.size else np.ix_(*2 * [np.searchsorted(u, on)])
+            m[at] += w * np.outer(a, a.conj())
+        nz = m != 0  # an exact cancellation drops out
+        values = m[nz]
+        del m  # not held while the indices are made
+        parts.append((np.repeat(u, nz.sum(axis=1)), np.broadcast_to(u, nz.shape)[nz], values))
+    r, c, values = parts[0]
+    if len(parts) > 1:  # a row's entries are all in one block, in column order
+        order = np.argsort(np.concatenate([r for r, _, _ in parts]), kind="stable")
+        r, c, values = (np.concatenate(x)[order] for x in zip(*parts))
+    return object.__new__(DensityOperator)._keep(d, (r, c), values)
 
 
 def _nonzero_among(parts, d: int, value) -> tuple[np.ndarray, np.ndarray]:

@@ -510,6 +510,19 @@ def test_permutations_table(runner):
     assert "ZS⊗ZS" in result.stdout
 
 
+def test_a_failed_internal_check_is_one_error_line(runner, monkeypatch):
+    # a pair that no longer realizes its permutation fails _realizations'
+    # check: exit 1 ("a check failed") with one Error: line, not a traceback
+    from belldistill import permutations
+
+    monkeypatch.setattr(permutations, "permutation_action", lambda pair: None)
+    permutations._realizations.cache_clear()
+    result = invoke(runner, ["permutations"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "Error: I⊗I does not realize a new Bell permutation\n"
+
+
 def test_permutations_json(runner):
     result = invoke(runner, ["permutations", "--format", "json"])
     data = payload_of(result)

@@ -436,8 +436,9 @@ def test_output_copy_entropy_is_one_ebit():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_yield_meets_divergence_bound(n):
-    # the protocol yield and the closed-form bound agree exactly: the two
-    # sides of the distillable-entanglement sandwich meet at n - 2
+    # the protocol yield equals the paper's closed form, n - 2, exactly.  The
+    # proven sandwich is E_R >= E_D >= n - 2: it closes at n - 2 for even n
+    # only, since for odd n the halved value is not an upper bound on E_D
     from belldistill import er_bound_even, er_bound_odd_doubled
 
     report = distill(n, shots=20, seed=0)

@@ -167,6 +167,30 @@ def test_dense_eigensolves_have_one_path():
         assert param.default is inspect.Parameter.empty, fn.__name__
 
 
+def test_dense_states_have_one_builder():
+    # a mixture's state is built only by states._from_blocks, from its support
+    # blocks; any other state is kept by DensityOperator's own methods, and a
+    # d x d array is filled only for a matrix that is read or a partial transpose
+    calls = {"_keep": set(), "_sparse_zeros": set(), "_from_blocks": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for inner in top.body if isinstance(top, ast.ClassDef) else [top]:
+                for node in ast.walk(inner):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        where = getattr(top, "name", None)
+                        if inner is not top:
+                            where = f"{where}.{getattr(inner, 'name', None)}"
+                        calls.get(name, set()).add((path.name, where))
+    assert calls["_from_blocks"] == {("bell.py", "to_dense"), ("states.py", "dm_from_ensemble")}
+    keepers = {where for _, where in calls["_keep"]}
+    assert "_from_blocks" in keepers and all(path == "states.py" for path, _ in calls["_keep"])
+    assert all(w.startswith("DensityOperator.") for w in keepers - {"_from_blocks"}), keepers
+    assert calls["_sparse_zeros"] == {("states.py", "DensityOperator.__getattr__"),
+                                      ("states.py", "partial_transpose")}
+    assert list(inspect.signature(belldistill.DensityOperator._trusted).parameters) == ["matrix"]
+
+
 def test_tensor_is_the_only_product_builder():
     # every factored product is built by BellDiagonalState.tensor, which keeps
     # products flat, returns a lone plain state as it is and refuses an

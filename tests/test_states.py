@@ -30,7 +30,8 @@ from belldistill import states
 from belldistill.states import (_block_labels, _nonzero_entries, check_dense_size,
                                  partial_transpose_entries)
 
-from conftest import dump_matrix, kron_state, planted_blocks, random_density, resident_growth_kib
+from conftest import (dump_matrix, kron_state, planted_blocks, random_density, resident_growth_kib,
+                      traced_peak_kib)
 
 SQ2 = 1 / np.sqrt(2)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
@@ -563,8 +564,7 @@ def test_recorded_entries_match_the_scan(name, monkeypatch):
     scans = _counting_scans(monkeypatch)
     rho = to_dense(BELL_DIAGONAL[name]())
     q, d = rho.n_qubits, len(rho.matrix)
-    if q >= 6:  # a few candidates per entry of d x d: dm_from_ensemble records them
-        assert scans == []
+    assert scans == []  # to_dense keeps its blocks' entries, whatever the size
     assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
     for axes in _axis_sets(q):
         moved = partial_transpose_entries(q, axes, rho._entries)
@@ -572,14 +572,17 @@ def test_recorded_entries_match_the_scan(name, monkeypatch):
 
 
 def test_recorded_entries_of_to_dm_match_the_scan(rng, monkeypatch):
+    # every ket's outer product is one block on its support: no state is
+    # scanned, and the block's entries are the ones a scan of the matrix finds
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     a[rng.permutation(16)[:7]] = 0
-    for psi, recorded in ((bell_product_ket((1, 3)), True), (bell_product_ket((4,) * 6), True),
-                          (Ket(a / np.linalg.norm(a)), False)):  # 81 candidates > 256 / 8
+    for psi in (bell_product_ket((1, 3)), bell_product_ket((4,) * 6), Ket(a / np.linalg.norm(a))):
         scans = _counting_scans(monkeypatch)
         rho = psi.to_dm()
         d = len(rho.matrix)
-        assert scans == ([] if recorded else [d * d])
+        assert scans == []
+        # intp, which numpy's gathers and ufunc.at take without a cast
+        assert rho._entries[0].dtype == rho._entries[1].dtype == np.intp
         assert _entry_set(rho._entries, d) == _entry_set(_nonzero_entries(rho.matrix), d)
 
 
@@ -592,10 +595,9 @@ def test_every_construction_path_holds_the_scans_entries(rng):
     built = {
         "DensityOperator": DensityOperator(mixed.matrix),
         "DensityOperator, block-diagonal": DensityOperator(rho3.matrix),
-        "_trusted with entries": DensityOperator._trusted(rho3.matrix, rho3._entries),
-        "_trusted without entries": DensityOperator._trusted(np.array(rho3.matrix)),
-        "dm_from_ensemble, below d^2 / 8": sparse,  # 16 candidates of 256, 8 cancel
-        "dm_from_ensemble, above d^2 / 8": full,  # 4,096 + 64 candidates of 4,096
+        "_trusted": DensityOperator._trusted(np.array(rho3.matrix)),
+        "dm_from_ensemble, one support": sparse,  # 16 candidates of 256, 8 cancel
+        "dm_from_ensemble, overlapping supports": full,  # one block on all 64 indices
         "Ket.to_dm": bell_product_ket((2, 4)).to_dm(),
         "partial_trace": partial_trace(rho3, [0, 3, 4]),
         "reorder": reorder(rho3, [5, 0, 3, 4, 1, 2]),
@@ -622,14 +624,15 @@ def test_an_exact_cancellation_is_not_recorded():
     assert _entry_set(rho._entries, 64) == _entry_set(_nonzero_entries(rho.matrix), 64)
 
 
-def test_a_dense_fill_is_scanned_at_construction_instead(monkeypatch):
-    # a full-support ket has d^2 candidates: sorting them costs more than
-    # one scan, so none are recorded and the wrapper scans once
+def test_a_full_support_ket_keeps_its_block_unscanned(monkeypatch):
+    # a full-support ket is one block on all d indices: its d^2 entries are
+    # the block's, in row-major order, and no matrix is scanned
     a = np.random.default_rng(1).standard_normal(2 ** 10)
     scans = _counting_scans(monkeypatch)
     rho = Ket(a / np.linalg.norm(a)).to_dm()
-    assert scans == [2 ** 20]
+    assert scans == []
     assert len(rho._entries[0]) == 2 ** 20
+    assert np.array_equal(rho._entries, _nonzero_entries(rho.matrix))
 
 
 def test_states_with_recorded_entries_never_scan(monkeypatch):
@@ -648,6 +651,42 @@ def test_states_with_recorded_entries_never_scan(monkeypatch):
     rho6 = to_dense(rho_n(6))
     for i in (1, 2, 3, 4):
         assert fidelity_pure(rho6, bell_product_ket((i,) * 6)) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_full_support_ket_is_one_block_in_memory():
+    # a full 10-qubit ket's state is its 16 MiB of values and 16 MiB of intp
+    # entries; the peak is its block with one outer product, or the values
+    # with the entries (32-34 MiB).  Read 35,500-35,824 KiB grown and
+    # 34,907 KiB traced (the same on two runs); 42,384-42,624 and 33,067 KiB
+    # when the mixture filled a d x d mapping and scanned it
+    setup = ("import numpy as np\nimport belldistill as bd\n"
+             "a = np.random.default_rng(1).standard_normal(2 ** 10)\n"
+             "psi = bd.Ket(a / np.linalg.norm(a))")
+    assert resident_growth_kib(setup, "rho = psi.to_dm()") < 48 * 1024  # KiB
+    assert traced_peak_kib(setup, "rho = psi.to_dm()") < 41 * 1024
+
+
+def test_mixtures_are_built_with_no_matrix_and_no_scan(monkeypatch):
+    # to_dense and dm_from_ensemble build each state from its support blocks:
+    # no d x d array is filled and no matrix is scanned, in the commands too
+    from click.testing import CliRunner
+    from belldistill.cli import main
+
+    def refuse(*args):
+        raise AssertionError("filled or scanned a d x d matrix")
+
+    monkeypatch.setattr(states, "_sparse_zeros", refuse)
+    monkeypatch.setattr(states, "_nonzero_entries", refuse)
+    a = np.random.default_rng(2).standard_normal(2 ** 6)
+    full = Ket(a / np.linalg.norm(a))
+    to_dense(rho_n(6))
+    full.to_dm()
+    dm_from_ensemble([(0.5, full), (0.5, bell_product_ket((2,) * 3))])
+    for args in (["sigma-equiv", "--perms", "2134,3412,4321,1234,2143,3421", "--method", "both"],
+                 ["verify", "eq5", "--m", "3", "--method", "dense"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output, result.exception)
 
 
 def test_a_public_state_scans_once(monkeypatch):
