@@ -40,7 +40,7 @@ from .measures import (
     er_search,
 )
 from .permutations import _realizations, local_permutation_search
-from .states import _dm_json_chunks, apply_local, dm_from_ensemble
+from .states import _dm_json_object, apply_local, dm_from_ensemble
 
 DENSE_TOL = 1e-8
 STRUCTURED_TOL = 1e-12
@@ -214,10 +214,12 @@ def discriminate_cmd(n, shots, seed):
 
 
 def _dump(path: str, rho) -> None:
-    """Write `dm_to_json(rho)` and a newline to `path`, one matrix row at a time."""
+    """Write `dm_to_json(rho)` and a newline to `path`.  json.dump writes the
+    text as it encodes it; json.dumps would first hold every piece of it, about
+    300 bytes an entry, on top of the object's lists."""
 
     with open(path, "w") as fh:
-        fh.writelines(_dm_json_chunks(rho))
+        json.dump(_dm_json_object(rho), fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -227,7 +229,7 @@ def _dump(path: str, rho) -> None:
 @main.command("separability")
 @click.option("--n", "n", type=click.Choice(["1", "2"]), required=True)
 @click.option("--dump", type=click.Path(), default=None,
-              help="write the dense state in the JSON matrix format")
+              help="write the dense state's nonzero entries and values as JSON")
 @_reporting()
 def separability_cmd(n, dump):
     """Checkable separability evidence for the one- and two-copy mixtures."""
@@ -280,7 +282,7 @@ def _gate(u, k: int) -> list[list[complex]]:
               help="structured compares the relabelled weights; both also applies "
                    "the table's local unitary pairs to the dense kets")
 @click.option("--dump", type=click.Path(), default=None,
-              help="write the dense permuted mixture in the JSON matrix format")
+              help="write the dense permuted mixture's nonzero entries and values as JSON")
 @_reporting()
 def sigma_equiv_cmd(perms, method, dump):
     """Check that a per-copy permuted mixture maps back to the plain

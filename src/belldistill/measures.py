@@ -34,7 +34,8 @@ from .entropies import (
     shannon_bits,
     trace_distance,
 )
-from .states import DensityOperator, _kron, check_dense_size, partial_transpose_entries, reorder
+from .states import (DensityOperator, Ket, _kron, check_dense_size, dm_from_ensemble,
+                     partial_transpose_entries, reorder)
 
 
 class DivergenceReport(NamedTuple):
@@ -248,13 +249,11 @@ def sample_separable(n: int, terms: int, seed=0) -> DensityOperator:
     rng = np.random.default_rng(seed)
     d = 2 ** n
     copy_major = [ax for j in range(n) for ax in (j, n + j)]  # A1..An,B1..Bn -> A1,B1,...
-    weights = rng.dirichlet(np.ones(terms))
-    sigma = np.zeros((d * d, d * d), dtype=complex)
-    for w in weights:
+    members = []
+    for w in rng.dirichlet(np.ones(terms)):
         v = _kron([_random_pure(rng, d), _random_pure(rng, d)])
-        v = v.reshape((2,) * (2 * n)).transpose(copy_major).reshape(d * d)
-        sigma += w * np.outer(v, v.conj())
-    return DensityOperator(sigma)
+        members.append((w, Ket(v.reshape((2,) * (2 * n)).transpose(copy_major).reshape(-1))))
+    return dm_from_ensemble(members)
 
 
 def sample_pairwise_separable(m: int, rng: np.random.Generator) -> BellDiagonalState:

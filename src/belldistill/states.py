@@ -16,7 +16,7 @@ import json
 import mmap
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -428,22 +428,19 @@ def apply_local(state: Ket | DensityOperator,
 
 # --- JSON exchange format -------------------------------------------------
 #
-# Complex entries are [re, im] pairs, matrices row-major, and the register
-# (label, owner and copy of each axis) is written out so a dump is
-# self-describing.
+# A state is written as its order, its exact-nonzero entries as [row, col]
+# pairs in row-major order and the values there as [re, im] pairs, and the
+# register (label, owner and copy of each axis), so a dump is self-describing.
 
-def _dm_json_chunks(rho: DensityOperator) -> Iterator[str]:
-    """The text of `dm_to_json(rho)` one matrix row at a time, so a writer
-    holds one row's pairs, not a list of the whole matrix.  The keys are
-    written in `json.dumps(..., sort_keys=True)` order."""
+def _dm_json_object(rho: DensityOperator) -> dict:
+    """The JSON object of `rho`, made from its entries and values, not its matrix."""
 
     qubits = [{"label": f"{'AB'[ax % 2]}{ax // 2 + 1}", "owner": (ALICE, BOB)[ax % 2],
                "copy": ax // 2 + 1} for ax in range(rho.n_qubits)]
-    yield '{"kind": "density_operator", "matrix": ['
-    for i, row in enumerate(rho.matrix):
-        yield (", " if i else "") + json.dumps(np.stack((row.real, row.imag), axis=-1).tolist())
-    yield '], "qubits": ' + json.dumps(qubits, sort_keys=True) + "}"
+    return {"dim": rho._d, "entries": np.stack(rho._entries, axis=-1).tolist(),
+            "kind": "density_operator", "qubits": qubits,
+            "values": np.stack((rho._values.real, rho._values.imag), axis=-1).tolist()}
 
 
 def dm_to_json(rho: DensityOperator) -> str:
-    return "".join(_dm_json_chunks(rho))
+    return json.dumps(_dm_json_object(rho), sort_keys=True)

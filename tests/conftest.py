@@ -86,10 +86,23 @@ def kron_state(a, b):
 
 
 def dump_matrix(text: str) -> np.ndarray:
-    """The matrix of a `dm_to_json` dump, read from its row-major [re, im]
-    pairs."""
+    """The matrix of a `dm_to_json` dump, filled at its [row, col] entries
+    with the [re, im] values there (README's recipe)."""
 
-    return np.array([[complex(re, im) for re, im in row] for row in json.loads(text)["matrix"]])
+    data = json.loads(text)
+    m = np.zeros((data["dim"], data["dim"]), dtype=complex)
+    m[tuple(np.array(data["entries"]).T)] = np.array(data["values"]).view(complex)[:, 0]
+    return m
+
+
+def dense_dump_text(text: str) -> str:
+    """The text a `dm_to_json` dump was written as before it held entries:
+    the whole matrix, row-major, as [re, im] pairs under "matrix", beside its
+    "kind" and "qubits"."""
+
+    data, m = json.loads(text), dump_matrix(text)
+    return json.dumps({"kind": data["kind"], "matrix": np.stack((m.real, m.imag), axis=-1).tolist(),
+                       "qubits": data["qubits"]}, sort_keys=True)
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator, support: int | None = None):

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from belldistill import DensityOperator, ErReport, er_search, rho_n, to_dense
+from belldistill import DensityOperator, ErReport, er_search, rho_n, sigma_n, to_dense
 from belldistill.bell import MAX_COPIES
 from belldistill.cli import explore_er, main
 from belldistill.states import dm_to_json
 
-from conftest import dump_matrix, resident_growth_kib, traced_peak_kib
+from conftest import dense_dump_text, dump_matrix, resident_growth_kib, traced_peak_kib
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -433,18 +433,26 @@ def test_separability_n2_with_dump(runner, tmp_path):
     assert data["smolin_residual"] <= 1e-10
     text = dump.read_text()
     matrix = dump_matrix(text)
-    assert np.array_equal(matrix, to_dense(rho_n(2)).matrix)
+    assert matrix.tobytes() == to_dense(rho_n(2)).matrix.tobytes()
     assert dm_to_json(DensityOperator(matrix)) + "\n" == text
 
 
-# sha256 of the files written by --dump, recorded while each qubit was a
-# labeled object; the register is now implied by the matrix and the bytes held.
-# The sigma-equiv digest was recorded under --method dense, an alias of both.
+FIVE_COPY_DUMP = "sigma-equiv --perms 2134,3412,1234,4321,2143 --method both"
+
+# sha256 of each file --dump writes, and of the text it converts back to: the
+# whole matrix, row-major, as [re, im] pairs, the format --dump wrote before
+# it wrote entries and values.  The two-copy sigma-equiv case was recorded
+# under --method dense, an alias of both.
 RECORDED_DUMPS = {
-    "separability --n 2":
-        "6f14d040c54c8555463a6941e37e6fe581c631b9586047a387fcf1533ad6fb56",
-    "sigma-equiv --perms 2134,3412 --method both":
-        "112d21cb873a72e76605ea148a8f5e35dfea3d6af7f81bfcb93ee199510826d1",
+    "separability --n 2": (
+        "923b5a79768abf46e745b15e0b5fb191d71b00e2faa2cfcc6155f931a77a7bea",
+        "6f14d040c54c8555463a6941e37e6fe581c631b9586047a387fcf1533ad6fb56"),
+    "sigma-equiv --perms 2134,3412 --method both": (
+        "09a4f009880191baa5c5680cd57aaf4f74d6e0ee1c68a1f3218a72b351c6bf9e",
+        "112d21cb873a72e76605ea148a8f5e35dfea3d6af7f81bfcb93ee199510826d1"),
+    FIVE_COPY_DUMP: (
+        "eb49214518533b5cd8432dc81049c98f52e7ce4c1771bcd81cc9755a0c6545ba",
+        "768313165b86ac28d9ec62704d4a1e838ba279c61d793ffe9e27958f41e277e1"),
 }
 
 
@@ -453,24 +461,26 @@ def test_dump_matches_recorded_digest(runner, tmp_path, args):
     dump = tmp_path / "state.json"
     result = invoke(runner, [*args.split(), "--dump", str(dump)])
     assert result.exit_code == 0
-    assert hashlib.sha256(dump.read_bytes()).hexdigest() == RECORDED_DUMPS[args]
+    entries_digest, dense_digest = RECORDED_DUMPS[args]
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == entries_digest
+    dense = dense_dump_text(dump.read_text()) + "\n"
+    assert hashlib.sha256(dense.encode()).hexdigest() == dense_digest
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_dump_streams_the_matrix(tmp_path):
-    # five copies: a 12.6 MB file of 2^20 entries.  The writer holds one
-    # row's [re, im] pairs at a time; a list of the whole matrix grew the
-    # peak by about 180 MB, and tracemalloc reads under 400 KiB without it.
-    # The digest was recorded from that list's text
+def test_dump_writes_the_entries_not_the_matrix(tmp_path):
+    # five copies: the dump holds the 1,024 nonzero entries of 2^20 (43 KB).
+    # Traced, the command peaks at 434 KiB; writing the text of json.dumps,
+    # which holds every piece of it before joining them, took 699 KiB
     dump = tmp_path / "state.json"
-    args = ["sigma-equiv", "--perms", "2134,3412,1234,4321,2143", "--method", "both",
-            "--dump", str(dump)]
+    args = [*FIVE_COPY_DUMP.split(), "--dump", str(dump)]
     setup = "from click.testing import CliRunner\nfrom belldistill.cli import main"
     run = f"assert CliRunner().invoke(main, {args!r}).exit_code == 0"
     assert resident_growth_kib(setup, run) < 32 * 1024  # KiB
     assert traced_peak_kib(setup, run) < 512  # KiB
-    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "768313165b86ac28d9ec62704d4a1e838ba279c61d793ffe9e27958f41e277e1")
+    rho, text = to_dense(sigma_n(args[2].split(","))), dump.read_text()
+    assert text == dm_to_json(rho) + "\n"
+    assert dump_matrix(text).tobytes() == rho.matrix.tobytes()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -85,6 +85,15 @@ def test_odd_doubled_raw_matches_general_kl():
     assert math.isinf(bell_diagonal_kl(p, rho2_power(3)))
 
 
+def test_odd_upper_certificate_is_n_minus_one():
+    # rho_2 and rho_1 = I/4 are separable, so sigma = rho_2^((n-1)/2) (x) rho_1 is;
+    # each string "ii...i" of rho_n weighs 1/4 there against 4^-((n+1)/2) in sigma,
+    # so E_R(rho_n) <= n - 1 for odd n, up to rho2_power's cap of 511 blocks
+    for n in range(3, 1024, 2):
+        sigma = rho2_power((n - 1) // 2).tensor(rho_n(1))
+        assert bell_diagonal_kl(rho_n(n), sigma) == n - 1, n
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pair_bound_all_n(n):
     report = er_bound_pair(n)

@@ -21,6 +21,7 @@ from belldistill import (
     reorder,
     rho2_power,
     rho_n,
+    sample_separable,
     sigma_n,
     to_dense,
 )
@@ -201,10 +202,10 @@ def test_json_roundtrip_ket_and_dm(rng):
     pure = bell_product_ket((2,)).to_dm()
     text = dm_to_json(pure)
     assert [q["label"] for q in json.loads(text)["qubits"]] == ["A1", "B1"]
-    assert np.allclose(dump_matrix(text), pure.matrix)
+    assert dump_matrix(text).tobytes() == pure.matrix.tobytes()
 
     rho = random_density(2, rng)
-    assert np.allclose(dump_matrix(dm_to_json(rho)), rho.matrix)
+    assert dump_matrix(dm_to_json(rho)).tobytes() == rho.matrix.tobytes()
 
 
 def test_bell_pairs_layout_is_copy_major():
@@ -667,9 +668,10 @@ def test_a_full_support_ket_is_one_block_in_memory():
     assert traced_peak_kib(setup, "rho = psi.to_dm()") < 41 * 1024
 
 
-def test_mixtures_are_built_with_no_matrix_and_no_scan(monkeypatch):
-    # to_dense and dm_from_ensemble build each state from its support blocks:
-    # no d x d array is filled and no matrix is scanned, in the commands too
+def test_mixtures_are_built_with_no_matrix_and_no_scan(monkeypatch, tmp_path):
+    # to_dense, dm_from_ensemble and sample_separable build each state from its
+    # support blocks: no d x d array is filled and no matrix is scanned, in the
+    # commands too, and a dump is written from the entries and values
     from click.testing import CliRunner
     from belldistill.cli import main
 
@@ -680,10 +682,12 @@ def test_mixtures_are_built_with_no_matrix_and_no_scan(monkeypatch):
     monkeypatch.setattr(states, "_nonzero_entries", refuse)
     a = np.random.default_rng(2).standard_normal(2 ** 6)
     full = Ket(a / np.linalg.norm(a))
-    to_dense(rho_n(6))
-    full.to_dm()
+    dm_to_json(to_dense(rho_n(6)))
+    dm_to_json(full.to_dm())
     dm_from_ensemble([(0.5, full), (0.5, bell_product_ket((2,) * 3))])
-    for args in (["sigma-equiv", "--perms", "2134,3412,4321,1234,2143,3421", "--method", "both"],
+    sample_separable(3, 4, seed=1)
+    for args in (["sigma-equiv", "--perms", "2134,3412,4321,1234,2143,3421", "--method", "both",
+                  "--dump", str(tmp_path / "state.json")],
                  ["verify", "eq5", "--m", "3", "--method", "dense"]):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, (args, result.output, result.exception)
